@@ -144,9 +144,7 @@ class Asm {
   void Load8Zx(Reg dst, Reg base, std::int32_t disp) {  // movzx r32, byte [..]
     Rex(false, dst, 0, base); U8(0x0F); U8(0xB6); Mem(dst, base, disp);
   }
-  void Store8(Reg base, std::int32_t disp, Reg src) {  // src must encode sans REX: al/cl/dl/bl
-    Rex(false, src, 0, base); U8(0x88); Mem(src, base, disp);
-  }
+
   void Load64Sib(Reg dst, Reg base, Reg index, int scale, std::int32_t disp) {
     Rex(true, dst, index, base); U8(0x8B); MemSib(dst, base, index, scale, disp);
   }
@@ -162,8 +160,11 @@ class Asm {
   void Load8ZxSib(Reg dst, Reg base, Reg index, int scale, std::int32_t disp) {
     Rex(false, dst, index, base); U8(0x0F); U8(0xB6); MemSib(dst, base, index, scale, disp);
   }
+  void Store8(Reg base, std::int32_t disp, Reg src) {
+    Rex8(src, 0, base); U8(0x88); Mem(src, base, disp);
+  }
   void Store8Sib(Reg base, Reg index, int scale, std::int32_t disp, Reg src) {
-    Rex(false, src, index, base); U8(0x88); MemSib(src, base, index, scale, disp);
+    Rex8(src, index, base); U8(0x88); MemSib(src, base, index, scale, disp);
   }
   void MovImm64(Reg dst, std::uint64_t imm) {
     Rex(true, 0, 0, dst); U8(static_cast<std::uint8_t>(0xB8 | (dst & 7))); U64(imm);
@@ -186,31 +187,31 @@ class Asm {
     }
   }
 
-  // --- ALU, reg ← reg/mem forms (opcode 0x03-style: reg, r/m) ---
-  void AddRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x03); Mem(dst, base, disp); }
-  void SubRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x2B); Mem(dst, base, disp); }
-  void AndRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x23); Mem(dst, base, disp); }
-  void OrRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x0B); Mem(dst, base, disp); }
-  void XorRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x33); Mem(dst, base, disp); }
-  void ImulRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x0F); U8(0xAF); Mem(dst, base, disp); }
-  void AddMR(Reg base, std::int32_t disp, Reg src) { Rex(true, src, 0, base); U8(0x01); Mem(src, base, disp); }
-  void AddRM32(Reg dst, Reg base, std::int32_t disp) { Rex(false, dst, 0, base); U8(0x03); Mem(dst, base, disp); }
-  void SubRM32(Reg dst, Reg base, std::int32_t disp) { Rex(false, dst, 0, base); U8(0x2B); Mem(dst, base, disp); }
-  void ImulRM32(Reg dst, Reg base, std::int32_t disp) { Rex(false, dst, 0, base); U8(0x0F); U8(0xAF); Mem(dst, base, disp); }
-  void ImulImm(Reg dst, Reg src, std::int32_t imm) {  // imul r64, r/m64, imm32
-    Rex(true, dst, 0, src); U8(0x69); ModReg(dst, src); U32(static_cast<std::uint32_t>(imm));
+  // --- ALU, reg ← reg/mem forms. `opc` is the "reg, r/m" opcode byte
+  // (0x03 add, 0x0B or, 0x23 and, 0x2B sub, 0x33 xor, 0x3B cmp); kImul
+  // selects the two-byte 0F AF imul. `w` picks 64- vs 32-bit operands.
+  static constexpr std::uint8_t kImul = 0xAF;
+  void AluOpc(std::uint8_t opc) {
+    if (opc == kImul) U8(0x0F);
+    U8(opc);
   }
-  void AddRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x01); ModReg(src, dst); }
+  void AluRR(std::uint8_t opc, Reg dst, Reg src, bool w) {
+    Rex(w, dst, 0, src); AluOpc(opc); ModReg(dst, src);
+  }
+  void AluRMem(std::uint8_t opc, Reg dst, Reg base, std::int32_t disp, bool w) {
+    Rex(w, dst, 0, base); AluOpc(opc); Mem(dst, base, disp);
+  }
+  void ImulImm(Reg dst, Reg src, std::int32_t imm, bool w) {  // imul r, r/m, imm32
+    Rex(w, dst, 0, src); U8(0x69); ModReg(dst, src); U32(static_cast<std::uint32_t>(imm));
+  }
+  void AddMR(Reg base, std::int32_t disp, Reg src) { Rex(true, src, 0, base); U8(0x01); Mem(src, base, disp); }
   void SubRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x29); ModReg(src, dst); }
-  void AndRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x21); ModReg(src, dst); }
-  void OrRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x09); ModReg(src, dst); }
-  void XorRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x31); ModReg(src, dst); }
-  void XorRR32(Reg dst, Reg src) { Rex(false, src, 0, dst); U8(0x31); ModReg(src, dst); }
-  void ImulRR(Reg dst, Reg src) { Rex(true, dst, 0, src); U8(0x0F); U8(0xAF); ModReg(dst, src); }
   void CmpRR(Reg a, Reg b) { Rex(true, b, 0, a); U8(0x39); ModReg(b, a); }  // cmp a, b
+  void CmpMR(Reg base, std::int32_t disp, Reg b) { Rex(true, b, 0, base); U8(0x39); Mem(b, base, disp); }
   void CmpRM(Reg a, Reg base, std::int32_t disp) { Rex(true, a, 0, base); U8(0x3B); Mem(a, base, disp); }
   void TestRR(Reg a, Reg b) { Rex(true, b, 0, a); U8(0x85); ModReg(b, a); }
   void TestRR32(Reg a, Reg b) { Rex(false, b, 0, a); U8(0x85); ModReg(b, a); }
+  void XorRR32(Reg dst, Reg src) { Rex(false, src, 0, dst); U8(0x31); ModReg(src, dst); }
 
   // --- ALU with immediate (0x83 imm8 short form when it fits, else 0x81) ---
   static bool ImmFits8(std::int32_t imm) { return imm >= -128 && imm <= 127; }
@@ -252,13 +253,23 @@ class Asm {
   void NotR32(Reg rm) { Rex(false, 0, 0, rm); U8(0xF7); ModReg(GRP_NOT, rm); }
   void DecR(Reg rm) { Rex(true, 0, 0, rm); U8(0xFF); ModReg(1, rm); }
   void Cqo() { U8(0x48); U8(0x99); }
-  void Cdq() { U8(0x99); }
 
-  void Setcc(Cc cc, Reg rm8) {  // rm8 must be al/cl/dl/bl
+  // Byte-register operands: spl/bpl/sil/dil are only reachable with a REX
+  // prefix (without one, encodings 4-7 name ah/ch/dh/bh), so byte forms
+  // force an empty REX whenever the byte register is one of those.
+  void Rex8(std::uint8_t reg8, std::uint8_t index, std::uint8_t base) {
+    const std::uint8_t rex = 0x40 | (((reg8 >> 3) & 1) << 2) | (((index >> 3) & 1) << 1) |
+                             ((base >> 3) & 1);
+    if (rex != 0x40 || (reg8 >= 4 && reg8 < 8)) U8(rex);
+  }
+  void Setcc(Cc cc, Reg rm8) {
+    if (rm8 >= 4) U8(static_cast<std::uint8_t>(0x40 | ((rm8 >> 3) & 1)));
     U8(0x0F); U8(static_cast<std::uint8_t>(0x90 | cc)); ModReg(0, rm8);
   }
   void MovzxR32R8(Reg dst, Reg src8) {
-    Rex(false, dst, 0, src8); U8(0x0F); U8(0xB6); ModReg(dst, src8);
+    const std::uint8_t rex = 0x40 | (((dst >> 3) & 1) << 2) | ((src8 >> 3) & 1);
+    if (rex != 0x40 || (src8 >= 4 && src8 < 8)) U8(rex);
+    U8(0x0F); U8(0xB6); ModReg(dst, src8);
   }
 
   void Lea(Reg dst, Reg base, std::int32_t disp) {
@@ -275,9 +286,8 @@ class Asm {
     return at;
   }
   std::size_t Jmp() { U8(0xE9); const std::size_t at = pos(); U32(0); return at; }
-  // Short forward jumps for intra-template skips; patch with PatchRel8.
+  // Short forward jump for intra-template skips; patch with PatchRel8.
   std::size_t Jcc8(Cc cc) { U8(static_cast<std::uint8_t>(0x70 | cc)); const std::size_t at = pos(); U8(0); return at; }
-  std::size_t Jmp8() { U8(0xEB); const std::size_t at = pos(); U8(0); return at; }
 
   void CallR(Reg r) { Rex(false, 0, 0, r); U8(0xFF); ModReg(2, r); }
   void CallMem(Reg base, std::int32_t disp) { Rex(false, 0, 0, base); U8(0xFF); Mem(2, base, disp); }
@@ -346,10 +356,12 @@ namespace {
 //   r12 = stack base
 //   rbx = globals base
 //   rbp = current Frame*
-// rax/rcx/rdx/rsi are template-local scratch. There is no stack-pointer
-// register: the verifier proves one operand depth per pc, so every operand
-// address is static and sp_ is materialized only at side exits and helper
-// calls (sp = frame->base + num_locals + depth).
+//   r15 = fuel, and through its entry mark the retired ledger
+// The nine caller-saved registers hold operand values (the deferred stack,
+// below). There is no stack-pointer register: the verifier proves one
+// operand depth per pc, so every operand address is static and sp_ is
+// materialized only at side exits and helper calls (sp = frame->base +
+// num_locals + depth).
 // ---------------------------------------------------------------------------
 
 constexpr Reg CTX = R14;
@@ -535,6 +547,46 @@ bool IsBlockEnder(const Eff& e, Op op) {
   return e.branch || e.terminal || op == Op::kCall || op == Op::kCallHost;
 }
 
+// Where a not-yet-stored operand's value lives while its block compiles.
+// kMem names a 64-bit cell [base + disp]: the entry's own operand slot (the
+// only materialized state), or a local, spliced-callee local, or global the
+// value was read from and which nothing has written since. kFlags is a
+// comparison result still in the condition flags; it only ever sits on top
+// of the stack and is turned into a 0/1 register before anything else runs.
+struct Loc {
+  enum Kind : std::uint8_t { kMem, kReg, kImm, kFlags };
+  Kind kind = kMem;
+  Reg reg = RAX;            // kReg: the register; kMem: the base register
+  std::int32_t disp = 0;    // kMem
+  std::int64_t imm = 0;     // kImm: the value; kFlags: the condition code
+
+  static Loc Mem(Reg base, std::int32_t disp) { return {kMem, base, disp, 0}; }
+  static Loc InReg(Reg r) { return {kReg, r, 0, 0}; }
+  static Loc Imm(std::int64_t v) { return {kImm, RAX, 0, v}; }
+  static Loc Flags(Cc cc) { return {kFlags, RAX, 0, cc}; }
+  bool FitsImm32() const { return kind == kImm && imm >= INT32_MIN && imm <= INT32_MAX; }
+};
+
+// The value registers: every caller-saved general register. Pinned state
+// lives in callee-saved ones, so a helper call only has to flush these.
+constexpr Reg kValueRegs[] = {RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11};
+constexpr std::uint32_t Bit(Reg r) { return 1u << r; }
+
+// The condition that holds for (b, a) when `cc` holds for (a, b).
+Cc SwapCc(Cc cc) {
+  switch (cc) {
+    case CC_L: return CC_G;
+    case CC_G: return CC_L;
+    case CC_LE: return CC_GE;
+    case CC_GE: return CC_LE;
+    case CC_B: return CC_A;
+    case CC_A: return CC_B;
+    case CC_BE: return CC_AE;
+    case CC_AE: return CC_BE;
+    default: return cc;  // E, NE
+  }
+}
+
 struct Compiler {
   const Program& program;
   const FunctionCode& fn;
@@ -554,10 +606,16 @@ struct Compiler {
   std::size_t stack_slots;
 
   Asm a{};
-  std::vector<int> depth{};        // per pc; -1 = unreachable
-  std::vector<char> leader{};
-  std::vector<int> blk_leader{};   // pc -> its block's leader pc
-  std::vector<int> blk_len{};      // leader pc -> instruction count
+  // Per-pc control-flow facts, for the function being compiled and (while
+  // splicing) for the spliced callee.
+  struct Flow {
+    std::vector<int> depth;      // verifier-proven operand depth; -1 = unreachable
+    std::vector<char> leader;    // starts a fuel-accounting block
+    std::vector<char> target;    // some branch jumps here: operands arrive stored
+    std::vector<int> blk_leader; // pc -> its block's leader pc
+    std::vector<int> blk_len;    // leader pc -> instruction count
+  };
+  Flow flow{};
   std::vector<std::int64_t> pc_off{};  // pc -> native offset (-1 = not emitted)
 
   struct Fix {
@@ -566,13 +624,16 @@ struct Compiler {
   };
   std::vector<Fix> fixes{};  // rel32 patches to bytecode-pc labels
 
+  // A pending operand an exit stub stores before it deopts: the slot's
+  // displacement from r13 and where the value is at the exit.
+  using Pending = std::vector<std::pair<std::int32_t, Loc>>;
   struct Exit {
     std::size_t at;      // rel32 patch position jumping to this stub
     std::uint32_t pc;    // faulting bytecode pc (reexec only)
     int depth;           // operand depth at the site (reexec sp commit)
-    std::int64_t give;   // retired give-back (block overcharge)
+    std::int64_t give;   // block overcharge returned to r15 (both ledgers)
     bool reexec;         // true: kDeopt + frame rebuild; false: exception passthrough
-    std::int64_t fuel_give;  // fuel register give-back (differs at fuel exits)
+    Pending pending;     // operands to store so the frame is memory-identical
     // Exits raised inside a spliced (inlined) callee: the stub materializes
     // the frame the hot path skipped, so pc/depth above are callee-relative
     // and the interpreter resumes inside the callee as if kCall had pushed.
@@ -583,41 +644,191 @@ struct Compiler {
   std::vector<Exit> exits{};
   std::vector<std::size_t> epi_fixes{};  // rel32 patches to the epilogue
   std::size_t epilogue_off = 0;
+  bool bad_ = false;  // a template hit a state it cannot encode: bail the function
 
-  // --- slot addressing -----------------------------------------------------
+  // --- native frame --------------------------------------------------------
+  // Below the six saved registers the prologue reserves three qwords (which
+  // also keeps rsp 16-aligned at helper calls): the retired-ledger mark and
+  // the spliced-call limit flag.
+  static constexpr std::int32_t kFrameReserve = 24;
+  static constexpr std::int32_t kMarkOff = 0;  // r15 when the ledger last synced
+  static constexpr std::int32_t kFlagOff = 8;  // see EmitSpliceLimitFlag
+
+  // --- the deferred operand stack -------------------------------------------
   //
-  // rax doubles as a one-entry value cache: `rax_slot_` names the operand
-  // depth (`rax_local_` the local slot, `rax_global_` the global slot) whose
-  // full 64-bit value rax is known to hold. Stack code is chains — one instruction's result is the
-  // next one's left operand — so the cache turns the store+reload at every
-  // link into a store alone, breaking the store-to-load forwarding chain
-  // that would otherwise pace every template. The discipline: loads into
-  // rax establish a claim, StoreSlot(., RAX) re-establishes one (so a raw
-  // rax clobber followed by that store is self-correcting — the store
-  // writes the clobbered value), memory writes that bypass StoreSlot kill
-  // the matching claim, and templates that clobber rax without a closing
-  // StoreSlot(., RAX) call KillRax() themselves. Block leaders always start
-  // cold: control may arrive from any predecessor.
-  int rax_slot_ = -1;
-  std::int64_t rax_local_ = -1;
-  std::int64_t rax_global_ = -1;
-  void KillRax() {
-    rax_slot_ = -1;
-    rax_local_ = -1;
-    rax_global_ = -1;
+  // vs_[i] describes operand slot i (caller coordinates, spliced callee
+  // frames included) while the current block compiles. Producers push a
+  // location instead of storing; consumers read registers, immediates, or
+  // memory operands straight from it. A value reaches its slot only when
+  // something needs the memory frame: a branch or a join (every jump target
+  // starts fully stored, so all incoming paths agree), a helper or kCall, or
+  // an exit stub, which stores the pending entries it was handed before it
+  // deopts. Templates emit their exits before they clobber any input, so
+  // at every exit the inputs are still where vs_ says.
+  std::vector<Loc> vs_{};
+  std::uint32_t held_ = 0;        // template temporaries, released per insn
+  std::size_t spill_floor_ = 0;   // AllocReg may spill only entries below this
+
+  std::int32_t SlotDisp(std::size_t d) const {
+    return static_cast<std::int32_t>(8 * (static_cast<std::size_t>(fn.num_locals) + d));
   }
-  void KillSlot(int d) {
-    if (rax_slot_ == d) rax_slot_ = -1;
+  bool OwnSlot(std::size_t i) const {
+    const Loc& l = vs_[i];
+    return l.kind == Loc::kMem && l.reg == LOCALS && l.disp == SlotDisp(i);
   }
-  void KillLocal(std::int64_t s) {
-    if (inl_local_base_ >= 0) {
-      KillSlot(inl_local_base_ + static_cast<int>(s));
-      return;
+  void ResetStack(std::size_t d) {
+    vs_.clear();
+    for (std::size_t i = 0; i < d; ++i) vs_.push_back(Loc::Mem(LOCALS, SlotDisp(i)));
+  }
+  void Push(const Loc& l) {
+    if (l.kind == Loc::kReg) held_ &= ~Bit(l.reg);  // the entry owns it now
+    vs_.push_back(l);
+  }
+  void Drop(std::size_t n) { vs_.resize(vs_.size() - n); }
+
+  std::uint32_t UsedRegs() const {
+    std::uint32_t used = held_;
+    for (const Loc& l : vs_) {
+      if (l.kind == Loc::kReg) used |= Bit(l.reg);
     }
-    if (rax_local_ == s) rax_local_ = -1;
+    return used;
   }
-  void KillGlobal(std::int64_t g) {
-    if (rax_global_ == g) rax_global_ = -1;
+  // A free value register, held until the current instruction ends. With
+  // all nine taken, the deepest register entry below the instruction's
+  // inputs is stored to its slot to make room.
+  Reg AllocReg() {
+    const std::uint32_t used = UsedRegs();
+    for (const Reg r : kValueRegs) {
+      if ((used & Bit(r)) == 0) {
+        held_ |= Bit(r);
+        return r;
+      }
+    }
+    for (std::size_t i = 0; i < spill_floor_ && i < vs_.size(); ++i) {
+      if (vs_[i].kind == Loc::kReg) {
+        const Reg r = vs_[i].reg;
+        a.Store64(LOCALS, SlotDisp(i), r);
+        vs_[i] = Loc::Mem(LOCALS, SlotDisp(i));
+        held_ |= Bit(r);
+        return r;
+      }
+    }
+    bad_ = true;
+    return RAX;
+  }
+  void Release(Reg r) { held_ &= ~Bit(r); }
+  // Frees `r` for a template that needs that exact register (division,
+  // shift counts): the entry holding it moves to another register.
+  void Evict(Reg r) {
+    if ((held_ & Bit(r)) != 0) bad_ = true;
+    for (Loc& l : vs_) {
+      if (l.kind == Loc::kReg && l.reg == r) {
+        const Reg n = AllocReg();
+        a.MovRR(n, r);
+        l.reg = n;
+        Release(n);
+      }
+    }
+    held_ |= Bit(r);
+  }
+  // Plain moves only: nothing here may touch the flags (a pending kFlags
+  // entry or an in-flight compare may be waiting on them).
+  void LoadTo(Reg r, const Loc& l) {
+    switch (l.kind) {
+      case Loc::kReg:
+        if (l.reg != r) a.MovRR(r, l.reg);
+        break;
+      case Loc::kMem:
+        a.Load64(r, l.reg, l.disp);
+        break;
+      case Loc::kImm:
+        a.MovImmAuto(r, l.imm);
+        break;
+      case Loc::kFlags:
+        bad_ = true;
+        break;
+    }
+  }
+  // The value in a register: its own when it has one (the caller may
+  // clobber it once its exits are emitted), else a loaded temporary.
+  Reg RegFor(const Loc& l) {
+    if (l.kind == Loc::kReg) return l.reg;
+    const Reg r = AllocReg();
+    LoadTo(r, l);
+    return r;
+  }
+  Reg RegOf(std::size_t i) { return RegFor(vs_[i]); }
+  // Stores a value into [base + disp] (a slot, local, global, or field).
+  void StoreLoc(Reg base, std::int32_t disp, const Loc& v) {
+    if (v.kind == Loc::kReg) {
+      a.Store64(base, disp, v.reg);
+    } else if (v.FitsImm32()) {
+      a.StoreImm32Sx(base, disp, static_cast<std::int32_t>(v.imm));
+    } else {
+      const Reg t = AllocReg();
+      LoadTo(t, v);
+      a.Store64(base, disp, t);
+      Release(t);
+    }
+  }
+  // Turns a pending comparison into a 0/1 register. setcc and movzx leave
+  // the flags alone.
+  void MaterializeFlags() {
+    if (vs_.empty() || vs_.back().kind != Loc::kFlags) return;
+    const Reg r = AllocReg();
+    a.Setcc(static_cast<Cc>(vs_.back().imm), r);
+    a.MovzxR32R8(r, r);
+    vs_.back() = Loc::InReg(r);
+    Release(r);
+  }
+  // Stores entries [from, to) into their own slots: registers first, which
+  // frees them as temporaries for the constants and memory copies.
+  void Flush(std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      if (vs_[i].kind == Loc::kFlags) bad_ = true;  // only the top holds flags
+      if (vs_[i].kind == Loc::kReg) {
+        a.Store64(LOCALS, SlotDisp(i), vs_[i].reg);
+        vs_[i] = Loc::Mem(LOCALS, SlotDisp(i));
+      }
+    }
+    for (std::size_t i = from; i < to; ++i) {
+      if (!OwnSlot(i)) {
+        StoreLoc(LOCALS, SlotDisp(i), vs_[i]);
+        vs_[i] = Loc::Mem(LOCALS, SlotDisp(i));
+      }
+    }
+  }
+  void FlushAll() {
+    MaterializeFlags();
+    Flush(0, vs_.size());
+  }
+  // About to write [base + disp]: entries still reading the old value
+  // there take it into a register first.
+  void Invalidate(Reg base, std::int32_t disp) {
+    for (std::size_t i = 0; i < vs_.size(); ++i) {
+      Loc& l = vs_[i];
+      if (l.kind == Loc::kMem && l.reg == base && l.disp == disp && !OwnSlot(i)) {
+        const Reg r = AllocReg();
+        a.Load64(r, base, disp);
+        l = Loc::InReg(r);
+        Release(r);
+      }
+    }
+  }
+  Pending PendingEntries() {
+    Pending p;
+    for (std::size_t i = 0; i < vs_.size(); ++i) {
+      if (OwnSlot(i)) continue;
+      if (vs_[i].kind == Loc::kFlags) bad_ = true;
+      p.emplace_back(SlotDisp(i), vs_[i]);
+    }
+    return p;
+  }
+  // Local `s` of the function being emitted (a caller operand slot while
+  // splicing).
+  std::int32_t LocalDisp(std::int64_t s) const {
+    return inl_local_base_ >= 0 ? SlotDisp(static_cast<std::size_t>(inl_local_base_ + s))
+                                : static_cast<std::int32_t>(8 * s);
   }
 
   // --- leaf inlining (kCall) -----------------------------------------------
@@ -625,18 +836,16 @@ struct Compiler {
   // A short leaf callee is spliced into the caller: its locals and operand
   // stack land exactly where its frame would have lived (local i -> caller
   // operand slot inl_local_base_ + i, operand j -> slot inl_op_bias_ + j),
-  // so the templates — and the rax cache's claim space — work unchanged in
-  // caller coordinates. The interpreter-identical depth, capacity, and
-  // stack-overflow checks run first, but no frame is written on the hot
-  // path: an exit raised inside the spliced region jumps to a stub that
-  // materializes the callee frame (and the caller's resume pc) before
-  // deopting, so the interpreter picks up at the exact callee instruction
-  // with the state a real call would have produced.
+  // so the templates and the deferred stack work unchanged in caller
+  // coordinates. The interpreter-identical depth, capacity, and
+  // stack-overflow checks are evaluated once per activation (see
+  // EmitSpliceLimitFlag), and no frame is written on the hot path: an exit
+  // raised inside the spliced region jumps to a stub that materializes the
+  // callee frame (and the caller's resume pc) before deopting, so the
+  // interpreter picks up at the exact callee instruction with the state a
+  // real call would have produced.
   const FunctionCode* inl_fn_ = nullptr;  // non-null while splicing a callee
-  std::vector<int> inl_depth_{};          // callee operand depth per pc
-  std::vector<char> inl_leader_{};
-  std::vector<int> inl_blk_leader_{};
-  std::vector<int> inl_blk_len_{};
+  Flow inl_flow_{};
   std::vector<std::int64_t> inl_off_{};   // callee pc -> native offset
   std::vector<Fix> inl_fixes_{};          // intra-splice branches; target == n means "after the splice"
   int inl_local_base_ = -1;
@@ -644,6 +853,20 @@ struct Compiler {
   std::int32_t inl_kk_ = 0;
   std::int32_t inl_ret_pc_ = 0;
   static constexpr std::size_t kInlineMaxInsns = 48;
+  // Splice sites found before emission, so the prologue can fold their
+  // limit checks into one flag, and the lowest frame->base limit among them.
+  std::vector<char> splice_site_{};
+  std::int64_t splice_base_limit_ = INT32_MAX;
+  // A splice site's out-of-line limit checks, emitted after the epilogue
+  // with the operand stack as it stood at the site.
+  struct ColdCheck {
+    std::size_t jne_at;
+    std::size_t resume;
+    std::size_t pc;
+    std::int64_t base_limit;
+    std::vector<Loc> vs;
+  };
+  std::vector<ColdCheck> colds_{};
 
   // Ops the splicer accepts: templates that touch only locals, globals, and
   // the operand stack, plus intra-function control flow and kRet/kRetVoid.
@@ -681,187 +904,125 @@ struct Compiler {
     }
   }
 
-  // True when `callee` is a splice candidate: short, every reachable insn
-  // whitelisted (and not denied by the fuzzer's compile filter — those must
-  // keep their forced-deopt seam), terminals only kRet/kRetVoid. Fills the
-  // same depth/leader/block maps Analyze builds for the caller.
-  bool PlanInline(const FunctionCode& callee, std::vector<int>& dep,
-                  std::vector<char>& lead, std::vector<int>& bleader,
-                  std::vector<int>& blen) {
-    const std::size_t n = callee.code.size();
-    if (n == 0 || n > kInlineMaxInsns) return false;
-    dep.assign(n, -1);
+  // --- analysis ------------------------------------------------------------
+  // Depths, leaders, jump targets, and blocks of `f`. With `splice` set it
+  // also enforces the splice whitelist: every reachable insn inlinable (and
+  // not denied by the fuzzer's compile filter — those must keep their
+  // forced-deopt seam) and kRet/kRetVoid the only terminals.
+  bool BuildFlow(const FunctionCode& f, Flow& fl, bool splice) const {
+    const std::size_t n = f.code.size();
+    if (n == 0 || (splice && n > kInlineMaxInsns)) return false;
+    fl.depth.assign(n, -1);
+    fl.leader.assign(n, 0);
+    fl.target.assign(n, 0);
     std::vector<std::size_t> work;
-    dep[0] = 0;
+    fl.depth[0] = 0;
     work.push_back(0);
+    const auto propagate = [&](std::size_t q, int dq) {
+      if (q >= n) return false;
+      if (fl.depth[q] == -1) {
+        fl.depth[q] = dq;
+        work.push_back(q);
+        return true;
+      }
+      return fl.depth[q] == dq;
+    };
     while (!work.empty()) {
       const std::size_t pc = work.back();
       work.pop_back();
-      const Insn& ci = callee.code[pc];
-      if (!InlinableOp(ci.op)) return false;
-      if (opts.jit_compile_filter && !opts.jit_compile_filter(ci.op)) return false;
+      const Insn& insn = f.code[pc];
+      if (splice && !InlinableOp(insn.op)) return false;
+      if (splice && opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) return false;
       Eff e;
-      if (!EffectOf(program, ci, e)) return false;
-      if (e.terminal && !e.branch && ci.op != Op::kRet && ci.op != Op::kRetVoid)
+      if (!EffectOf(program, insn, e)) return false;
+      if (splice && e.terminal && !e.branch && insn.op != Op::kRet && insn.op != Op::kRetVoid)
         return false;
-      const int d = dep[pc];
+      const int d = fl.depth[pc];
       if (d < e.pops) return false;
       const int d2 = d - e.pops + e.pushes;
-      if (d2 > callee.max_stack || d2 > kMaxStack) return false;
-      const auto propagate = [&](std::size_t q, int dq) {
-        if (q >= n) return false;
-        if (dep[q] == -1) {
-          dep[q] = dq;
-          work.push_back(q);
-          return true;
-        }
-        return dep[q] == dq;
-      };
+      if (d2 > f.max_stack || d2 > kMaxStack) return false;
       if (e.branch && !propagate(e.target, d - e.pops)) return false;
       if (!e.terminal && !propagate(pc + 1, d2)) return false;
     }
-    lead.assign(n, 0);
-    lead[0] = 1;
+    // Leaders: entry, branch targets, and the instruction after any ender.
+    fl.leader[0] = 1;
     for (std::size_t pc = 0; pc < n; ++pc) {
-      if (dep[pc] < 0) continue;
+      if (fl.depth[pc] < 0) continue;
       Eff e;
-      EffectOf(program, callee.code[pc], e);
-      if (IsBlockEnder(e, callee.code[pc].op) && pc + 1 < n) lead[pc + 1] = 1;
-      if (e.branch) lead[e.target] = 1;
+      EffectOf(program, f.code[pc], e);
+      if (IsBlockEnder(e, f.code[pc].op) && pc + 1 < n) fl.leader[pc + 1] = 1;
+      if (e.branch) fl.leader[e.target] = fl.target[e.target] = 1;
     }
-    bleader.assign(n, -1);
-    blen.assign(n, 0);
+    // Blocks: from each leader to its first ender (or the next leader, when
+    // control falls through into one).
+    fl.blk_leader.assign(n, -1);
+    fl.blk_len.assign(n, 0);
     int lp = -1;
     for (std::size_t pc = 0; pc < n; ++pc) {
-      if (dep[pc] < 0) {
+      if (fl.depth[pc] < 0) {
         lp = -1;
         continue;
       }
-      if (lead[pc]) lp = static_cast<int>(pc);
-      if (lp < 0) return false;
-      bleader[pc] = lp;
-      blen[lp] = static_cast<int>(pc) - lp + 1;
+      if (fl.leader[pc]) lp = static_cast<int>(pc);
+      if (lp < 0) return false;  // reachable code without a leader: impossible
+      fl.blk_leader[pc] = lp;
+      fl.blk_len[lp] = static_cast<int>(pc) - lp + 1;
       Eff e;
-      EffectOf(program, callee.code[pc], e);
-      if (IsBlockEnder(e, callee.code[pc].op)) lp = -1;
+      EffectOf(program, f.code[pc], e);
+      if (IsBlockEnder(e, f.code[pc].op)) lp = -1;
     }
     return true;
   }
 
-  std::int32_t SlotDisp(int d) const { return 8 * (fn.num_locals + d); }
-  void LoadSlot(Reg r, int d) {
-    if (r == RAX) {
-      if (rax_slot_ == d) return;
-      a.Load64(RAX, LOCALS, SlotDisp(d));
-      rax_slot_ = d;
-      rax_local_ = -1;
-      rax_global_ = -1;
-      return;
-    }
-    if (rax_slot_ == d) {
-      a.MovRR(r, RAX);  // cached: reg-reg beats a load-port round trip
-      return;
-    }
-    a.Load64(r, LOCALS, SlotDisp(d));
+  // kCall at caller depth `d`: the callee frame's offset from ours, and the
+  // largest caller frame->base for which PushFrame's stack check passes.
+  // False when a capacity does not fold into an imm32 compare.
+  bool CallGeometry(const FunctionCode& callee, int d, std::int64_t& kk,
+                    std::int64_t& base_limit) const {
+    kk = static_cast<std::int64_t>(fn.num_locals) + d - callee.num_params;
+    base_limit = static_cast<std::int64_t>(stack_slots) -
+                 (static_cast<std::int64_t>(callee.num_locals) + callee.max_stack) - kk;
+    return base_limit >= 0 && base_limit <= INT32_MAX && frame_capacity <= INT32_MAX &&
+           opts.max_call_depth <= INT32_MAX;
   }
-  // 32-bit consult: reuse rax when it caches the slot (32-bit ops read only
-  // eax, so the upper bits are irrelevant), else load the low word. A 32-bit
-  // load establishes no claim — the slot's upper bits may differ from rax's
-  // zero extension.
-  void LoadSlot32(int d) {
-    if (rax_slot_ == d) return;
-    a.Load32(RAX, LOCALS, SlotDisp(d));
-    KillRax();
-  }
-  void StoreSlot(int d, Reg r) {
-    a.Store64(LOCALS, SlotDisp(d), r);
-    if (r == RAX) {
-      // Re-establish only the slot claim: this is the self-correcting close
-      // for templates that clobbered rax, so older claims may be stale.
-      rax_slot_ = d;
-      rax_local_ = -1;
-      rax_global_ = -1;
-    } else {
-      KillSlot(d);
-    }
-  }
-  void LoadLocalSlot(Reg r, std::int64_t s) {
-    if (inl_local_base_ >= 0) {  // spliced callee: locals are caller slots
-      LoadSlot(r, inl_local_base_ + static_cast<int>(s));
-      return;
-    }
-    if (r == RAX) {
-      if (rax_local_ == s) return;
-      a.Load64(RAX, LOCALS, static_cast<std::int32_t>(8 * s));
-      rax_local_ = s;
-      rax_slot_ = -1;
-      rax_global_ = -1;
-      return;
-    }
-    if (rax_local_ == s) {
-      a.MovRR(r, RAX);
-      return;
-    }
-    a.Load64(r, LOCALS, static_cast<std::int32_t>(8 * s));
-  }
-  // Every caller keeps rax fresh between its load and this store, so an rax
-  // store extends the claim to the local; other registers invalidate it.
-  void StoreLocalSlot(std::int64_t s, Reg r) {
-    if (inl_local_base_ >= 0) {
-      StoreSlot(inl_local_base_ + static_cast<int>(s), r);
-      return;
-    }
-    a.Store64(LOCALS, static_cast<std::int32_t>(8 * s), r);
-    if (r == RAX) {
-      rax_local_ = s;
-    } else {
-      KillLocal(s);
-    }
-  }
-  // Globals live in their own array (GLB base), disjoint from locals and the
-  // operand stack, and only kStoreGlobal writes them from jit code — calls
-  // and hosts that might write them end blocks, and leaders start cold.
-  void LoadGlobalSlot(Reg r, std::int64_t g) {
-    if (r == RAX) {
-      if (rax_global_ == g) return;
-      a.Load64(RAX, GLB, static_cast<std::int32_t>(8 * g));
-      rax_global_ = g;
-      rax_slot_ = -1;
-      rax_local_ = -1;
-      return;
-    }
-    if (rax_global_ == g) {
-      a.MovRR(r, RAX);
-      return;
-    }
-    a.Load64(r, GLB, static_cast<std::int32_t>(8 * g));
-  }
-  // Callers keep rax fresh between their load and this store (same contract
-  // as StoreLocalSlot), so an rax store extends the claim to the global.
-  void StoreGlobalSlot(std::int64_t g, Reg r) {
-    a.Store64(GLB, static_cast<std::int32_t>(8 * g), r);
-    if (r == RAX) {
-      rax_global_ = g;
-    } else {
-      KillGlobal(g);
+
+  // Marks the kCall sites that will be spliced and the strictest base limit
+  // among them, before any code is emitted.
+  void PlanSplices() {
+    splice_site_.assign(fn.code.size(), 0);
+    for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+      const Insn& insn = fn.code[pc];
+      if (flow.depth[pc] < 0 || insn.op != Op::kCall) continue;
+      if (opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) continue;
+      const auto& callee = program.functions[static_cast<std::size_t>(insn.operand)];
+      std::int64_t kk = 0;
+      std::int64_t limit = 0;
+      Flow scratch;
+      if (CallGeometry(callee, flow.depth[pc], kk, limit) && BuildFlow(callee, scratch, true)) {
+        splice_site_[pc] = 1;
+        splice_base_limit_ = std::min(splice_base_limit_, limit);
+      }
     }
   }
 
   // --- side exits ----------------------------------------------------------
   // Every exit funnels through here so splice-mode exits pick up the frame
   // to materialize; pc and depth are callee-relative while inl_fn_ is set.
-  void PushExit(std::size_t at, std::size_t pc, int d, std::int64_t give,
-                bool reexec, std::int64_t fuel_give) {
+  // Re-execute exits carry the pending operands; exception passthrough
+  // exits follow a helper call, which already stored everything.
+  void PushExit(std::size_t at, std::size_t pc, int d, std::int64_t give, bool reexec) {
     exits.push_back({at, static_cast<std::uint32_t>(pc), d, give, reexec,
-                     fuel_give, inl_fn_, inl_kk_, inl_ret_pc_});
+                     reexec ? PendingEntries() : Pending{}, inl_fn_, inl_kk_, inl_ret_pc_});
   }
+  const Flow& CurFlow() const { return inl_fn_ != nullptr ? inl_flow_ : flow; }
   void AddExit(std::size_t at, std::size_t pc, bool reexec) {
-    const bool inl = inl_fn_ != nullptr;
-    const int lp = inl ? inl_blk_leader_[pc] : blk_leader[pc];
+    const Flow& fl = CurFlow();
+    const int lp = fl.blk_leader[pc];
     const std::int64_t e = static_cast<std::int64_t>(pc) - lp;
-    const std::int64_t len = inl ? inl_blk_len_[lp] : blk_len[lp];
-    const std::int64_t give = reexec ? len - e : len - e - 1;
-    PushExit(at, pc, inl ? inl_depth_[pc] : depth[pc], give, reexec, give);
+    const std::int64_t len = fl.blk_len[static_cast<std::size_t>(lp)];
+    // The block was charged up front: a re-executed insn and the rest of
+    // its block go back; a helper's exception already retired its insn.
+    PushExit(at, pc, fl.depth[pc], reexec ? len - e : len - e - 1, reexec);
   }
   // Conditional/unconditional jumps into a deopt-and-reexecute stub: the
   // interpreter resumes at `pc` and re-runs the faulting instruction, so the
@@ -900,101 +1061,87 @@ struct Compiler {
     a.CallR(RAX);
   }
 
-  // --- analysis ------------------------------------------------------------
-  bool Propagate(std::size_t pc, int d, std::vector<std::size_t>& work) {
-    if (pc >= fn.code.size()) return false;
-    if (depth[pc] == -1) {
-      depth[pc] = d;
-      work.push_back(pc);
-      return true;
-    }
-    return depth[pc] == d;
-  }
-
-  bool Analyze() {
-    const auto& code = fn.code;
-    const std::size_t n = code.size();
-    if (n == 0) return false;
-    depth.assign(n, -1);
-    leader.assign(n, 0);
-    std::vector<std::size_t> work;
-    depth[0] = 0;
-    work.push_back(0);
-    while (!work.empty()) {
-      const std::size_t pc = work.back();
-      work.pop_back();
-      Eff e;
-      if (!EffectOf(program, code[pc], e)) return false;
-      const int d = depth[pc];
-      if (d < e.pops) return false;
-      const int d2 = d - e.pops + e.pushes;
-      if (d2 > fn.max_stack || d2 > kMaxStack) return false;
-      if (e.branch && !Propagate(e.target, d - e.pops, work)) return false;
-      if (!e.terminal && !Propagate(pc + 1, d2, work)) return false;
-    }
-    // Leaders: entry, branch targets, and the instruction after any ender.
-    leader[0] = 1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (depth[pc] < 0) continue;
-      Eff e;
-      EffectOf(program, code[pc], e);
-      if (IsBlockEnder(e, code[pc].op)) {
-        if (pc + 1 < n) leader[pc + 1] = 1;
-      }
-      if (e.branch) leader[e.target] = 1;
-    }
-    // Blocks: from each leader to its first ender (or the next leader, when
-    // control falls through into one).
-    blk_leader.assign(n, -1);
-    blk_len.assign(n, 0);
-    int lp = -1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (depth[pc] < 0) {
-        lp = -1;
-        continue;
-      }
-      if (leader[pc]) lp = static_cast<int>(pc);
-      if (lp < 0) return false;  // reachable code without a leader: impossible
-      blk_leader[pc] = lp;
-      blk_len[lp] = static_cast<int>(pc) - lp + 1;
-      Eff e;
-      EffectOf(program, code[pc], e);
-      if (IsBlockEnder(e, code[pc].op)) lp = -1;
-    }
-    return true;
-  }
-
-  // One fuel/retired charge per block, against the fuel register: subtract
-  // the block length and deopt to the block's first instruction if it went
+  // --- fuel and the retired ledger -----------------------------------------
+  //
+  // r15 is the only ledger native code keeps. Each block subtracts its
+  // length from r15 and deopts to its first instruction if that went
   // negative (the stub gives the charge back) — the interpreter then meters
   // out the tail insn by insn and throws "fuel exhausted" at the exact
   // instruction an interpreted run would. Unlimited runs carry the bias
-  // constant, which no real program can exhaust.
+  // constant, which no real program can exhaust. Instructions retired are
+  // mark - r15, where the mark is r15 when the ledger last synced; they are
+  // added to ctx->retired only where someone can read it: the epilogue, and
+  // before host calls and kCall (a host reads both ledgers and may SetFuel;
+  // a compiled callee meters its own r15). Exit stubs return their
+  // overcharge to r15, which corrects both ledgers at once.
   void EmitBlockAccounting(std::size_t lp) {
-    const bool inl = inl_fn_ != nullptr;
-    const std::int32_t len = inl ? inl_blk_len_[lp] : blk_len[lp];
+    const Flow& fl = CurFlow();
+    const std::int32_t len = fl.blk_len[lp];
     a.AluImm(ALU_SUB, FUEL, len);
-    PushExit(a.Jcc(CC_S), lp, inl ? inl_depth_[lp] : depth[lp], 0, true, len);
-    a.AluMemImm(ALU_ADD, CTX, L.ctx_retired, len);
+    PushExit(a.Jcc(CC_S), lp, fl.depth[lp], len, true);
   }
 
-  // ctx->fuel <- r15 unless unlimited (the stored sentinel stays negative).
-  // Clobbers rax and flags.
-  void EmitFuelSync() {
-    a.Load64(RAX, CTX, L.ctx_fuel);
-    a.TestRR(RAX, RAX);
+  // ctx->retired += mark - r15, then ctx->fuel <- r15 unless unlimited (the
+  // stored sentinel stays negative). Clobbers `scratch` and flags.
+  void EmitLedgerSync(Reg scratch) {
+    a.Load64(scratch, RSP, kMarkOff);
+    a.SubRR(scratch, FUEL);
+    a.AddMR(CTX, L.ctx_retired, scratch);
+    a.Load64(scratch, CTX, L.ctx_fuel);
+    a.TestRR(scratch, scratch);
     const std::size_t unlimited = a.Jcc8(CC_S);
     a.Store64(CTX, L.ctx_fuel, FUEL);
     a.PatchRel8(unlimited, a.pos());
   }
-  // r15 <- ctx->fuel, biased when unlimited. Touches only r15 and flags, so
-  // call sites may run it before testing a helper's status register.
-  void EmitFuelReload() {
+  // r15 <- ctx->fuel, biased when unlimited, and a fresh mark. Touches only
+  // r15, the mark, and flags, so call sites may run it before testing a
+  // helper's status register.
+  void EmitLedgerReload() {
     a.Load64(FUEL, CTX, L.ctx_fuel);
     a.TestRR(FUEL, FUEL);
     const std::size_t limited = a.Jcc8(CC_NS);
     a.MovImm64(FUEL, kFuelUnlimitedBias);
     a.PatchRel8(limited, a.pos());
+    a.Store64(RSP, kMarkOff, FUEL);
+  }
+
+  // The spliced-call limits, once per activation. nframes, entry_frames,
+  // and frame->base cannot change while this native frame is live (a
+  // callee or reentrant host pops back to them before control returns), so
+  // the prologue decides for every splice site at once:
+  //   flag 0: depth, capacity, and the strictest site's stack check pass;
+  //   flag 1: depth and capacity pass, some site's stack check may fail;
+  //   flag 2: depth or capacity fails — every site traps.
+  // A site tests the flag and, only when it is set, runs its own checks out
+  // of line (EmitColdChecks), so a trap still fires at the exact call pc.
+  void EmitSpliceLimitFlag() {
+    a.StoreImm32Sx(RSP, kFlagOff, 2);
+    a.Load64(RCX, CTX, L.ctx_nframes);
+    a.MovRR(RDX, RCX);
+    a.AluRMem(0x2B, RDX, CTX, L.ctx_entry_frames, true);  // sub
+    a.AluImm(ALU_CMP, RDX, static_cast<std::int32_t>(opts.max_call_depth));
+    const std::size_t deep = a.Jcc8(CC_AE);
+    a.AluImm(ALU_CMP, RCX, static_cast<std::int32_t>(frame_capacity));
+    const std::size_t full = a.Jcc8(CC_E);
+    a.StoreImm32Sx(RSP, kFlagOff, 1);
+    a.CmpMemImm(FRM, F.base, static_cast<std::int32_t>(splice_base_limit_));
+    const std::size_t high = a.Jcc8(CC_A);
+    a.StoreImm32Sx(RSP, kFlagOff, 0);
+    a.PatchRel8(deep, a.pos());
+    a.PatchRel8(full, a.pos());
+    a.PatchRel8(high, a.pos());
+  }
+
+  void EmitColdChecks() {
+    for (ColdCheck& c : colds_) {
+      a.PatchRel32(c.jne_at, a.pos());
+      vs_ = std::move(c.vs);  // exits store the operands as they were at the site
+      a.CmpMemImm(RSP, kFlagOff, 1);
+      JccExit(CC_NE, c.pc);  // call depth limit exceeded
+      a.CmpMemImm(FRM, F.base, static_cast<std::int32_t>(c.base_limit));
+      JccExit(CC_A, c.pc);   // VM stack overflow
+      a.PatchRel32(a.Jmp(), c.resume);
+    }
   }
 
   void EmitPrologue() {
@@ -1004,29 +1151,28 @@ struct Compiler {
     a.Push(R13);
     a.Push(R14);
     a.Push(R15);
-    a.AluImm(ALU_SUB, RSP, 8);  // keep rsp 16-aligned at helper calls
+    a.AluImm(ALU_SUB, RSP, kFrameReserve);
     a.MovRR(CTX, RDI);
     a.Load64(STK, CTX, L.ctx_stack);
     a.Load64(GLB, CTX, L.ctx_globals);
     a.Load64(RAX, CTX, L.ctx_nframes);
-    a.ImulImm(RAX, RAX, F.size);
-    a.AddRM(RAX, CTX, L.ctx_frames);
+    a.ImulImm(RAX, RAX, F.size, true);
+    a.AluRMem(0x03, RAX, CTX, L.ctx_frames, true);  // add
     a.Lea(FRM, RAX, -F.size);  // rbp = &frames[nframes - 1]
     a.Load64(RAX, FRM, F.base);
     a.LeaSib(LOCALS, STK, RAX, 3, 0);  // r13 = stack + 8*frame->base
-    EmitFuelReload();
+    EmitLedgerReload();
+    if (std::find(splice_site_.begin(), splice_site_.end(), 1) != splice_site_.end()) {
+      EmitSpliceLimitFlag();
+    }
   }
 
   void EmitEpilogue() {
     epilogue_off = a.pos();
-    // Every exit funnels through here, so one fuel sync covers them all.
+    // Every exit funnels through here, so one ledger sync covers them all.
     // rcx is dead on all paths; rax carries the exit status and is preserved.
-    a.Load64(RCX, CTX, L.ctx_fuel);
-    a.TestRR(RCX, RCX);
-    const std::size_t unlimited = a.Jcc8(CC_S);
-    a.Store64(CTX, L.ctx_fuel, FUEL);
-    a.PatchRel8(unlimited, a.pos());
-    a.AluImm(ALU_ADD, RSP, 8);
+    EmitLedgerSync(RCX);
+    a.AluImm(ALU_ADD, RSP, kFrameReserve);
     a.Pop(R15);
     a.Pop(R14);
     a.Pop(R13);
@@ -1039,18 +1185,32 @@ struct Compiler {
   void EmitStubs() {
     for (const Exit& e : exits) {
       a.PatchRel32(e.at, a.pos());
+      // Pending operands first, while their registers still hold them:
+      // register entries, then constants and copies through rax.
+      for (const auto& [disp, l] : e.pending) {
+        if (l.kind == Loc::kReg) a.Store64(LOCALS, disp, l.reg);
+      }
+      for (const auto& [disp, l] : e.pending) {
+        if (l.kind == Loc::kReg) continue;
+        if (l.FitsImm32()) {
+          a.StoreImm32Sx(LOCALS, disp, static_cast<std::int32_t>(l.imm));
+        } else {
+          LoadTo(RAX, l);
+          a.Store64(LOCALS, disp, RAX);
+        }
+      }
       if (e.reexec && e.inl_callee != nullptr) {
         // The exit fired inside a spliced callee whose frame was never
         // pushed. Materialize it now — fn/pc/base at frames[nframes], the
         // caller's resume pc, sp inside the callee — so the interpreter
         // resumes at callee pc `e.pc` exactly as if kCall had run. The
-        // kCall-entry checks already proved frames[nframes] is in bounds,
-        // and the splice region makes no calls, so nframes is unchanged.
+        // limit checks already proved frames[nframes] is in bounds, and the
+        // splice region makes no calls, so nframes is unchanged.
         a.Load64(RAX, FRM, F.base);
         a.Lea(RDX, RAX, e.inl_kk);  // callee base (slot units)
         a.Load64(RCX, CTX, L.ctx_nframes);
-        a.ImulImm(RSI, RCX, F.size);
-        a.AddRM(RSI, CTX, L.ctx_frames);
+        a.ImulImm(RSI, RCX, F.size, true);
+        a.AluRMem(0x03, RSI, CTX, L.ctx_frames, true);  // add
         a.MovImm64(RDI, reinterpret_cast<std::uint64_t>(e.inl_callee));
         a.Store64(RSI, F.fn, RDI);
         a.StoreImm32Sx(RSI, F.pc, static_cast<std::int32_t>(e.pc));
@@ -1065,12 +1225,9 @@ struct Compiler {
         SetFramePc(e.pc);
       }
       if (e.give > 0) {
-        a.AluMemImm(ALU_SUB, CTX, L.ctx_retired, static_cast<std::int32_t>(e.give));
-      }
-      if (e.fuel_give > 0) {
         // Adding to the biased constant is harmless on unlimited runs; the
         // epilogue sync drops the register either way.
-        a.AluImm(ALU_ADD, FUEL, static_cast<std::int32_t>(e.fuel_give));
+        a.AluImm(ALU_ADD, FUEL, static_cast<std::int32_t>(e.give));
       }
       if (e.reexec) a.MovImm32(RAX, kJitDeopt);
       epi_fixes.push_back(a.Jmp());
@@ -1078,37 +1235,68 @@ struct Compiler {
   }
 
   bool EmitInsn(std::size_t pc);  // jit_emit_x64.inc
-  // Set by EmitInsn when it fused the following instruction(s) into one
-  // template (compare+branch peepholes); Compile skips that many insns.
-  // Fused-over insns are never block leaders, so they are never branch
-  // targets and never need a pc_off entry.
-  std::size_t fused_extra_ = 0;
+  bool EmitSplice(std::size_t pc, const FunctionCode& callee, int d);  // jit_emit_x64.inc
+
+  // Resets the per-insn template state. A pending comparison survives only
+  // into the conditional jump that consumes it.
+  void BeginInsn(Op op, std::size_t floor) {
+    held_ = 0;
+    spill_floor_ = floor;
+    if (op != Op::kJmpIfFalse && op != Op::kJmpIfTrue) MaterializeFlags();
+  }
+
+  // Entering pc `pc` of `fl`: `live` says control falls in from pc - 1.
+  // Jump targets start with every operand stored (their incoming jumps
+  // flush), so the fall-through path flushes too; after a terminal the
+  // stack is whatever the jumps delivered: all in memory.
+  void EnterPc(const Flow& fl, std::size_t pc, std::size_t base, bool live) {
+    const std::size_t d = base + static_cast<std::size_t>(fl.depth[pc]);
+    if (!live) {
+      ResetStack(d);
+    } else if (fl.leader[pc]) {
+      held_ = 0;
+      spill_floor_ = vs_.size();
+      MaterializeFlags();
+      if (fl.target[pc]) FlushAll();
+    }
+  }
+
+  static bool FallsThrough(Op op) {
+    return op != Op::kJmp && op != Op::kRet && op != Op::kRetVoid && op != Op::kTrap;
+  }
 
   bool Compile() {
-    if (!Analyze()) return false;
+    if (!BuildFlow(fn, flow, false)) return false;
+    PlanSplices();
     const std::size_t n = fn.code.size();
     pc_off.assign(n, -1);
     EmitPrologue();
+    ResetStack(0);
+    bool live = true;
     for (std::size_t pc = 0; pc < n; ++pc) {
-      if (depth[pc] < 0) continue;
-      pc_off[pc] = static_cast<std::int64_t>(a.pos());
-      if (leader[pc]) {
-        KillRax();  // predecessors left rax in unknown states
-        EmitBlockAccounting(pc);
-      }
-      if (opts.jit_compile_filter && !opts.jit_compile_filter(fn.code[pc].op)) {
-        // Filter-denied op (the fuzzer's forced-deopt mode): hand the rest
-        // of this function to the interpreter right here.
-        JmpExit(pc);
-        KillRax();
+      if (flow.depth[pc] < 0) {
+        live = false;
         continue;
       }
-      if (!EmitInsn(pc)) return false;
-      pc += fused_extra_;
-      fused_extra_ = 0;
+      EnterPc(flow, pc, 0, live);
+      pc_off[pc] = static_cast<std::int64_t>(a.pos());
+      if (flow.leader[pc]) EmitBlockAccounting(pc);
+      const Op op = fn.code[pc].op;
+      if (opts.jit_compile_filter && !opts.jit_compile_filter(op)) {
+        // Filter-denied op (the fuzzer's forced-deopt mode): hand the rest
+        // of this function to the interpreter right here.
+        BeginInsn(Op::kNop, vs_.size());  // stores a pending comparison too
+        JmpExit(pc);
+        live = false;
+        continue;
+      }
+      if (!EmitInsn(pc) || bad_) return false;
+      live = FallsThrough(op);
     }
     EmitEpilogue();
+    EmitColdChecks();
     EmitStubs();
+    if (bad_) return false;
     for (const auto& fix : fixes) {
       if (pc_off[fix.pc] < 0) return false;
       a.PatchRel32(fix.at, static_cast<std::size_t>(pc_off[fix.pc]));

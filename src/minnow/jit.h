@@ -7,34 +7,42 @@
 // instruction runs, so at no point is memory both writable and executable.
 //
 // Per-opcode templates reproduce the exact semantics of vm_dispatch.inc.
-// The operand stack keeps the interpreter's memory layout (locals, then
-// operands above frame->base), but every slot address is static: the
-// verifier proves a unique operand depth per pc, so operand i of a function
-// with L locals lives at [locals_base + 8*(L+i)] — no stack-pointer register
-// exists in compiled code at all. Safety checks are inlined (null,
-// array-kind, bounds, divide); at sites the elision certificate proved safe
-// the `.nc` opcode forms are emitted natively with no check instructions.
+// Operands keep the interpreter's memory layout (locals, then operands above
+// frame->base), and every slot address is static: the verifier proves a
+// unique operand depth per pc, so operand i of a function with L locals
+// lives at [locals_base + 8*(L+i)] — no stack-pointer register exists in
+// compiled code at all. Within a basic block the compiler defers the
+// stores: a pushed value is tracked as a register, an immediate, or a
+// reference to the local or global it was read from, and consumers read it
+// from there. Values reach their slots at block boundaries, helper calls,
+// and calls, so every block starts from an interpreter-identical frame.
+// Safety checks are inlined (null, array-kind, element-kind, bounds,
+// divide); at sites the elision certificate proved safe the `.nc` opcode
+// forms are emitted natively with no check instructions.
 //
-// Fuel and the retired-instruction ledger are batched per basic block: one
-// compare-and-subtract charges the whole straight-line run. Every side exit
-// carries a static correction so the ledgers an observer can read (fuel(),
+// Fuel is batched per basic block: one subtract from the fuel register
+// charges the whole straight-line run, and the retired-instruction ledger
+// is derived from the same register (its value at entry minus its value
+// now), added to the mailbox only where a host, a callee, or the runner can
+// read it. Every side exit gives the block's unexecuted tail back to that
+// register, so the ledgers an observer can read (fuel(),
 // instructions_retired()) are bit-identical to an interpreted run.
 //
 // Deoptimization is the safety net. Any condition the native code does not
 // handle — a trap check firing, fuel too low for the next block, an opcode
 // the compile filter denied, a callee that failed to compile — side-exits
-// through a stub that reconstructs the interpreter frame (sp_ committed from
-// the static depth, frame->pc set to the faulting instruction, ledgers
-// corrected) and unwinds the whole native call chain back to the runner,
-// which resumes the interpreter on the same frame stack. Because operand
-// slots ARE the interpreter's stack slots, there is no shadow state to
-// materialize: deopt at any pc is a store, a store, and a return. Trapping
-// instructions are re-executed by the interpreter so the trap message, the
-// unwind path, and the ledgers come from the same code an interpreted run
-// uses. Host calls and allocations run through helpers that commit VM state
-// first; exceptions a helper observes are captured and rethrown from the
-// runner (native frames carry no unwind tables, so C++ exceptions must
-// never cross them).
+// through a stub that reconstructs the interpreter frame (the operands that
+// were still pending stored into their slots, sp_ committed from the static
+// depth, frame->pc set to the faulting instruction, ledgers corrected) and
+// unwinds the whole native call chain back to the runner, which resumes
+// the interpreter on the same frame stack. Each stub carries the map of
+// pending operands at its site, so the interpreter resumes on a
+// memory-identical frame. Trapping instructions are re-executed by the
+// interpreter so the trap message, the unwind path, and the ledgers come
+// from the same code an interpreted run uses. Host calls and allocations
+// run through helpers that commit VM state first; exceptions a helper
+// observes are captured and rethrown from the runner (native frames carry
+// no unwind tables, so C++ exceptions must never cross them).
 //
 // Portability: x86-64 SysV only, behind the GRAFTLAB_JIT CMake option. Other
 // targets (and GRAFTLAB_JIT=OFF builds) compile this header and jit.cc but

@@ -74,11 +74,15 @@ SyntheticUpcall::SyntheticUpcall() {
   iterations_per_us_ = us > 0 ? static_cast<double>(kProbe) / us : 1e3;
 }
 
-void SyntheticUpcall::Invoke(double cost_us) const {
+std::uint64_t SyntheticUpcall::SpinIterations(double cost_us) const {
   if (cost_us <= 0.0) {
-    return;
+    return 0;
   }
-  const auto iters = static_cast<std::uint64_t>(cost_us * iterations_per_us_);
+  return static_cast<std::uint64_t>(cost_us * iterations_per_us_);
+}
+
+void SyntheticUpcall::Invoke(double cost_us) const {
+  const std::uint64_t iters = SpinIterations(cost_us);
   volatile std::uint64_t sink = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
     sink = sink + i;

@@ -72,6 +72,11 @@ class SyntheticUpcall {
   // Burns approximately `cost_us` microseconds (0 = free upcall).
   void Invoke(double cost_us) const;
 
+  // The spin-loop trip count Invoke runs for `cost_us`: 0 for a free (or
+  // negative-cost) upcall, otherwise linear in the cost at the calibrated
+  // rate.
+  std::uint64_t SpinIterations(double cost_us) const;
+
  private:
   double iterations_per_us_;
 };

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -60,24 +61,58 @@ struct Config {
   bool optimize;
   bool fuse;
   bool elide = false;
-  // kJit only: compile the add family as unconditional side exits, forcing a
-  // deopt into the interpreter on virtually every program the generator can
-  // emit — the deopt path gets fuzzed as hard as the fast path.
+  // kJit only: compile one opcode family (DenyFamily(deny_seed)) as
+  // unconditional side exits, forcing deopts into the interpreter with
+  // operands pending in registers — the deopt path gets fuzzed as hard as
+  // the fast path, at a different opcode for each program seed.
   bool jit_deopt = false;
+  std::uint32_t deny_seed = 0;
 
-  std::string Name() const {
+  std::string Name() const;
+};
+
+// Opcode families a kJit+deopt config denies: raw and fused forms together,
+// so the family side-exits with or without superinstruction fusion. Seed 0
+// is the add family, which virtually every generated program executes.
+const std::vector<std::vector<Op>>& DenyFamilies() {
+  static const std::vector<std::vector<Op>> families = {
+      {Op::kAddI, Op::kLoadAddI, Op::kAddConstI},
+      {Op::kSubI},
+      {Op::kMulI},
+      {Op::kDivI, Op::kModI, Op::kDivNZ, Op::kModNZ},
+      {Op::kAndI, Op::kOrI, Op::kXorI},
+      {Op::kShlI, Op::kShrI},
+      {Op::kLoadLocal, Op::kLoadLocal2, Op::kLoadConstI, Op::kLoadGlobalLocal},
+      {Op::kStoreLocal, Op::kConstStore, Op::kMoveLocal, Op::kStoreLoad},
+      {Op::kEqI, Op::kNeI, Op::kLtI, Op::kLeI, Op::kGtI, Op::kGeI, Op::kBrEqI, Op::kBrNeI,
+       Op::kBrLtI, Op::kBrLeI, Op::kBrGtI, Op::kBrGeI, Op::kBrEqImmI, Op::kBrNeImmI,
+       Op::kBrLtImmI, Op::kBrLeImmI, Op::kBrGtImmI, Op::kBrGeImmI},
+      {Op::kJmp, Op::kJmpIfFalse, Op::kJmpIfTrue},
+      {Op::kConstInt},
+      {Op::kLoadElem, Op::kLoadElemNC, Op::kStoreElem, Op::kStoreElemNC, Op::kArrayLen,
+       Op::kArrayLenNC},
+      {Op::kLoadField, Op::kLoadFieldNC, Op::kStoreField, Op::kStoreFieldNC, Op::kEqRef,
+       Op::kNeRef, Op::kBrEqRef, Op::kBrNeRef},
+  };
+  return families;
+}
+
+const std::vector<Op>& DenyFamily(std::uint32_t seed) {
+  return DenyFamilies()[seed % DenyFamilies().size()];
+}
+
+std::string Config::Name() const {
     std::string name = dispatch == DispatchMode::kThreaded ? "threaded"
                        : dispatch == DispatchMode::kJit    ? "jit"
                                                            : "switch";
-    if (jit_deopt) name += "+deopt";
+    if (jit_deopt) name += std::string("+deopt(") + minnow::OpName(DenyFamily(deny_seed)[0]) + ")";
     if (optimize) name += "+opt";
     if (fuse) name += "+fuse";
     if (elide) name += "+elide";
     return name;
-  }
-};
+}
 
-std::vector<Config> AllConfigs() {
+std::vector<Config> AllConfigs(std::uint32_t deny_seed = 0) {
   std::vector<Config> configs;
   for (const DispatchMode dispatch :
        {DispatchMode::kSwitch, DispatchMode::kThreaded, DispatchMode::kJit}) {
@@ -86,7 +121,7 @@ std::vector<Config> AllConfigs() {
         for (const bool elide : {false, true}) {
           configs.push_back({dispatch, optimize, fuse, elide});
           if (dispatch == DispatchMode::kJit) {
-            configs.push_back({dispatch, optimize, fuse, elide, /*jit_deopt=*/true});
+            configs.push_back({dispatch, optimize, fuse, elide, /*jit_deopt=*/true, deny_seed});
           }
         }
       }
@@ -95,24 +130,26 @@ std::vector<Config> AllConfigs() {
   return configs;
 }
 
-// Denies the opcodes a fused or raw add lowers to, so kJit+deopt configs
-// side-exit constantly.
-bool DenyAddFamily(Op op) {
-  return op != Op::kAddI && op != Op::kLoadAddI && op != Op::kAddConstI;
-}
-
 // Result of one execution: a value, or the trap that stopped it. Trap
 // *messages* are part of the contract — an engine that traps for a
 // different reason is wrong even if it traps at the same instruction.
 // `retired` carries the fuel-equivalence side of the contract: check
 // elision is a 1:1 opcode rewrite, so checked and elided runs of the same
 // {dispatch, optimize, fuse} configuration must retire the same count
-// (AgreesWith ignores it; the elision soak compares it explicitly).
+// (AgreesWith ignores it; the elision soak compares it explicitly). Native
+// code keeps both ledgers — `retired` and the fuel left — in one register,
+// so a jit run must match the threaded interpreter with the same
+// {optimize, fuse, elide} settings on both (SameLedgers).
 struct Outcome {
   bool trapped = false;
   std::int64_t value = 0;
   std::string trap;
   std::uint64_t retired = 0;
+  std::int64_t fuel = 0;
+
+  bool SameLedgers(const Outcome& other) const {
+    return retired == other.retired && fuel == other.fuel;
+  }
 
   bool AgreesWith(const Outcome& other) const {
     return trapped == other.trapped && value == other.value && trap == other.trap;
@@ -121,11 +158,14 @@ struct Outcome {
 };
 
 std::string Describe(const Outcome& outcome) {
-  return outcome.trapped ? "trap: " + outcome.trap : "value: " + std::to_string(outcome.value);
+  return (outcome.trapped ? "trap: " + outcome.trap : "value: " + std::to_string(outcome.value)) +
+         " (retired " + std::to_string(outcome.retired) + ", fuel " +
+         std::to_string(outcome.fuel) + ")";
 }
 
+// `fuel` is the budget (-1 = unlimited).
 Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
-                  std::initializer_list<std::int64_t> args) {
+                  std::initializer_list<std::int64_t> args, std::int64_t fuel = -1) {
   Program program = compiled;  // each config transforms its own copy
   if (config.optimize) {
     minnow::Optimize(program);
@@ -138,8 +178,12 @@ Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
   VmOptions options;
   options.dispatch = config.dispatch;
   options.elide_checks = config.elide;
+  options.fuel = fuel;
   if (config.jit_deopt) {
-    options.jit_compile_filter = DenyAddFamily;
+    const std::vector<Op>& denied = DenyFamily(config.deny_seed);
+    options.jit_compile_filter = [&denied](Op op) {
+      return std::find(denied.begin(), denied.end(), op) == denied.end();
+    };
   }
   Outcome outcome;
   std::unique_ptr<VM> vm;
@@ -157,24 +201,45 @@ Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
   }
   if (vm != nullptr) {
     outcome.retired = vm->instructions_retired();
+    outcome.fuel = vm->fuel();
   }
   return outcome;
 }
 
 // Runs `fn` under every configuration and asserts agreement with the
-// reference configuration (switch dispatch, raw bytecode).
+// reference configuration (switch dispatch, raw bytecode), and ledger
+// equality between each jit configuration and the threaded interpreter with
+// the same settings. `seed` picks the forced-deopt family and, when odd, a
+// finite fuel budget (large enough never to run out) so fuel() is compared
+// as well as the retired count.
 void ExpectAllConfigsAgree(const std::string& source, const char* fn,
                            std::initializer_list<std::int64_t> args,
-                           const std::string& label) {
+                           const std::string& label, std::uint32_t seed = 0) {
   const Program compiled = Compile(source);
+  const std::int64_t fuel = seed % 2 == 1 ? std::int64_t{1} << 40 : -1;
   const Outcome reference =
-      RunConfig(compiled, {DispatchMode::kSwitch, false, false}, fn, args);
-  for (const Config& config : AllConfigs()) {
-    const Outcome outcome = RunConfig(compiled, config, fn, args);
-    EXPECT_EQ(outcome, reference)
-        << label << " [" << config.Name() << "]: got " << Describe(outcome)
+      RunConfig(compiled, {DispatchMode::kSwitch, false, false}, fn, args, fuel);
+  const std::vector<Config> configs = AllConfigs(seed);
+  std::vector<Outcome> outcomes;
+  for (const Config& config : configs) {
+    outcomes.push_back(RunConfig(compiled, config, fn, args, fuel));
+    EXPECT_EQ(outcomes.back(), reference)
+        << label << " [" << config.Name() << "]: got " << Describe(outcomes.back())
         << ", reference " << Describe(reference) << "\nsource:\n"
         << source;
+  }
+  for (std::size_t j = 0; j < configs.size(); ++j) {
+    if (configs[j].dispatch != DispatchMode::kJit) continue;
+    for (std::size_t t = 0; t < configs.size(); ++t) {
+      const Config& c = configs[t];
+      if (c.dispatch == DispatchMode::kThreaded && c.optimize == configs[j].optimize &&
+          c.fuse == configs[j].fuse && c.elide == configs[j].elide) {
+        EXPECT_TRUE(outcomes[j].SameLedgers(outcomes[t]))
+            << label << " [" << configs[j].Name() << "]: ledgers " << Describe(outcomes[j])
+            << ", threaded " << Describe(outcomes[t]) << "\nsource:\n"
+            << source;
+      }
+    }
   }
 }
 
@@ -376,7 +441,8 @@ TEST(DispatchFuzz, RandomProgramsAgreeAcrossAllConfigurations) {
     int tuple = 0;
     for (const auto& args : arg_sets) {
       ExpectAllConfigsAgree(source, "f", args,
-                            "program " + std::to_string(p) + " args#" + std::to_string(tuple++));
+                            "program " + std::to_string(p) + " args#" + std::to_string(tuple++),
+                            static_cast<std::uint32_t>(p));
       if (HasFailure()) {
         return;  // first divergence is the actionable one; stop the corpus
       }
@@ -531,6 +597,13 @@ TEST(DispatchFuzz, FusionChangesFuelButNotResults) {
 // by seed). The contract is total: same value or same trap message, and —
 // because elision replaces opcodes strictly 1:1 — the same
 // instructions_retired count, which is the supervisor's fuel ledger.
+//
+// The jit half of the soak holds native code to the threaded interpreter
+// with the same settings: jit and jit+deopt (a seeded opcode family
+// compiled as side exits) must produce the same result or trap, the same
+// retired count, and the same fuel left — once with fuel to spare and once
+// with a seeded budget that runs out partway, so fuel exits fire with
+// operands pending.
 
 TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
   int programs = 300;  // local default; CI sets GRAFTLAB_FUZZ_PROGRAMS=10000
@@ -566,6 +639,33 @@ TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
               << "program " << p << " [" << elided.Name()
               << "]: fuel ledger diverged\nsource:\n"
               << source;
+        }
+      }
+    }
+    const auto deny_seed = static_cast<std::uint32_t>(p);
+    for (const bool fuse : {false, true}) {
+      for (const bool elide : {false, true}) {
+        const Config threaded{DispatchMode::kThreaded, optimize, fuse, elide};
+        const Config jits[] = {{DispatchMode::kJit, optimize, fuse, elide},
+                               {DispatchMode::kJit, optimize, fuse, elide, true, deny_seed}};
+        for (const auto& args : arg_sets) {
+          const Outcome want = RunConfig(compiled, threaded, "f", args, std::int64_t{1} << 40);
+          const std::int64_t budget =
+              static_cast<std::int64_t>(want.retired) * (1 + p % 7) / 8;
+          const Outcome want_short = RunConfig(compiled, threaded, "f", args, budget);
+          for (const Config& jit : jits) {
+            const Outcome got = RunConfig(compiled, jit, "f", args, std::int64_t{1} << 40);
+            ASSERT_TRUE(want.AgreesWith(got) && want.SameLedgers(got))
+                << "program " << p << " [" << jit.Name() << "]: got " << Describe(got)
+                << ", threaded " << Describe(want) << "\nsource:\n"
+                << source;
+            const Outcome got_short = RunConfig(compiled, jit, "f", args, budget);
+            ASSERT_TRUE(want_short.AgreesWith(got_short) && want_short.SameLedgers(got_short))
+                << "program " << p << " [" << jit.Name() << ", fuel " << budget
+                << "]: got " << Describe(got_short) << ", threaded " << Describe(want_short)
+                << "\nsource:\n"
+                << source;
+          }
         }
       }
     }
