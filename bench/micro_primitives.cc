@@ -2,9 +2,9 @@
 //
 // The table benches measure whole grafts; this binary isolates the unit
 // costs the technologies are built from: the SFI mask, the bounds check,
-// the NIL check, one VM dispatch (stack and register IR), one Tcl command,
-// one upcall round trip, and the Word32-on-64 truncation tax from the
-// paper's Alpha MD5 story.
+// the NIL check, one VM dispatch (interpreted and JIT-compiled), one Tcl
+// command, one upcall round trip, and the Word32-on-64 truncation tax from
+// the paper's Alpha MD5 story.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,6 @@
 #include "src/envs/word.h"
 #include "src/md5/md5.h"
 #include "src/minnow/compiler.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/vm.h"
 #include "src/sfi/sandbox.h"
 #include "src/tclet/interp.h"
@@ -148,18 +147,19 @@ void BM_MinnowInterpLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_MinnowInterpLoop);
 
-void BM_MinnowTranslatedLoop(benchmark::State& state) {
-  minnow::VM vm(minnow::Compile(kLoopSource));
+void BM_MinnowJitLoop(benchmark::State& state) {
+  minnow::VmOptions options;
+  options.dispatch = minnow::DispatchMode::kJit;
+  minnow::VM vm(minnow::Compile(kLoopSource), options);
   vm.RunInit();
-  minnow::RegExecutor executor(vm);
   const minnow::Value arg = minnow::Value::Int(1000);
   for (auto _ : state) {
-    auto v = executor.Call("work", std::span<const minnow::Value>(&arg, 1));
+    auto v = vm.Call("work", std::span<const minnow::Value>(&arg, 1));
     benchmark::DoNotOptimize(v.bits);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_MinnowTranslatedLoop);
+BENCHMARK(BM_MinnowJitLoop);
 
 void BM_NativeLoopReference(benchmark::State& state) {
   volatile std::int64_t n = 1000;

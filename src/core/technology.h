@@ -16,7 +16,7 @@ enum class Technology : std::uint8_t {
   kSfi,          // software fault isolation, write+jump protection (Omniware beta)
   kSfiFull,      // SFI with read protection too (the paper's "not available today")
   kJava,         // verified bytecode, in-kernel interpreter (Minnow VM)
-  kJavaTranslated,  // same bytecode through load-time translation (the "compiled Java" candidate)
+  kJavaTranslated,  // same bytecode compiled at load time by the JIT ("compiled Java")
   kTcl,          // direct source interpretation (Tclet)
   kUpcall,       // user-level server behind an upcall (hardware protection)
 };

@@ -126,43 +126,36 @@ const char* TcletAclSource() { return kTcletAclSource; }
 
 // --- MinnowAclGraft ---
 
-MinnowAclGraft::MinnowAclGraft(std::size_t capacity, MinnowEngine engine) : engine_(engine) {
-  vm_ = std::make_unique<minnow::VM>(minnow::Compile(kMinnowAclSource));
+MinnowAclGraft::MinnowAclGraft(std::size_t capacity, bool jit) : jit_(jit) {
+  vm_ = std::make_unique<minnow::VM>(minnow::Compile(kMinnowAclSource), JavaVmOptions(jit));
   vm_->RunInit();
-  if (engine_ == MinnowEngine::kTranslated) {
-    executor_ = std::make_unique<minnow::RegExecutor>(*vm_);
-  }
   const Value arg = Value::Int(static_cast<std::int64_t>(capacity));
-  Invoke("acl_init", std::span<const Value>(&arg, 1));
-}
-
-minnow::Value MinnowAclGraft::Invoke(const std::string& fn, std::span<const Value> args) {
-  return engine_ == MinnowEngine::kTranslated ? executor_->Call(fn, args) : vm_->Call(fn, args);
+  vm_->Call("acl_init", std::span<const Value>(&arg, 1));
 }
 
 bool MinnowAclGraft::Check(core::UserId user, core::FileId file, core::Access access) {
   const Value args[3] = {Value::Int(static_cast<std::int64_t>(user)),
                          Value::Int(static_cast<std::int64_t>(file)),
                          Value::Int(static_cast<std::int64_t>(access))};
-  return Invoke("acl_check", args).AsBool();
+  return vm_->Call("acl_check", args).AsBool();
 }
 
 bool MinnowAclGraft::Grant(core::UserId user, core::FileId file, core::Access access) {
   const Value args[3] = {Value::Int(static_cast<std::int64_t>(user)),
                          Value::Int(static_cast<std::int64_t>(file)),
                          Value::Int(static_cast<std::int64_t>(access))};
-  return Invoke("acl_grant", args).AsBool();
+  return vm_->Call("acl_grant", args).AsBool();
 }
 
 void MinnowAclGraft::Revoke(core::UserId user, core::FileId file, core::Access access) {
   const Value args[3] = {Value::Int(static_cast<std::int64_t>(user)),
                          Value::Int(static_cast<std::int64_t>(file)),
                          Value::Int(static_cast<std::int64_t>(access))};
-  Invoke("acl_revoke", args);
+  vm_->Call("acl_revoke", args);
 }
 
 const char* MinnowAclGraft::technology() const {
-  return engine_ == MinnowEngine::kTranslated ? "Java/translated" : "Java";
+  return JavaTechnologyName(jit_);
 }
 
 // --- TcletAclGraft ---
@@ -217,9 +210,9 @@ std::unique_ptr<core::AccessControlGraft> CreateAclGraft(core::Technology techno
     case Technology::kSfiFull:
       return std::make_unique<EnvAclGraft<envs::SfiFullEnv>>(capacity, 1u << 20, preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowAclGraft>(capacity, MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowAclGraft>(capacity);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowAclGraft>(capacity, MinnowEngine::kTranslated);
+      return std::make_unique<MinnowAclGraft>(capacity, /*jit=*/true);
     case Technology::kTcl:
       return std::make_unique<TcletAclGraft>();
     case Technology::kUpcall:

@@ -11,7 +11,6 @@
 #include "src/envs/unsafe_env.h"
 #include "src/grafts/acl_env.h"
 #include "src/grafts/minnow_grafts.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/vm.h"
 #include "src/tclet/interp.h"
 #include "src/upcall/upcall_engine.h"
@@ -20,8 +19,8 @@ namespace grafts {
 
 class MinnowAclGraft : public core::AccessControlGraft {
  public:
-  explicit MinnowAclGraft(std::size_t capacity,
-                          MinnowEngine engine = MinnowEngine::kInterpreter);
+  // `jit` selects Technology::kJavaTranslated (see JavaVmOptions).
+  explicit MinnowAclGraft(std::size_t capacity, bool jit = false);
 
   bool Check(core::UserId user, core::FileId file, core::Access access) override;
   bool Grant(core::UserId user, core::FileId file, core::Access access) override;
@@ -29,11 +28,8 @@ class MinnowAclGraft : public core::AccessControlGraft {
   const char* technology() const override;
 
  private:
-  minnow::Value Invoke(const std::string& fn, std::span<const minnow::Value> args);
-
-  MinnowEngine engine_;
+  bool jit_;
   std::unique_ptr<minnow::VM> vm_;
-  std::unique_ptr<minnow::RegExecutor> executor_;
 };
 
 class TcletAclGraft : public core::AccessControlGraft {

@@ -33,6 +33,10 @@ std::size_t LdiskSandboxBytes(const ldisk::Geometry& geometry) {
 
 constexpr std::size_t kSmallSandbox = 1u << 20;
 
+// Technology::kJavaTranslated, the paper's "compiled Java": the kJava graft
+// compiled to native code at load time.
+constexpr MinnowConfig kCompiledJava{.jit = true};
+
 }  // namespace
 
 std::unique_ptr<core::PrioritizationGraft> CreateEvictionGraft(Technology technology,
@@ -49,9 +53,9 @@ std::unique_ptr<core::PrioritizationGraft> CreateEvictionGraft(Technology techno
     case Technology::kSfiFull:
       return std::make_unique<MarshaledEvictionGraft<envs::SfiFullEnv>>(kSmallSandbox, preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowEvictionGraft>(MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowEvictionGraft>();
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowEvictionGraft>(MinnowEngine::kTranslated);
+      return std::make_unique<MinnowEvictionGraft>(kCompiledJava);
     case Technology::kTcl:
       return std::make_unique<TcletEvictionGraft>();
     case Technology::kUpcall:
@@ -74,9 +78,9 @@ std::unique_ptr<core::StreamGraft> CreateMd5Graft(Technology technology,
     case Technology::kSfiFull:
       return std::make_unique<EnvMd5Graft<envs::SfiFullEnv>>(kSmallSandbox, preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowMd5Graft>(MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowMd5Graft>();
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowMd5Graft>(MinnowEngine::kTranslated);
+      return std::make_unique<MinnowMd5Graft>(kCompiledJava);
     case Technology::kTcl:
       return std::make_unique<TcletMd5Graft>();
     case Technology::kUpcall:
@@ -104,9 +108,9 @@ std::unique_ptr<core::BlackBoxGraft> CreateLogicalDiskGraft(Technology technolog
                                                                      LdiskSandboxBytes(geometry),
                                                                      preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowLogicalDiskGraft>(geometry, MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowLogicalDiskGraft>(geometry);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowLogicalDiskGraft>(geometry, MinnowEngine::kTranslated);
+      return std::make_unique<MinnowLogicalDiskGraft>(geometry, kCompiledJava);
     case Technology::kTcl:
       return std::make_unique<TcletLogicalDiskGraft>(geometry);
     case Technology::kUpcall:

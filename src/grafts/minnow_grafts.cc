@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "src/minnow/compiler.h"
-#include "src/minnow/optimizer.h"
+#include "src/minnow/fuse.h"
 #include "src/minnow/verifier.h"
 
 namespace grafts {
@@ -254,15 +254,9 @@ fn ld_translate(lb: int) -> int { return map[lb]; }
 )minnow";
 
 minnow::Program Prepare(minnow::Program program, const MinnowConfig& config) {
-  if (config.optimize) {
-    minnow::Optimize(program);
-    minnow::VerifyProgram(program);  // recompute max_stack after shrinking
-  }
-  // Fusion only helps (and only works) on the interpreter: the register
-  // translator refuses superinstructions because it fuses at the IR level.
-  if (config.fuse && config.engine == MinnowEngine::kInterpreter) {
+  if (config.fuse) {
     minnow::FuseSuperinstructions(program);
-    minnow::VerifyProgram(program);
+    minnow::VerifyProgram(program);  // refresh max_stack
   }
   return program;
 }
@@ -270,15 +264,9 @@ minnow::Program Prepare(minnow::Program program, const MinnowConfig& config) {
 minnow::VmOptions GraftVmOptions(const MinnowConfig& config) {
   minnow::VmOptions options;
   options.heap_limit = 96u << 20;  // the full-scale ldisk map needs ~12MB
-  options.dispatch = config.dispatch;
+  options.dispatch = config.jit ? minnow::DispatchMode::kJit : config.dispatch;
   options.profile_opcodes = config.profile_opcodes;
   options.elide_checks = config.elide;
-  // The jit flag only means something on the interpreter engine: the
-  // translated engine executes through RegExecutor, so compiling the
-  // bytecode natively as well would only waste the arena.
-  if (config.jit && config.engine == MinnowEngine::kInterpreter) {
-    options.dispatch = minnow::DispatchMode::kJit;
-  }
   return options;
 }
 
@@ -288,9 +276,21 @@ const char* MinnowEvictionSource() { return kEvictionSource; }
 const char* MinnowMd5Source() { return kMd5Source; }
 const char* MinnowLogicalDiskSource() { return kLogicalDiskSource; }
 
+minnow::VmOptions JavaVmOptions(bool jit) {
+  minnow::VmOptions options;
+  if (jit) {
+    options.dispatch = minnow::DispatchMode::kJit;
+  }
+  return options;
+}
+
+const char* JavaTechnologyName(bool jit) {
+  return core::TechnologyName(jit ? core::Technology::kJavaTranslated : core::Technology::kJava);
+}
+
 // --- MinnowEvictionGraft ---
 
-MinnowEvictionGraft::MinnowEvictionGraft(MinnowConfig config) : engine_(config.engine) {
+MinnowEvictionGraft::MinnowEvictionGraft(MinnowConfig config) : jit_(config.jit) {
   HostDecl lru_page;
   lru_page.name = "lru_page";
   lru_page.params = {Type::Int()};
@@ -316,14 +316,6 @@ MinnowEvictionGraft::MinnowEvictionGraft(MinnowConfig config) : engine_(config.e
     return Value::Int(static_cast<std::int64_t>(walk_cursor_->page));
   });
   vm_->RunInit();
-  if (engine_ == MinnowEngine::kTranslated) {
-    executor_ = std::make_unique<minnow::RegExecutor>(*vm_);
-  }
-}
-
-minnow::Value MinnowEvictionGraft::Invoke(const std::string& fn,
-                                          std::span<const Value> args) {
-  return engine_ == MinnowEngine::kTranslated ? executor_->Call(fn, args) : vm_->Call(fn, args);
 }
 
 vmsim::Frame* MinnowEvictionGraft::ChooseVictim(vmsim::Frame* lru_head) {
@@ -332,7 +324,7 @@ vmsim::Frame* MinnowEvictionGraft::ChooseVictim(vmsim::Frame* lru_head) {
   walk_pos_ = 0;
 
   const Value candidate = Value::Int(static_cast<std::int64_t>(lru_head->page));
-  const std::int64_t pos = Invoke("choose", std::span<const Value>(&candidate, 1)).AsInt();
+  const std::int64_t pos = vm_->Call("choose", std::span<const Value>(&candidate, 1)).AsInt();
 
   vmsim::Frame* frame = lru_head;
   for (std::int64_t i = 0; i < pos && frame != nullptr; ++i) {
@@ -343,40 +335,33 @@ vmsim::Frame* MinnowEvictionGraft::ChooseVictim(vmsim::Frame* lru_head) {
 
 void MinnowEvictionGraft::HotListAdd(vmsim::PageId page) {
   const Value arg = Value::Int(static_cast<std::int64_t>(page));
-  Invoke("hot_add", std::span<const Value>(&arg, 1));
+  vm_->Call("hot_add", std::span<const Value>(&arg, 1));
 }
 
 void MinnowEvictionGraft::HotListRemove(vmsim::PageId page) {
   const Value arg = Value::Int(static_cast<std::int64_t>(page));
-  Invoke("hot_remove", std::span<const Value>(&arg, 1));
+  vm_->Call("hot_remove", std::span<const Value>(&arg, 1));
 }
 
-void MinnowEvictionGraft::HotListClear() { Invoke("hot_clear", {}); }
+void MinnowEvictionGraft::HotListClear() { vm_->Call("hot_clear", {}); }
 
 const char* MinnowEvictionGraft::technology() const {
-  return engine_ == MinnowEngine::kTranslated ? "Java/translated" : "Java";
+  return JavaTechnologyName(jit_);
 }
 
 // --- MinnowMd5Graft ---
 
-MinnowMd5Graft::MinnowMd5Graft(MinnowConfig config) : engine_(config.engine) {
+MinnowMd5Graft::MinnowMd5Graft(MinnowConfig config) : jit_(config.jit) {
   vm_ = std::make_unique<minnow::VM>(
       Prepare(minnow::Compile(kMd5Source), config), GraftVmOptions(config));
   vm_->RunInit();
-  if (engine_ == MinnowEngine::kTranslated) {
-    executor_ = std::make_unique<minnow::RegExecutor>(*vm_);
-  }
   // Load the round-constant tables, then initialize the chaining state.
   for (int i = 0; i < 64; ++i) {
     const Value args[3] = {Value::Int(i), Value::Int(SineConstant(i)),
                            Value::Int(kShiftTable[i])};
-    Invoke("set_const", args);
+    vm_->Call("set_const", args);
   }
-  Invoke("md5_init", {});
-}
-
-minnow::Value MinnowMd5Graft::Invoke(const std::string& fn, std::span<const Value> args) {
-  return engine_ == MinnowEngine::kTranslated ? executor_->Call(fn, args) : vm_->Call(fn, args);
+  vm_->Call("md5_init", {});
 }
 
 void MinnowMd5Graft::EnsureBuffer(std::size_t len) {
@@ -395,49 +380,41 @@ void MinnowMd5Graft::Consume(const std::uint8_t* data, std::size_t len) {
   EnsureBuffer(len);
   std::memcpy(buffer_->bytes.data(), data, len);
   const Value args[2] = {Value::Ref(buffer_), Value::Int(static_cast<std::int64_t>(len))};
-  Invoke("md5_update", args);
+  vm_->Call("md5_update", args);
 }
 
 md5::Digest MinnowMd5Graft::Finish() {
-  Invoke("md5_final", {});
+  vm_->Call("md5_final", {});
   md5::Digest digest{};
   const Value global = vm_->GetGlobal("digest");
   const auto* array = reinterpret_cast<const minnow::Object*>(global.bits);
   for (std::size_t i = 0; i < digest.size(); ++i) {
     digest[i] = array->bytes[i];
   }
-  Invoke("md5_init", {});
+  vm_->Call("md5_init", {});
   return digest;
 }
 
 const char* MinnowMd5Graft::technology() const {
-  return engine_ == MinnowEngine::kTranslated ? "Java/translated" : "Java";
+  return JavaTechnologyName(jit_);
 }
 
 // --- MinnowLogicalDiskGraft ---
 
 MinnowLogicalDiskGraft::MinnowLogicalDiskGraft(const ldisk::Geometry& geometry,
                                                MinnowConfig config)
-    : engine_(config.engine) {
+    : jit_(config.jit) {
   vm_ = std::make_unique<minnow::VM>(
       Prepare(minnow::Compile(kLogicalDiskSource), config), GraftVmOptions(config));
   vm_->RunInit();
-  if (engine_ == MinnowEngine::kTranslated) {
-    executor_ = std::make_unique<minnow::RegExecutor>(*vm_);
-  }
   const Value args[2] = {Value::Int(static_cast<std::int64_t>(geometry.num_blocks)),
                          Value::Int(static_cast<std::int64_t>(geometry.blocks_per_segment))};
-  Invoke("ld_init", args);
-}
-
-minnow::Value MinnowLogicalDiskGraft::Invoke(const std::string& fn,
-                                             std::span<const Value> args) {
-  return engine_ == MinnowEngine::kTranslated ? executor_->Call(fn, args) : vm_->Call(fn, args);
+  vm_->Call("ld_init", args);
 }
 
 ldisk::BlockId MinnowLogicalDiskGraft::OnWrite(ldisk::BlockId logical) {
   const Value arg = Value::Int(static_cast<std::int64_t>(logical));
-  const std::int64_t physical = Invoke("ld_write", std::span<const Value>(&arg, 1)).AsInt();
+  const std::int64_t physical = vm_->Call("ld_write", std::span<const Value>(&arg, 1)).AsInt();
   if (physical < 0) {
     throw ldisk::DiskFull();
   }
@@ -446,12 +423,12 @@ ldisk::BlockId MinnowLogicalDiskGraft::OnWrite(ldisk::BlockId logical) {
 
 ldisk::BlockId MinnowLogicalDiskGraft::Translate(ldisk::BlockId logical) {
   const Value arg = Value::Int(static_cast<std::int64_t>(logical));
-  const std::int64_t physical = Invoke("ld_translate", std::span<const Value>(&arg, 1)).AsInt();
+  const std::int64_t physical = vm_->Call("ld_translate", std::span<const Value>(&arg, 1)).AsInt();
   return physical < 0 ? ldisk::kUnmapped : static_cast<ldisk::BlockId>(physical);
 }
 
 const char* MinnowLogicalDiskGraft::technology() const {
-  return engine_ == MinnowEngine::kTranslated ? "Java/translated" : "Java";
+  return JavaTechnologyName(jit_);
 }
 
 }  // namespace grafts

@@ -1,6 +1,6 @@
 // The three paper grafts written in Minnow ("Java") and the kernel-side
-// adapters that run them on the bytecode interpreter or the translated
-// executor (core::Technology::kJava / kJavaTranslated).
+// adapters that run them on the bytecode interpreter or, compiled at load
+// time, on the JIT (core::Technology::kJava / kJavaTranslated).
 //
 // The grafts are genuine Minnow programs: the eviction graft keeps its hot
 // list as a linked list of VM objects and walks the kernel's LRU chain
@@ -18,34 +18,21 @@
 
 #include "src/core/graft.h"
 #include "src/minnow/jit.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/vm.h"
 
 namespace grafts {
 
-// Which execution engine runs the bytecode.
-enum class MinnowEngine {
-  kInterpreter,  // Technology::kJava
-  kTranslated,   // Technology::kJavaTranslated
-};
-
-// Per-graft VM configuration. `optimize` runs the bytecode optimizer
-// (minnow/optimizer.h) at load time — off by default so the Technology
-// rows model a plain 1995-style javac pipeline; the ablation benches turn
-// it on explicitly. `fuse` applies superinstruction fusion, which is a
-// load-time interpreter speedup with no semantic footprint, so it defaults
-// on (and is skipped automatically for the translated engine, whose
-// register IR does its own fusion and refuses fused bytecode). `dispatch`
-// and `profile_opcodes` pass straight through to VmOptions. `elide` runs
-// the load-time check-elision pass (minnow/elide.h): accesses whose safety
-// checks the abstract interpreter proves dead execute unchecked. `jit`
-// selects DispatchMode::kJit — verified bytecode compiled to native code at
-// load time (minnow/jit.h) with the interpreter as the deopt fallback; it
-// applies only to the interpreter engine (the translated engine has its own
-// executor) and degrades to the interpreter in builds without JIT support.
+// Per-graft VM configuration. `fuse` applies superinstruction fusion
+// (minnow/fuse.h), a load-time interpreter speedup with no semantic
+// footprint, so it defaults on. `dispatch` and `profile_opcodes` pass
+// straight through to VmOptions. `elide` runs the load-time check-elision
+// pass (minnow/elide.h): accesses whose safety checks the abstract
+// interpreter proves dead execute unchecked. `jit` selects
+// DispatchMode::kJit — verified bytecode compiled to native code at load
+// time (minnow/jit.h) with the interpreter as the deopt fallback; it is the
+// Technology::kJavaTranslated row, and degrades to the interpreter in builds
+// without JIT support.
 struct MinnowConfig {
-  MinnowEngine engine = MinnowEngine::kInterpreter;
-  bool optimize = false;
   bool fuse = true;
   minnow::DispatchMode dispatch = minnow::DispatchMode::kDefault;
   bool profile_opcodes = false;
@@ -53,13 +40,17 @@ struct MinnowConfig {
   bool jit = false;
 };
 
+// The small Minnow grafts (acl, readahead, sched) run on the default
+// VmOptions: the interpreter for Technology::kJava, the JIT for
+// kJavaTranslated. The name is the row's TechnologyName.
+minnow::VmOptions JavaVmOptions(bool jit);
+const char* JavaTechnologyName(bool jit);
+
 // --- Prioritization ---
 
 class MinnowEvictionGraft : public core::PrioritizationGraft {
  public:
-  explicit MinnowEvictionGraft(MinnowEngine engine = MinnowEngine::kInterpreter)
-      : MinnowEvictionGraft(MinnowConfig{engine, false}) {}
-  explicit MinnowEvictionGraft(MinnowConfig config);
+  explicit MinnowEvictionGraft(MinnowConfig config = {});
 
   vmsim::Frame* ChooseVictim(vmsim::Frame* lru_head) override;
   void HotListAdd(vmsim::PageId page) override;
@@ -70,11 +61,9 @@ class MinnowEvictionGraft : public core::PrioritizationGraft {
   minnow::VM& vm() { return *vm_; }
 
  private:
-  minnow::Value Invoke(const std::string& fn, std::span<const minnow::Value> args);
 
-  MinnowEngine engine_;
+  bool jit_;
   std::unique_ptr<minnow::VM> vm_;
-  std::unique_ptr<minnow::RegExecutor> executor_;
 
   // Walk context for the lru_page host call (valid during ChooseVictim).
   vmsim::Frame* walk_head_ = nullptr;
@@ -86,9 +75,7 @@ class MinnowEvictionGraft : public core::PrioritizationGraft {
 
 class MinnowMd5Graft : public core::StreamGraft {
  public:
-  explicit MinnowMd5Graft(MinnowEngine engine = MinnowEngine::kInterpreter)
-      : MinnowMd5Graft(MinnowConfig{engine, false}) {}
-  explicit MinnowMd5Graft(MinnowConfig config);
+  explicit MinnowMd5Graft(MinnowConfig config = {});
 
   void Consume(const std::uint8_t* data, std::size_t len) override;
   md5::Digest Finish() override;
@@ -122,12 +109,10 @@ class MinnowMd5Graft : public core::StreamGraft {
   minnow::VM& vm() { return *vm_; }
 
  private:
-  minnow::Value Invoke(const std::string& fn, std::span<const minnow::Value> args);
   void EnsureBuffer(std::size_t len);
 
-  MinnowEngine engine_;
+  bool jit_;
   std::unique_ptr<minnow::VM> vm_;
-  std::unique_ptr<minnow::RegExecutor> executor_;
   minnow::Object* buffer_ = nullptr;  // pinned shared byte[] for chunks
 };
 
@@ -135,10 +120,7 @@ class MinnowMd5Graft : public core::StreamGraft {
 
 class MinnowLogicalDiskGraft : public core::BlackBoxGraft {
  public:
-  MinnowLogicalDiskGraft(const ldisk::Geometry& geometry,
-                         MinnowEngine engine = MinnowEngine::kInterpreter)
-      : MinnowLogicalDiskGraft(geometry, MinnowConfig{engine, false}) {}
-  MinnowLogicalDiskGraft(const ldisk::Geometry& geometry, MinnowConfig config);
+  explicit MinnowLogicalDiskGraft(const ldisk::Geometry& geometry, MinnowConfig config = {});
 
   ldisk::BlockId OnWrite(ldisk::BlockId logical) override;
   ldisk::BlockId Translate(ldisk::BlockId logical) override;
@@ -147,11 +129,9 @@ class MinnowLogicalDiskGraft : public core::BlackBoxGraft {
   minnow::VM& vm() { return *vm_; }
 
  private:
-  minnow::Value Invoke(const std::string& fn, std::span<const minnow::Value> args);
 
-  MinnowEngine engine_;
+  bool jit_;
   std::unique_ptr<minnow::VM> vm_;
-  std::unique_ptr<minnow::RegExecutor> executor_;
 };
 
 // Exposed for tests: the graft sources.

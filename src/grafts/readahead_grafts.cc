@@ -8,7 +8,6 @@
 #include "src/envs/unsafe_env.h"
 #include "src/grafts/minnow_grafts.h"
 #include "src/minnow/compiler.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/vm.h"
 #include "src/tclet/interp.h"
 #include "src/upcall/upcall_engine.h"
@@ -56,31 +55,21 @@ proc ra_window {page} {
 
 class MinnowReadAheadGraft : public vmsim::ReadAheadGraft {
  public:
-  explicit MinnowReadAheadGraft(MinnowEngine engine) : engine_(engine) {
-    vm_ = std::make_unique<minnow::VM>(minnow::Compile(kMinnowSource));
+  explicit MinnowReadAheadGraft(bool jit) : jit_(jit) {
+    vm_ = std::make_unique<minnow::VM>(minnow::Compile(kMinnowSource), JavaVmOptions(jit));
     vm_->RunInit();
-    if (engine_ == MinnowEngine::kTranslated) {
-      executor_ = std::make_unique<minnow::RegExecutor>(*vm_);
-    }
   }
 
   int Window(vmsim::PageId page) override {
     const minnow::Value arg = minnow::Value::Int(static_cast<std::int64_t>(page));
-    const std::span<const minnow::Value> args(&arg, 1);
-    const minnow::Value result = engine_ == MinnowEngine::kTranslated
-                                     ? executor_->Call("ra_window", args)
-                                     : vm_->Call("ra_window", args);
-    return static_cast<int>(result.AsInt());
+    return static_cast<int>(vm_->Call("ra_window", {arg}).AsInt());
   }
 
-  const char* technology() const override {
-    return engine_ == MinnowEngine::kTranslated ? "Java/translated" : "Java";
-  }
+  const char* technology() const override { return JavaTechnologyName(jit_); }
 
  private:
-  MinnowEngine engine_;
+  bool jit_;
   std::unique_ptr<minnow::VM> vm_;
-  std::unique_ptr<minnow::RegExecutor> executor_;
 };
 
 class TcletReadAheadGraft : public vmsim::ReadAheadGraft {
@@ -143,9 +132,9 @@ std::unique_ptr<vmsim::ReadAheadGraft> CreateReadAheadGraft(core::Technology tec
     case Technology::kSfiFull:
       return std::make_unique<EnvReadAheadGraft<envs::SfiFullEnv>>(std::size_t{4096}, preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowReadAheadGraft>(MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowReadAheadGraft>(/*jit=*/false);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowReadAheadGraft>(MinnowEngine::kTranslated);
+      return std::make_unique<MinnowReadAheadGraft>(/*jit=*/true);
     case Technology::kTcl:
       return std::make_unique<TcletReadAheadGraft>();
     case Technology::kUpcall:

@@ -5,7 +5,6 @@
 
 #include "src/grafts/minnow_grafts.h"
 #include "src/minnow/compiler.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/vm.h"
 #include "src/tclet/interp.h"
 #include "src/upcall/upcall_engine.h"
@@ -73,14 +72,14 @@ int KindCode(sched::TaskKind kind) {
 
 class MinnowSchedulerGraft : public sched::SchedulerGraft {
  public:
-  explicit MinnowSchedulerGraft(MinnowEngine engine) : engine_(engine) {
+  explicit MinnowSchedulerGraft(bool jit) : jit_(jit) {
     minnow::HostDecl count{"task_count", {}, minnow::Type::Int()};
     minnow::HostDecl kind{"task_kind", {minnow::Type::Int()}, minnow::Type::Int()};
     minnow::HostDecl runnable{"task_runnable", {minnow::Type::Int()}, minnow::Type::Bool()};
     minnow::HostDecl pending{"task_pending", {minnow::Type::Int()}, minnow::Type::Int()};
 
     vm_ = std::make_unique<minnow::VM>(
-        minnow::Compile(kMinnowSource, {count, kind, runnable, pending}));
+        minnow::Compile(kMinnowSource, {count, kind, runnable, pending}), JavaVmOptions(jit));
     vm_->BindHost("task_count", [this](minnow::VM&, std::span<const Value>) {
       return Value::Int(static_cast<std::int64_t>(tasks_->size()));
     });
@@ -94,23 +93,17 @@ class MinnowSchedulerGraft : public sched::SchedulerGraft {
       return Value::Int(At(args).pending_requests);
     });
     vm_->RunInit();
-    if (engine_ == MinnowEngine::kTranslated) {
-      executor_ = std::make_unique<minnow::RegExecutor>(*vm_);
-    }
   }
 
   sched::TaskId PickNext(const std::vector<sched::Task>& tasks) override {
     tasks_ = &tasks;
-    const Value result = engine_ == MinnowEngine::kTranslated ? executor_->Call("pick_next", {})
-                                                              : vm_->Call("pick_next", {});
+    const Value result = vm_->Call("pick_next", {});
     tasks_ = nullptr;
     const std::int64_t id = result.AsInt();
     return id < 0 ? sched::kNoTask : static_cast<sched::TaskId>(id);
   }
 
-  const char* technology() const override {
-    return engine_ == MinnowEngine::kTranslated ? "Java/translated" : "Java";
-  }
+  const char* technology() const override { return JavaTechnologyName(jit_); }
 
  private:
   const sched::Task& At(std::span<const Value> args) const {
@@ -122,9 +115,8 @@ class MinnowSchedulerGraft : public sched::SchedulerGraft {
     return (*tasks_)[static_cast<std::size_t>(i)];
   }
 
-  MinnowEngine engine_;
+  bool jit_;
   std::unique_ptr<minnow::VM> vm_;
-  std::unique_ptr<minnow::RegExecutor> executor_;
   const std::vector<sched::Task>* tasks_ = nullptr;
 };
 
@@ -228,9 +220,9 @@ std::unique_ptr<sched::SchedulerGraft> CreateSchedulerGraft(core::Technology tec
   using core::Technology;
   switch (technology) {
     case Technology::kJava:
-      return std::make_unique<MinnowSchedulerGraft>(MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowSchedulerGraft>(/*jit=*/false);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowSchedulerGraft>(MinnowEngine::kTranslated);
+      return std::make_unique<MinnowSchedulerGraft>(/*jit=*/true);
     case Technology::kTcl:
       return std::make_unique<TcletSchedulerGraft>();
     case Technology::kUpcall:

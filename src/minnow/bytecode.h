@@ -52,8 +52,8 @@
 //
 //   kTrap          unconditional trap; operand selects the message
 //
-// Superinstructions (emitted only by optimizer.h's FuseSuperinstructions,
-// never by the compiler; the register translator refuses them):
+// Superinstructions (emitted only by fuse.h's FuseSuperinstructions, never
+// by the compiler):
 //
 //   kLoadAddI      tos += locals[operand]            (kLoadLocal + kAddI)
 //   kAddConstI     tos += operand                    (kConstInt + kAddI)
@@ -205,11 +205,6 @@ inline constexpr std::size_t kNumOps = 0
 #undef GRAFTLAB_MINNOW_COUNT_ENTRY
     ;
 
-// True for opcodes only FuseSuperinstructions may emit.
-inline constexpr bool IsSuperinstruction(Op op) {
-  return op >= Op::kLoadAddI && op <= Op::kLoadGlobalLocal;
-}
-
 // True for the unchecked opcode variants only the check-elision pass
 // (elide.h) may emit. The verifier rejects them unless the program's
 // elision certificate is attached and its code hash matches.
@@ -287,9 +282,8 @@ struct GlobalSlot {
 // pass only rewrites an access to its unchecked variant when its abstract
 // interpreter has proven the elided check can never fire; the certificate
 // binds that proof to the exact post-rewrite opcode stream via an FNV-1a
-// hash, so the verifier and the regir translator can refuse unchecked
-// opcodes that did not come out of the elision pass (or were edited after
-// it ran).
+// hash, so the verifier and the VM can refuse unchecked opcodes that did
+// not come out of the elision pass (or were edited after it ran).
 struct ElisionCertificate {
   bool attached = false;
   std::uint64_t code_hash = 0;  // ElisionCodeHash over the rewritten program

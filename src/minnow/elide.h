@@ -34,8 +34,9 @@
 //      divisor *and* ruling out INT64_MIN / -1.
 //
 // The proof is bound to the rewritten code by an FNV-1a hash stamped into
-// Program::elision; VerifyProgram and the regir translator refuse unchecked
-// opcodes whose certificate is missing or stale.
+// Program::elision; VerifyProgram and the VM (hence the JIT, which compiles
+// only what the VM loaded) refuse unchecked opcodes whose certificate is
+// missing or stale.
 
 #ifndef GRAFTLAB_SRC_MINNOW_ELIDE_H_
 #define GRAFTLAB_SRC_MINNOW_ELIDE_H_

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <string>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
@@ -1364,7 +1363,7 @@ struct Jit::Impl {
       std::vector<std::uint8_t> code;
     };
     std::vector<Unit> units;
-    for (const int fi : CompilationOrder(program, opts.jit_pair_profile)) {
+    for (const int fi : CompilationOrder(program)) {
       const FunctionCode& f = program.functions[static_cast<std::size_t>(fi)];
       if (f.code.size() > opts.jit_max_fn_insns) {
         ++jit->stats_.bailouts;
@@ -1608,15 +1607,8 @@ bool JumpTargetOf(const Insn& insn, std::size_t& target) {
 
 }  // namespace
 
-std::vector<int> Jit::CompilationOrder(
-    const Program& program,
-    const std::vector<std::pair<std::string, std::uint64_t>>& pair_profile) {
-  std::unordered_map<std::string, std::uint64_t> hot;
-  for (const auto& [pair, count] : pair_profile) {
-    hot[pair] += count;
-  }
+std::vector<int> Jit::CompilationOrder(const Program& program) {
   struct Rank {
-    std::uint64_t score;
     std::uint64_t back_edges;
     int index;
   };
@@ -1624,15 +1616,8 @@ std::vector<int> Jit::CompilationOrder(
   ranks.reserve(program.functions.size());
   for (std::size_t i = 0; i < program.functions.size(); ++i) {
     const auto& fn = program.functions[i];
-    Rank r{0, 0, static_cast<int>(i)};
+    Rank r{0, static_cast<int>(i)};
     for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
-      if (!hot.empty() && pc + 1 < fn.code.size()) {
-        const auto it = hot.find(std::string(OpName(fn.code[pc].op)) + ">" +
-                                 OpName(fn.code[pc + 1].op));
-        if (it != hot.end()) {
-          r.score += it->second;
-        }
-      }
       std::size_t target = 0;
       if (JumpTargetOf(fn.code[pc], target) && target <= pc) {
         ++r.back_edges;
@@ -1641,7 +1626,6 @@ std::vector<int> Jit::CompilationOrder(
     ranks.push_back(r);
   }
   std::sort(ranks.begin(), ranks.end(), [](const Rank& a, const Rank& b) {
-    if (a.score != b.score) return a.score > b.score;
     if (a.back_edges != b.back_edges) return a.back_edges > b.back_edges;
     return a.index < b.index;
   });

@@ -54,8 +54,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/minnow/bytecode.h"
@@ -115,13 +113,10 @@ class Jit {
   // when verification fails, or when nothing compiled.
   static std::unique_ptr<Jit> Compile(VM& vm);
 
-  // The order functions are compiled in: functions containing opcode pairs
-  // hot in `pair_profile` first (PR 3's fusion telemetry, reused to aim the
-  // arena at the hot path), then by static back-edge count, then by index.
+  // The order functions are compiled in: by static back-edge count (loops
+  // first, so the arena budget goes to the hot path), then by index.
   // Exposed for tests and tools.
-  static std::vector<int> CompilationOrder(
-      const Program& program,
-      const std::vector<std::pair<std::string, std::uint64_t>>& pair_profile);
+  static std::vector<int> CompilationOrder(const Program& program);
 
   ~Jit();
   Jit(const Jit&) = delete;

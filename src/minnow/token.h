@@ -4,8 +4,8 @@
 // typed, C-flavoured language compiled to verified bytecode for an in-kernel
 // VM — the role Java plays in the paper. The toolchain is deliberately
 // complete (lexer -> parser -> type checker -> bytecode compiler -> load-time
-// verifier -> interpreter / translated executor) because the paper's
-// interpretation-cost numbers only mean something if the interpreter is real.
+// verifier -> interpreter / JIT) because the paper's interpretation-cost
+// numbers only mean something if the interpreter is real.
 
 #ifndef GRAFTLAB_SRC_MINNOW_TOKEN_H_
 #define GRAFTLAB_SRC_MINNOW_TOKEN_H_

@@ -17,8 +17,9 @@
 // benchmark both. Frames and the operand stack live in one envs::Arena
 // allocation made at construction — calls never touch the allocator.
 //
-// regir.h layers the paper's "runtime code generation" future-work variant
-// on top: the same Program translated at load time to a faster register IR.
+// jit.h is the paper's "compiled Java" variant of the same pipeline: with
+// DispatchMode::kJit the verified Program is compiled to native code at load
+// time, and this interpreter stays the deopt fallback.
 
 #ifndef GRAFTLAB_SRC_MINNOW_VM_H_
 #define GRAFTLAB_SRC_MINNOW_VM_H_
@@ -78,16 +79,13 @@ struct VmOptions {
   // --- kJit tuning (ignored by the interpreter dispatchers) ---
   // Functions longer than this stay interpreted (compile-time bound).
   std::size_t jit_max_fn_insns = 16384;
-  // Total native-code budget; functions are compiled hottest-first (see
+  // Total native-code budget; functions are compiled loops-first (see
   // Jit::CompilationOrder) until the arena is full.
   std::size_t jit_arena_max = 8u << 20;
   // When set, opcodes the filter rejects are compiled as unconditional deopt
   // exits instead of native templates. Exists to force the deopt machinery in
   // tests; production leaves it empty.
   std::function<bool(Op)> jit_compile_filter;
-  // Adjacent-pair telemetry ("load.local>add.i" -> count) from a profiling
-  // run (VM::OpcodePairCounts), reused to order compilation hottest-first.
-  std::vector<std::pair<std::string, std::uint64_t>> jit_pair_profile;
 };
 
 class VM : public Heap::RootProvider {
@@ -161,7 +159,6 @@ class VM : public Heap::RootProvider {
   std::vector<std::pair<std::string, std::uint64_t>> OpcodePairCounts(std::size_t top_n = 16) const;
 
  private:
-  friend class RegExecutor;
   friend class Jit;  // the JIT compiles against — and deopts into — VM state
 
   struct Frame {

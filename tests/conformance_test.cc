@@ -9,8 +9,8 @@
 // (threaded dispatch, superinstruction fusion, arena frames) that changes
 // *any* observable result fails loudly.
 //
-// The second half runs the Minnow grafts across the dispatch/optimizer/
-// fusion/check-elision configuration matrix: every configuration must
+// The second half runs the Minnow grafts across the dispatch/fusion/
+// check-elision configuration matrix: every configuration must
 // produce the same traces as the plain switch interpreter on raw, fully
 // checked bytecode — including the configurations where the elision pass
 // has rewritten proven-safe accesses to their unchecked variants.
@@ -21,6 +21,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/graft.h"
@@ -29,6 +30,8 @@
 #include "src/grafts/minnow_grafts.h"
 #include "src/ldisk/logical_disk.h"
 #include "src/md5/md5.h"
+#include "src/minnow/jit.h"
+#include "src/minnow/vm.h"
 #include "src/vmsim/frame.h"
 
 namespace {
@@ -189,11 +192,11 @@ INSTANTIATE_TEST_SUITE_P(AllTechnologies, LdiskTraceConformance,
 
 // --- Minnow configuration matrix ---
 //
-// Every VM configuration the engine rewrite introduced — switch vs threaded
-// vs jit dispatch, optimizer on/off, superinstruction fusion on/off, check
-// elision on/off — must produce the same traces as the plain reference
-// (switch dispatch, raw bytecode). The translated engine rides along as
-// three more configurations.
+// Every VM configuration — switch vs threaded vs jit dispatch,
+// superinstruction fusion on/off, check elision on/off — must produce the
+// same traces as the plain reference (switch dispatch, raw bytecode). In
+// builds without JIT support the jit rows fall back to the interpreter and
+// remain valid (if redundant) rows.
 
 struct MinnowCase {
   std::string name;
@@ -202,63 +205,28 @@ struct MinnowCase {
 
 std::vector<MinnowCase> MinnowMatrix() {
   std::vector<MinnowCase> cases;
-  for (const bool threaded : {false, true}) {
-    for (const bool optimize : {false, true}) {
-      for (const bool fuse : {false, true}) {
-        for (const bool elide : {false, true}) {
-          grafts::MinnowConfig config;
-          config.engine = grafts::MinnowEngine::kInterpreter;
-          config.optimize = optimize;
-          config.fuse = fuse;
-          config.elide = elide;
-          config.dispatch =
-              threaded ? minnow::DispatchMode::kThreaded : minnow::DispatchMode::kSwitch;
-          cases.push_back({std::string(threaded ? "threaded" : "switch") +
-                               (optimize ? "_opt" : "") + (fuse ? "_fused" : "") +
-                               (elide ? "_elided" : ""),
-                           config});
-        }
-      }
-    }
-  }
-  // kJit rows: the template JIT must be trace-identical in every
-  // {optimize, fuse, elide} combination. In builds without JIT support these
-  // fall back to the interpreter and remain valid (if redundant) rows.
-  for (const bool optimize : {false, true}) {
+  const std::pair<const char*, minnow::DispatchMode> dispatches[] = {
+      {"switch", minnow::DispatchMode::kSwitch},
+      {"threaded", minnow::DispatchMode::kThreaded},
+      {"jit", minnow::DispatchMode::kJit}};
+  for (const auto& [name, dispatch] : dispatches) {
     for (const bool fuse : {false, true}) {
       for (const bool elide : {false, true}) {
         grafts::MinnowConfig config;
-        config.engine = grafts::MinnowEngine::kInterpreter;
-        config.optimize = optimize;
         config.fuse = fuse;
         config.elide = elide;
-        config.jit = true;
-        cases.push_back({std::string("jit") + (optimize ? "_opt" : "") +
-                             (fuse ? "_fused" : "") + (elide ? "_elided" : ""),
-                         config});
+        config.dispatch = dispatch;
+        config.jit = dispatch == minnow::DispatchMode::kJit;
+        cases.push_back(
+            {std::string(name) + (fuse ? "_fused" : "") + (elide ? "_elided" : ""), config});
       }
     }
   }
-  grafts::MinnowConfig translated;
-  translated.engine = grafts::MinnowEngine::kTranslated;
-  cases.push_back({"translated", translated});
-  grafts::MinnowConfig translated_opt;
-  translated_opt.engine = grafts::MinnowEngine::kTranslated;
-  translated_opt.optimize = true;
-  cases.push_back({"translated_opt", translated_opt});
-  // The register translator consumes certified bytecode: unchecked opcodes
-  // translate back to their checked register forms (sound — the certificate
-  // proves those checks never fire), so the traces must still be identical.
-  grafts::MinnowConfig translated_elide;
-  translated_elide.engine = grafts::MinnowEngine::kTranslated;
-  translated_elide.elide = true;
-  cases.push_back({"translated_elided", translated_elide});
   return cases;
 }
 
 grafts::MinnowConfig ReferenceConfig() {
   grafts::MinnowConfig config;
-  config.engine = grafts::MinnowEngine::kInterpreter;
   config.dispatch = minnow::DispatchMode::kSwitch;
   config.fuse = false;
   return config;
@@ -292,6 +260,42 @@ TEST(MinnowMatrixConformance, LdiskTraceIdenticalAcrossConfigurations) {
     grafts::MinnowLogicalDiskGraft graft(geometry, c.config);
     EXPECT_EQ(RunLdisk(graft, geometry, geometry.num_blocks), expected) << c.name;
   }
+}
+
+// Technology::kJavaTranslated is the paper's "compiled Java" row. In builds
+// that can compile, the factory's grafts must run native code — otherwise
+// the row silently measures the interpreter — and still match the C oracle.
+// Builds without JIT support run the row on the interpreter.
+void ExpectCompiled(minnow::VM& vm, const char* graft) {
+  const minnow::JitStats* jit = vm.jit_stats();
+  if (!minnow::Jit::Available()) {
+    EXPECT_EQ(jit, nullptr) << graft;
+    return;
+  }
+  ASSERT_NE(jit, nullptr) << graft;
+  EXPECT_EQ(vm.dispatch(), minnow::DispatchMode::kJit) << graft;
+  EXPECT_GT(jit->compiled_fns, 0u) << graft;
+}
+
+TEST(CompiledJavaConformance, FactoryGraftsRunOnTheJitAndMatchC) {
+  auto eviction = grafts::CreateEvictionGraft(Technology::kJavaTranslated);
+  auto eviction_c = grafts::CreateEvictionGraft(Technology::kC);
+  EXPECT_EQ(EvictionTrace(*eviction, 48), EvictionTrace(*eviction_c, 48));
+  ExpectCompiled(dynamic_cast<grafts::MinnowEvictionGraft&>(*eviction).vm(), "eviction");
+
+  auto md5 = grafts::CreateMd5Graft(Technology::kJavaTranslated);
+  auto md5_c = grafts::CreateMd5Graft(Technology::kC);
+  EXPECT_EQ(Md5Trace(*md5, 37), Md5Trace(*md5_c, 37));
+  ExpectCompiled(dynamic_cast<grafts::MinnowMd5Graft&>(*md5).vm(), "md5");
+
+  ldisk::Geometry geometry;
+  geometry.num_blocks = 256;
+  geometry.blocks_per_segment = 16;
+  auto ldisk = grafts::CreateLogicalDiskGraft(Technology::kJavaTranslated, geometry);
+  auto ldisk_c = grafts::CreateLogicalDiskGraft(Technology::kC, geometry);
+  EXPECT_EQ(RunLdisk(*ldisk, geometry, geometry.num_blocks),
+            RunLdisk(*ldisk_c, geometry, geometry.num_blocks));
+  ExpectCompiled(dynamic_cast<grafts::MinnowLogicalDiskGraft&>(*ldisk).vm(), "ldisk");
 }
 
 // The matrix above compares one build's dispatch modes against each other.

@@ -5,8 +5,8 @@
 // the elision corpus — arrays, nullable struct references, and guarded or
 // unguarded dereferences), compiles each once, and runs the same bytecode
 // through every configuration the engine rewrite introduced: {switch,
-// threaded dispatch, jit} x {optimizer on/off} x {superinstruction fusion
-// on/off} x {check elision on/off}, plus jit variants with a compile filter
+// threaded dispatch, jit} x {superinstruction fusion on/off} x {check
+// elision on/off}, plus jit variants with a compile filter
 // that turns common opcodes into forced deopts so every program ping-pongs
 // between native code and the interpreter. Every configuration must produce
 // the identical result — the same value, or the same trap message — as the
@@ -39,7 +39,7 @@
 #include "src/minnow/bytecode.h"
 #include "src/minnow/compiler.h"
 #include "src/minnow/elide.h"
-#include "src/minnow/optimizer.h"
+#include "src/minnow/fuse.h"
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
 
@@ -58,7 +58,6 @@ using minnow::VmOptions;
 
 struct Config {
   DispatchMode dispatch;
-  bool optimize;
   bool fuse;
   bool elide = false;
   // kJit only: compile one opcode family (DenyFamily(deny_seed)) as
@@ -106,7 +105,6 @@ std::string Config::Name() const {
                        : dispatch == DispatchMode::kJit    ? "jit"
                                                            : "switch";
     if (jit_deopt) name += std::string("+deopt(") + minnow::OpName(DenyFamily(deny_seed)[0]) + ")";
-    if (optimize) name += "+opt";
     if (fuse) name += "+fuse";
     if (elide) name += "+elide";
     return name;
@@ -116,13 +114,11 @@ std::vector<Config> AllConfigs(std::uint32_t deny_seed = 0) {
   std::vector<Config> configs;
   for (const DispatchMode dispatch :
        {DispatchMode::kSwitch, DispatchMode::kThreaded, DispatchMode::kJit}) {
-    for (const bool optimize : {false, true}) {
-      for (const bool fuse : {false, true}) {
-        for (const bool elide : {false, true}) {
-          configs.push_back({dispatch, optimize, fuse, elide});
-          if (dispatch == DispatchMode::kJit) {
-            configs.push_back({dispatch, optimize, fuse, elide, /*jit_deopt=*/true, deny_seed});
-          }
+    for (const bool fuse : {false, true}) {
+      for (const bool elide : {false, true}) {
+        configs.push_back({dispatch, fuse, elide});
+        if (dispatch == DispatchMode::kJit) {
+          configs.push_back({dispatch, fuse, elide, /*jit_deopt=*/true, deny_seed});
         }
       }
     }
@@ -135,11 +131,11 @@ std::vector<Config> AllConfigs(std::uint32_t deny_seed = 0) {
 // different reason is wrong even if it traps at the same instruction.
 // `retired` carries the fuel-equivalence side of the contract: check
 // elision is a 1:1 opcode rewrite, so checked and elided runs of the same
-// {dispatch, optimize, fuse} configuration must retire the same count
+// {dispatch, fuse} configuration must retire the same count
 // (AgreesWith ignores it; the elision soak compares it explicitly). Native
 // code keeps both ledgers — `retired` and the fuel left — in one register,
 // so a jit run must match the threaded interpreter with the same
-// {optimize, fuse, elide} settings on both (SameLedgers).
+// {fuse, elide} settings on both (SameLedgers).
 struct Outcome {
   bool trapped = false;
   std::int64_t value = 0;
@@ -167,10 +163,6 @@ std::string Describe(const Outcome& outcome) {
 Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
                   std::initializer_list<std::int64_t> args, std::int64_t fuel = -1) {
   Program program = compiled;  // each config transforms its own copy
-  if (config.optimize) {
-    minnow::Optimize(program);
-    minnow::VerifyProgram(program);
-  }
   if (config.fuse) {
     minnow::FuseSuperinstructions(program);
     minnow::VerifyProgram(program);
@@ -218,7 +210,7 @@ void ExpectAllConfigsAgree(const std::string& source, const char* fn,
   const Program compiled = Compile(source);
   const std::int64_t fuel = seed % 2 == 1 ? std::int64_t{1} << 40 : -1;
   const Outcome reference =
-      RunConfig(compiled, {DispatchMode::kSwitch, false, false}, fn, args, fuel);
+      RunConfig(compiled, {DispatchMode::kSwitch, false}, fn, args, fuel);
   const std::vector<Config> configs = AllConfigs(seed);
   std::vector<Outcome> outcomes;
   for (const Config& config : configs) {
@@ -232,8 +224,8 @@ void ExpectAllConfigsAgree(const std::string& source, const char* fn,
     if (configs[j].dispatch != DispatchMode::kJit) continue;
     for (std::size_t t = 0; t < configs.size(); ++t) {
       const Config& c = configs[t];
-      if (c.dispatch == DispatchMode::kThreaded && c.optimize == configs[j].optimize &&
-          c.fuse == configs[j].fuse && c.elide == configs[j].elide) {
+      if (c.dispatch == DispatchMode::kThreaded && c.fuse == configs[j].fuse &&
+          c.elide == configs[j].elide) {
         EXPECT_TRUE(outcomes[j].SameLedgers(outcomes[t]))
             << label << " [" << configs[j].Name() << "]: ledgers " << Describe(outcomes[j])
             << ", threaded " << Describe(outcomes[t]) << "\nsource:\n"
@@ -467,11 +459,11 @@ TEST(DispatchFuzz, DivisionEdgeCasesTrapIdentically) {
 
   // The traps must be the *arithmetic* traps, not incidental agreement.
   const Outcome div0 =
-      RunConfig(Compile(div), {DispatchMode::kThreaded, false, true}, "f", {1, 0});
+      RunConfig(Compile(div), {DispatchMode::kThreaded, true}, "f", {1, 0});
   ASSERT_TRUE(div0.trapped);
   EXPECT_EQ(div0.trap, "integer division by zero");
   const Outcome overflow =
-      RunConfig(Compile(div), {DispatchMode::kThreaded, true, true}, "f", {int_min, -1});
+      RunConfig(Compile(div), {DispatchMode::kThreaded, true}, "f", {int_min, -1});
   ASSERT_TRUE(overflow.trapped);
   EXPECT_EQ(overflow.trap, "integer division overflow");
 }
@@ -593,8 +585,7 @@ TEST(DispatchFuzz, FusionChangesFuelButNotResults) {
 //
 // Every verifier-accepted generated program (now with arrays, nullable
 // references, and guarded/unguarded/out-of-bounds accesses) runs checked
-// and elided under {switch, threaded} x {fuse on/off} (optimize alternates
-// by seed). The contract is total: same value or same trap message, and —
+// and elided under {switch, threaded, jit} x {fuse on/off}. The contract is total: same value or same trap message, and —
 // because elision replaces opcodes strictly 1:1 — the same
 // instructions_retired count, which is the supervisor's fuel ledger.
 //
@@ -622,12 +613,11 @@ TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
       fflush(stderr);
     }
     const Program compiled = Compile(source);
-    const bool optimize = (p % 2) == 1;
     for (const DispatchMode dispatch :
          {DispatchMode::kSwitch, DispatchMode::kThreaded, DispatchMode::kJit}) {
       for (const bool fuse : {false, true}) {
-        const Config checked{dispatch, optimize, fuse, false};
-        const Config elided{dispatch, optimize, fuse, true};
+        const Config checked{dispatch, fuse, false};
+        const Config elided{dispatch, fuse, true};
         for (const auto& args : arg_sets) {
           const Outcome want = RunConfig(compiled, checked, "f", args);
           const Outcome got = RunConfig(compiled, elided, "f", args);
@@ -645,9 +635,9 @@ TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
     const auto deny_seed = static_cast<std::uint32_t>(p);
     for (const bool fuse : {false, true}) {
       for (const bool elide : {false, true}) {
-        const Config threaded{DispatchMode::kThreaded, optimize, fuse, elide};
-        const Config jits[] = {{DispatchMode::kJit, optimize, fuse, elide},
-                               {DispatchMode::kJit, optimize, fuse, elide, true, deny_seed}};
+        const Config threaded{DispatchMode::kThreaded, fuse, elide};
+        const Config jits[] = {{DispatchMode::kJit, fuse, elide},
+                               {DispatchMode::kJit, fuse, elide, true, deny_seed}};
         for (const auto& args : arg_sets) {
           const Outcome want = RunConfig(compiled, threaded, "f", args, std::int64_t{1} << 40);
           const std::int64_t budget =
@@ -683,8 +673,8 @@ void ExpectCheckedElidedAgree(const char* source, const char* fn,
                               std::initializer_list<std::int64_t> args, const char* label,
                               bool expect_trap) {
   const Program compiled = Compile(source);
-  const Config checked{DispatchMode::kSwitch, false, false, false};
-  const Config elided{DispatchMode::kSwitch, false, false, true};
+  const Config checked{DispatchMode::kSwitch, false, false};
+  const Config elided{DispatchMode::kSwitch, false, true};
   const Outcome want = RunConfig(compiled, checked, fn, args);
   const Outcome got = RunConfig(compiled, elided, fn, args);
   EXPECT_EQ(want.trapped, expect_trap) << label;

@@ -1,8 +1,8 @@
 // Unit tests for the check-elision verifier (src/minnow/elide.h).
 //
 // Three layers: the fact lattice itself (join at merges, widening at loop
-// heads), the certificate handshake (VerifyProgram / the VM / the regir
-// translator all refuse unchecked opcodes whose proof is missing or stale),
+// heads), the certificate handshake (VerifyProgram and the VM both refuse
+// unchecked opcodes whose proof is missing or stale),
 // and precision pinning — golden DumpElision listings for the three paper
 // grafts, so a change that silently loses (or unsoundly gains) elisions
 // fails loudly with a readable diff.
@@ -18,7 +18,6 @@
 #include "src/minnow/bytecode.h"
 #include "src/minnow/compiler.h"
 #include "src/minnow/elide.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/sema.h"
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
@@ -215,27 +214,6 @@ TEST(ElideCertificate, VerifierRefusesAStaleCertificate) {
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.message.find("stale"), std::string::npos) << report.message;
   EXPECT_THROW(VM vm(program), std::invalid_argument);
-}
-
-TEST(ElideCertificate, RegirTranslatesCertifiedUncheckedOpsToCheckedForms) {
-  const Program program = ElidedProbe();
-  // The translation itself must be accepted...
-  const auto rfn = minnow::TranslateFunction(program, program.functions[0]);
-  (void)rfn;
-  // ...and produce the same results as the stack VM.
-  Program copy = program;
-  VM vm(copy);
-  minnow::RegExecutor executor(vm);
-  vm.RunInit();
-  EXPECT_EQ(executor.Call("f", {Value::Int(13)}).AsInt(), 13);
-  EXPECT_EQ(vm.Call("f", {Value::Int(13)}).AsInt(), 13);
-}
-
-TEST(ElideCertificate, RegirRefusesUncheckedOpsWithoutACertificate) {
-  Program program = ElidedProbe();
-  program.elision.attached = false;
-  EXPECT_THROW(minnow::TranslateFunction(program, program.functions[0]),
-               std::invalid_argument);
 }
 
 TEST(ElideCertificate, CertifiedProgramRefusesCallBeforeRunInit) {
