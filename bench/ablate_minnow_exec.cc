@@ -278,10 +278,11 @@ int main(int argc, char** argv) {
       grafts::MinnowMd5Graft probe(jit_config);
       if (const minnow::JitStats* stats = probe.vm().jit_stats()) {
         std::printf("\nmd5 graft arena: %llu functions compiled, %llu bytes of code, "
-                    "%llu bailouts\n",
+                    "%llu bailouts, %llu slots homed\n",
                     static_cast<unsigned long long>(stats->compiled_fns),
                     static_cast<unsigned long long>(stats->bytes),
-                    static_cast<unsigned long long>(stats->bailouts));
+                    static_cast<unsigned long long>(stats->bailouts),
+                    static_cast<unsigned long long>(stats->homed_slots));
       }
     }
 

@@ -96,7 +96,8 @@ struct GraftCounters {
   // counters (opcode retires, jit_deopts) keep summing.
   static bool IsStaticProfileRow(const std::string& name) {
     return name == "checks_elided" || name == "checks_retained" ||
-           name == "jit_compiled_fns" || name == "jit_bytes" || name == "jit_bailouts";
+           name == "jit_compiled_fns" || name == "jit_bytes" || name == "jit_bailouts" ||
+           name == "jit_homed_slots";
   }
 
   // Sort-and-fold merge: O((n+m) log (n+m)) regardless of either side's

@@ -102,6 +102,7 @@ class MinnowMd5Graft : public core::StreamGraft {
       counts.emplace_back("jit_bytes", jit->bytes);
       counts.emplace_back("jit_deopts", jit->deopts);
       counts.emplace_back("jit_bailouts", jit->bailouts);
+      counts.emplace_back("jit_homed_slots", jit->homed_slots);
     }
     return counts;
   }

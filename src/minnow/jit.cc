@@ -347,27 +347,26 @@ struct FrameOffsets {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-function compiler. Register roles (all callee-saved, so helper calls
-// need no spills):
+// Per-function compiler. Pinned registers (callee-saved):
 //   r14 = JitCtx*
 //   r13 = locals base  (stack + 8*frame->base; operand slot i lives at
 //                       [r13 + 8*(num_locals + i)])
-//   r12 = stack base
 //   rbx = globals base
-//   rbp = current Frame*
 //   r15 = fuel, and through its entry mark the retired ledger
-// The nine caller-saved registers hold operand values (the deferred stack,
-// below). There is no stack-pointer register: the verifier proves one
-// operand depth per pc, so every operand address is static and sp_ is
-// materialized only at side exits and helper calls (sp = frame->base +
-// num_locals + depth).
+// The current Frame* lives in the native frame ([rsp + kFrameOff]); only
+// exits, calls, and returns read it. rbp, r12 and five caller-saved
+// registers are home registers: a frame slot the allocator homes (see
+// PlanHomes) lives in its register for the whole function. rax, rcx, rdx,
+// rdi, and any home register the function leaves unused hold operand values
+// (the deferred stack, below). There is no stack-pointer register: the
+// verifier proves one operand depth per pc, so every operand address is
+// static and sp_ is materialized only at side exits and helper calls
+// (sp = frame->base + num_locals + depth).
 // ---------------------------------------------------------------------------
 
 constexpr Reg CTX = R14;
 constexpr Reg LOCALS = R13;
-constexpr Reg STK = R12;
 constexpr Reg GLB = RBX;
-constexpr Reg FRM = RBP;
 // The live fuel counter. ctx->fuel is authoritative only at sync points
 // (prologue/epilogue, call boundaries); in between, block accounting runs
 // against the register so the common path is one sub and one taken-never
@@ -547,29 +546,50 @@ bool IsBlockEnder(const Eff& e, Op op) {
 }
 
 // Where a not-yet-stored operand's value lives while its block compiles.
-// kMem names a 64-bit cell [base + disp]: the entry's own operand slot (the
-// only materialized state), or a local, spliced-callee local, or global the
-// value was read from and which nothing has written since. kFlags is a
-// comparison result still in the condition flags; it only ever sits on top
-// of the stack and is turned into a 0/1 register before anything else runs.
+// kMem names a 64-bit cell [base + disp]: the entry's own operand slot, or
+// a local, spliced-callee local, or global the value was read from and
+// which nothing has written since. kHome is the same kind of cell for a
+// homed slot: its home register, which consumers may read but never
+// clobber. kReg is a temporary the entry owns. kFlags is a comparison
+// result still in the condition flags; it only ever sits on top of the
+// stack and is turned into a 0/1 register before anything else runs.
 struct Loc {
-  enum Kind : std::uint8_t { kMem, kReg, kImm, kFlags };
+  enum Kind : std::uint8_t { kMem, kReg, kImm, kFlags, kHome };
   Kind kind = kMem;
-  Reg reg = RAX;            // kReg: the register; kMem: the base register
+  Reg reg = RAX;            // kReg/kHome: the register; kMem: the base register
   std::int32_t disp = 0;    // kMem
   std::int64_t imm = 0;     // kImm: the value; kFlags: the condition code
 
   static Loc Mem(Reg base, std::int32_t disp) { return {kMem, base, disp, 0}; }
   static Loc InReg(Reg r) { return {kReg, r, 0, 0}; }
+  static Loc Home(Reg r) { return {kHome, r, 0, 0}; }
   static Loc Imm(std::int64_t v) { return {kImm, RAX, 0, v}; }
   static Loc Flags(Cc cc) { return {kFlags, RAX, 0, cc}; }
   bool FitsImm32() const { return kind == kImm && imm >= INT32_MIN && imm <= INT32_MAX; }
+  bool InRegister() const { return kind == kReg || kind == kHome; }
 };
 
-// The value registers: every caller-saved general register. Pinned state
-// lives in callee-saved ones, so a helper call only has to flush these.
+bool SameLoc(const Loc& x, const Loc& y) {
+  if (x.kind != y.kind) return false;
+  switch (x.kind) {
+    case Loc::kMem: return x.reg == y.reg && x.disp == y.disp;
+    case Loc::kReg:
+    case Loc::kHome: return x.reg == y.reg;
+    default: return x.imm == y.imm;
+  }
+}
+
+// The value registers: every caller-saved general register the function
+// does not use as a home.
 constexpr Reg kValueRegs[] = {RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11};
 constexpr std::uint32_t Bit(Reg r) { return 1u << r; }
+// Home registers in allocation order: the callee-saved pair first (they
+// survive helper calls), then caller-saved ones, which are stored before
+// and reloaded after every helper. rax, rcx, rdx and rdi never become
+// homes, so the templates keep division, shift-count and helper-argument
+// registers and at least four temporaries.
+constexpr Reg kHomeRegs[] = {RBP, R12, R8, R9, R10, R11, RSI};
+constexpr std::uint32_t kCalleeSavedHomes = Bit(RBP) | Bit(R12);
 
 // The condition that holds for (b, a) when `cc` holds for (a, b).
 Cc SwapCc(Cc cc) {
@@ -633,6 +653,7 @@ struct Compiler {
     std::int64_t give;   // block overcharge returned to r15 (both ledgers)
     bool reexec;         // true: kDeopt + frame rebuild; false: exception passthrough
     Pending pending;     // operands to store so the frame is memory-identical
+    Pending homes;       // homed locals live at the site, stored the same way
     // Exits raised inside a spliced (inlined) callee: the stub materializes
     // the frame the hot path skipped, so pc/depth above are callee-relative
     // and the interpreter resumes inside the callee as if kCall had pushed.
@@ -647,23 +668,26 @@ struct Compiler {
 
   // --- native frame --------------------------------------------------------
   // Below the six saved registers the prologue reserves three qwords (which
-  // also keeps rsp 16-aligned at helper calls): the retired-ledger mark and
-  // the spliced-call limit flag.
+  // also keeps rsp 16-aligned at helper calls): the retired-ledger mark,
+  // the spliced-call limit flag, and the current Frame*.
   static constexpr std::int32_t kFrameReserve = 24;
-  static constexpr std::int32_t kMarkOff = 0;  // r15 when the ledger last synced
-  static constexpr std::int32_t kFlagOff = 8;  // see EmitSpliceLimitFlag
+  static constexpr std::int32_t kMarkOff = 0;    // r15 when the ledger last synced
+  static constexpr std::int32_t kFlagOff = 8;    // see EmitSpliceLimitFlag
+  static constexpr std::int32_t kFrameOff = 16;  // VM::Frame* of this activation
 
   // --- the deferred operand stack -------------------------------------------
   //
   // vs_[i] describes operand slot i (caller coordinates, spliced callee
   // frames included) while the current block compiles. Producers push a
   // location instead of storing; consumers read registers, immediates, or
-  // memory operands straight from it. A value reaches its slot only when
-  // something needs the memory frame: a branch or a join (every jump target
-  // starts fully stored, so all incoming paths agree), a helper or kCall, or
-  // an exit stub, which stores the pending entries it was handed before it
-  // deopts. Templates emit their exits before they clobber any input, so
-  // at every exit the inputs are still where vs_ says.
+  // memory operands straight from it. A value reaches its slot's canonical
+  // place — the home register of a homed slot, else its memory cell — only
+  // when something needs it there: a branch or a join (every jump target
+  // starts with each operand in its canonical place, so all incoming paths
+  // agree), a helper or kCall, or an exit stub, which stores the entries it
+  // was handed into memory before it deopts. Templates emit their exits
+  // before they clobber any input, so at every exit the inputs are still
+  // where vs_ says.
   std::vector<Loc> vs_{};
   std::uint32_t held_ = 0;        // template temporaries, released per insn
   std::size_t spill_floor_ = 0;   // AllocReg may spill only entries below this
@@ -671,13 +695,18 @@ struct Compiler {
   std::int32_t SlotDisp(std::size_t d) const {
     return static_cast<std::int32_t>(8 * (static_cast<std::size_t>(fn.num_locals) + d));
   }
-  bool OwnSlot(std::size_t i) const {
-    const Loc& l = vs_[i];
-    return l.kind == Loc::kMem && l.reg == LOCALS && l.disp == SlotDisp(i);
+  // The canonical place of the frame slot at [r13 + disp].
+  Loc Cell(std::int32_t disp) const {
+    const auto s = static_cast<std::size_t>(disp / 8);
+    if (s < home_.size() && home_[s] >= 0) return Loc::Home(static_cast<Reg>(home_[s]));
+    return Loc::Mem(LOCALS, disp);
   }
+  Loc Canon(std::size_t i) const { return Cell(SlotDisp(i)); }
+  bool OwnSlot(std::size_t i) const { return SameLoc(vs_[i], Canon(i)); }
+  bool InMemSlot(std::size_t i) const { return SameLoc(vs_[i], Loc::Mem(LOCALS, SlotDisp(i))); }
   void ResetStack(std::size_t d) {
     vs_.clear();
-    for (std::size_t i = 0; i < d; ++i) vs_.push_back(Loc::Mem(LOCALS, SlotDisp(i)));
+    for (std::size_t i = 0; i < d; ++i) vs_.push_back(Canon(i));
   }
   void Push(const Loc& l) {
     if (l.kind == Loc::kReg) held_ &= ~Bit(l.reg);  // the entry owns it now
@@ -686,15 +715,22 @@ struct Compiler {
   void Drop(std::size_t n) { vs_.resize(vs_.size() - n); }
 
   std::uint32_t UsedRegs() const {
-    std::uint32_t used = held_;
+    std::uint32_t used = held_ | home_mask_;
     for (const Loc& l : vs_) {
       if (l.kind == Loc::kReg) used |= Bit(l.reg);
     }
     return used;
   }
+  // Whether an entry below `to`, other than `except`, reads `cell`.
+  bool Referenced(const Loc& cell, std::size_t except, std::size_t to = SIZE_MAX) const {
+    for (std::size_t i = 0; i < vs_.size() && i < to; ++i) {
+      if (i != except && SameLoc(vs_[i], cell)) return true;
+    }
+    return false;
+  }
   // A free value register, held until the current instruction ends. With
-  // all nine taken, the deepest register entry below the instruction's
-  // inputs is stored to its slot to make room.
+  // all of them taken, the deepest register entry below the instruction's
+  // inputs moves to its canonical place to make room.
   Reg AllocReg() {
     const std::uint32_t used = UsedRegs();
     for (const Reg r : kValueRegs) {
@@ -704,29 +740,36 @@ struct Compiler {
       }
     }
     for (std::size_t i = 0; i < spill_floor_ && i < vs_.size(); ++i) {
-      if (vs_[i].kind == Loc::kReg) {
-        const Reg r = vs_[i].reg;
+      if (vs_[i].kind != Loc::kReg) continue;
+      const Loc c = Canon(i);
+      if (c.kind == Loc::kHome && Referenced(c, i)) continue;  // would need an invalidation
+      const Reg r = vs_[i].reg;
+      if (c.kind == Loc::kHome) {
+        a.MovRR(c.reg, r);
+      } else {
         a.Store64(LOCALS, SlotDisp(i), r);
-        vs_[i] = Loc::Mem(LOCALS, SlotDisp(i));
-        held_ |= Bit(r);
-        return r;
       }
+      vs_[i] = c;
+      held_ |= Bit(r);
+      return r;
     }
     bad_ = true;
     return RAX;
   }
   void Release(Reg r) { held_ &= ~Bit(r); }
   // Frees `r` for a template that needs that exact register (division,
-  // shift counts): the entry holding it moves to another register.
+  // shift counts): the entry holding it moves to another register, unless
+  // making room spilled that very entry to its canonical place.
   void Evict(Reg r) {
     if ((held_ & Bit(r)) != 0) bad_ = true;
-    for (Loc& l : vs_) {
-      if (l.kind == Loc::kReg && l.reg == r) {
-        const Reg n = AllocReg();
+    for (std::size_t i = 0; i < vs_.size(); ++i) {
+      if (vs_[i].kind != Loc::kReg || vs_[i].reg != r) continue;
+      const Reg n = AllocReg();
+      if (vs_[i].kind == Loc::kReg && vs_[i].reg == r) {
         a.MovRR(n, r);
-        l.reg = n;
-        Release(n);
+        vs_[i].reg = n;
       }
+      Release(n);
     }
     held_ |= Bit(r);
   }
@@ -735,6 +778,7 @@ struct Compiler {
   void LoadTo(Reg r, const Loc& l) {
     switch (l.kind) {
       case Loc::kReg:
+      case Loc::kHome:
         if (l.reg != r) a.MovRR(r, l.reg);
         break;
       case Loc::kMem:
@@ -748,8 +792,9 @@ struct Compiler {
         break;
     }
   }
-  // The value in a register: its own when it has one (the caller may
-  // clobber it once its exits are emitted), else a loaded temporary.
+  // The value in a register the caller may clobber once its exits are
+  // emitted: the entry's own temporary, else a loaded (or, for a home,
+  // copied) one.
   Reg RegFor(const Loc& l) {
     if (l.kind == Loc::kReg) return l.reg;
     const Reg r = AllocReg();
@@ -757,9 +802,11 @@ struct Compiler {
     return r;
   }
   Reg RegOf(std::size_t i) { return RegFor(vs_[i]); }
+  // The value in a register the caller only reads: a home serves as is.
+  Reg ReadReg(const Loc& l) { return l.kind == Loc::kHome ? l.reg : RegFor(l); }
   // Stores a value into [base + disp] (a slot, local, global, or field).
   void StoreLoc(Reg base, std::int32_t disp, const Loc& v) {
-    if (v.kind == Loc::kReg) {
+    if (v.InRegister()) {
       a.Store64(base, disp, v.reg);
     } else if (v.FitsImm32()) {
       a.StoreImm32Sx(base, disp, static_cast<std::int32_t>(v.imm));
@@ -780,44 +827,62 @@ struct Compiler {
     vs_.back() = Loc::InReg(r);
     Release(r);
   }
-  // Stores entries [from, to) into their own slots: registers first, which
-  // frees them as temporaries for the constants and memory copies.
+  // About to write `cell` (a memory cell or a home register): entries still
+  // reading the old value there take it into a register first. `self` is
+  // the operand slot being written, if any; another operand slot sitting in
+  // the same home would mean two live slots share a register.
+  void Invalidate(const Loc& cell, std::size_t self = SIZE_MAX) {
+    for (std::size_t i = 0; i < vs_.size(); ++i) {
+      if (!SameLoc(vs_[i], cell)) continue;
+      if (OwnSlot(i)) {
+        if (cell.kind == Loc::kHome && i != self) bad_ = true;
+        continue;
+      }
+      const Reg r = AllocReg();
+      LoadTo(r, cell);
+      vs_[i] = Loc::InReg(r);
+      Release(r);
+    }
+  }
+  // cell <- v, moves only.
+  void WriteCell(const Loc& cell, const Loc& v, std::size_t self = SIZE_MAX) {
+    if (SameLoc(cell, v)) return;
+    const bool hold = v.kind == Loc::kReg && (held_ & Bit(v.reg)) == 0;
+    if (hold) held_ |= Bit(v.reg);  // keep it out of Invalidate's hands
+    Invalidate(cell, self);
+    if (cell.kind == Loc::kHome) {
+      LoadTo(cell.reg, v);
+    } else {
+      StoreLoc(cell.reg, cell.disp, v);
+    }
+    if (hold) Release(v.reg);
+  }
+  void WriteCanon(std::size_t i) {
+    const Loc v = vs_[i];
+    const Loc c = Canon(i);
+    WriteCell(c, v, i);
+    vs_[i] = c;
+  }
+  // Moves entries [from, to) to their canonical places: registers first,
+  // which frees them as temporaries for the constants and copies.
   void Flush(std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
       if (vs_[i].kind == Loc::kFlags) bad_ = true;  // only the top holds flags
-      if (vs_[i].kind == Loc::kReg) {
-        a.Store64(LOCALS, SlotDisp(i), vs_[i].reg);
-        vs_[i] = Loc::Mem(LOCALS, SlotDisp(i));
-      }
+      if (vs_[i].kind == Loc::kReg) WriteCanon(i);
     }
     for (std::size_t i = from; i < to; ++i) {
-      if (!OwnSlot(i)) {
-        StoreLoc(LOCALS, SlotDisp(i), vs_[i]);
-        vs_[i] = Loc::Mem(LOCALS, SlotDisp(i));
-      }
+      if (!OwnSlot(i)) WriteCanon(i);
     }
   }
   void FlushAll() {
     MaterializeFlags();
     Flush(0, vs_.size());
   }
-  // About to write [base + disp]: entries still reading the old value
-  // there take it into a register first.
-  void Invalidate(Reg base, std::int32_t disp) {
-    for (std::size_t i = 0; i < vs_.size(); ++i) {
-      Loc& l = vs_[i];
-      if (l.kind == Loc::kMem && l.reg == base && l.disp == disp && !OwnSlot(i)) {
-        const Reg r = AllocReg();
-        a.Load64(r, base, disp);
-        l = Loc::InReg(r);
-        Release(r);
-      }
-    }
-  }
+  // Every entry not already in its memory slot: what an exit stub stores.
   Pending PendingEntries() {
     Pending p;
     for (std::size_t i = 0; i < vs_.size(); ++i) {
-      if (OwnSlot(i)) continue;
+      if (InMemSlot(i)) continue;
       if (vs_[i].kind == Loc::kFlags) bad_ = true;
       p.emplace_back(SlotDisp(i), vs_[i]);
     }
@@ -828,6 +893,36 @@ struct Compiler {
   std::int32_t LocalDisp(std::int64_t s) const {
     return inl_local_base_ >= 0 ? SlotDisp(static_cast<std::size_t>(inl_local_base_ + s))
                                 : static_cast<std::int32_t>(8 * s);
+  }
+  Loc LocalCell(std::int64_t s) const { return Cell(LocalDisp(s)); }
+  // When the instruction at `pc` stores its result straight into a homed
+  // local (pc + 1 is a store.local, or a store+load, in the same block: no
+  // charge, exit, or denied op in between), the home it may compute into:
+  // no entry below the instruction's inputs (`from`) reads the home, and no
+  // slot that shares it is live here. -1 otherwise.
+  int StoreTarget(std::size_t pc, std::size_t from) const {
+    const auto& code = inl_fn_ != nullptr ? inl_fn_->code : fn.code;
+    if (pc + 1 >= code.size() || CurFlow().leader[pc + 1]) return -1;
+    const Insn& next = code[pc + 1];
+    if ((next.op != Op::kStoreLocal && next.op != Op::kStoreLoad) ||
+        (opts.jit_compile_filter && !opts.jit_compile_filter(next.op))) {
+      return -1;
+    }
+    const Loc cell =
+        LocalCell(next.op == Op::kStoreLocal ? next.operand : SlotPairA(next.operand));
+    if (cell.kind != Loc::kHome || Referenced(cell, SIZE_MAX, from)) return -1;
+    for (std::size_t k = 0; k < home_.size(); ++k) {
+      if (home_[k] == cell.reg && (LiveIn(cur_node_, k) || LiveOut(cur_node_, k))) return -1;
+    }
+    return cell.reg;
+  }
+  // locals[s] <- v. A spliced callee's local is an operand slot whose own
+  // entry stays in place: the write updates it.
+  void WriteLocal(std::int64_t s, const Loc& v) {
+    const std::int32_t disp = LocalDisp(s);
+    const std::size_t self =
+        disp >= SlotDisp(0) ? static_cast<std::size_t>(disp - SlotDisp(0)) / 8 : SIZE_MAX;
+    WriteCell(Cell(disp), v, self);
   }
 
   // --- leaf inlining (kCall) -----------------------------------------------
@@ -864,6 +959,7 @@ struct Compiler {
     std::size_t pc;
     std::int64_t base_limit;
     std::vector<Loc> vs;
+    int node;
   };
   std::vector<ColdCheck> colds_{};
 
@@ -1004,6 +1100,301 @@ struct Compiler {
     }
   }
 
+  // --- register homes --------------------------------------------------------
+  //
+  // Slot k is the frame slot at [r13 + 8k]: locals, then operand slots (a
+  // spliced callee's locals and operands are caller operand slots too). The
+  // hottest slots get a home register for the whole function, so the join
+  // invariant is "every homed slot is in its home, every other slot is in
+  // memory", and every incoming edge agrees by construction. The analysis
+  // runs over one node per instruction in emission order — the caller's
+  // pcs, a splice site's node followed by one node per callee pc — with
+  // the block graph's edges.
+  struct Node {
+    std::vector<std::int32_t> use, def;  // slots read / written
+    std::vector<int> succ;
+    bool join = false;  // a jump target: operands arrive in their canonical places
+    int nest = 0;       // static loop depth
+  };
+  std::vector<int> pc_node_{};  // caller pc -> node (a splice site's entry node)
+  std::size_t words_ = 0;       // bitset words per node
+  std::vector<std::uint64_t> live_in_{};
+  std::vector<std::uint64_t> live_out_{};
+  std::vector<std::int8_t> home_{};  // slot -> home register, -1 = memory
+  std::uint32_t home_mask_ = 0;
+  int cur_node_ = 0;  // the node being emitted
+
+  static constexpr std::size_t kMaxHomedSlots = 1024;  // larger frames stay in memory
+
+  bool LiveIn(int node, std::size_t k) const {
+    return k < 64 * words_ &&
+           ((live_in_[static_cast<std::size_t>(node) * words_ + k / 64] >> (k % 64)) & 1) != 0;
+  }
+  bool LiveOut(int node, std::size_t k) const {
+    return k < 64 * words_ &&
+           ((live_out_[static_cast<std::size_t>(node) * words_ + k / 64] >> (k % 64)) & 1) != 0;
+  }
+
+  // The slots `insn` reads and writes at operand depth `d`, with local s at
+  // slot lbase + s and operand j at slot obase + j. Local accesses add the
+  // node's weight to the slot's rank.
+  void SlotEffects(Node& nd, const Insn& insn, int d, int lbase, int obase, std::uint64_t w,
+                   std::vector<std::uint64_t>& weight) const {
+    Eff e;
+    EffectOf(program, insn, e);
+    const auto local = [&](std::vector<std::int32_t>& to, std::int64_t s) {
+      const auto k = static_cast<std::size_t>(lbase + s);
+      to.push_back(static_cast<std::int32_t>(k));
+      if (weight.size() <= k) weight.resize(k + 1, 0);
+      weight[k] += w;
+    };
+    for (int j = d - e.pops; j < d; ++j) nd.use.push_back(obase + j);
+    switch (insn.op) {
+      case Op::kLoadLocal:
+      case Op::kLoadAddI:
+        local(nd.use, insn.operand);
+        break;
+      case Op::kStoreLocal:
+        local(nd.def, insn.operand);
+        break;
+      case Op::kConstStore:
+        local(nd.def, ConstStoreSlot(insn.operand));
+        break;
+      case Op::kLoadConstI:
+        local(nd.use, ConstStoreSlot(insn.operand));
+        break;
+      case Op::kLoadLocal2:
+        local(nd.use, SlotPairA(insn.operand));
+        local(nd.use, SlotPairB(insn.operand));
+        break;
+      case Op::kMoveLocal:
+        local(nd.use, SlotPairA(insn.operand));
+        local(nd.def, SlotPairB(insn.operand));
+        break;
+      case Op::kStoreLoad:  // store a, then load b: b == a reads the stored value
+        local(nd.def, SlotPairA(insn.operand));
+        if (SlotPairB(insn.operand) != SlotPairA(insn.operand)) {
+          local(nd.use, SlotPairB(insn.operand));
+        }
+        break;
+      case Op::kLoadGlobalLocal:
+        local(nd.use, SlotPairB(insn.operand));
+        break;
+      default:
+        break;
+    }
+    for (int j = d - e.pops; j < d - e.pops + e.pushes; ++j) nd.def.push_back(obase + j);
+    // Operands left below a return are dead, but they still sit in vs_ and
+    // a flush may write them: keep them live to the end.
+    if (insn.op == Op::kRet || insn.op == Op::kRetVoid || insn.op == Op::kTrap) {
+      for (int j = 0; j < d - e.pops; ++j) nd.use.push_back(obase + j);
+    }
+  }
+
+  // Static loop depth per pc: one level per back edge spanning it.
+  std::vector<int> LoopNest(const FunctionCode& f, const Flow& fl) const {
+    std::vector<int> nest(f.code.size() + 1, 0);
+    for (std::size_t pc = 0; pc < f.code.size(); ++pc) {
+      Eff e;
+      if (fl.depth[pc] >= 0 && EffectOf(program, f.code[pc], e) && e.branch && e.target <= pc) {
+        ++nest[e.target];
+        --nest[pc + 1];
+      }
+    }
+    for (std::size_t pc = 1; pc < nest.size(); ++pc) nest[pc] += nest[pc - 1];
+    return nest;
+  }
+
+  // Builds the node graph, runs live-variable analysis, then gives homes
+  // by rank. Loop-carried slots come first: without a home they are loaded
+  // and stored in every block of every iteration. Within each tier the rank
+  // is the use count weighted 8x per loop level, plus, for operand slots,
+  // twice the weighted joins the slot is live into (a store and a reload
+  // each). Each slot in rank order takes the first home register none of
+  // whose slots is live at any node it is live at — so non-overlapping
+  // ranges share a register, and a range is never split.
+  void PlanHomes() {
+    const std::size_t n = fn.code.size();
+    const int nl = fn.num_locals;
+    pc_node_.assign(n, -1);
+    std::size_t count = 0;
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      pc_node_[pc] = static_cast<int>(count++);
+      if (splice_site_[pc]) {
+        count += program.functions[static_cast<std::size_t>(fn.code[pc].operand)].code.size();
+      }
+    }
+    std::vector<Node> nodes(count);
+    std::vector<std::uint64_t> weight(static_cast<std::size_t>(nl), 0);
+    const auto weight_of = [](int nest) { return std::uint64_t{1} << (3 * std::min(nest, 6)); };
+    const std::vector<int> nest = LoopNest(fn, flow);
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      const int d = flow.depth[pc];
+      if (d < 0) continue;
+      Node& nd = nodes[static_cast<std::size_t>(pc_node_[pc])];
+      const Insn& insn = fn.code[pc];
+      nd.join = flow.target[pc] != 0;
+      nd.nest = nest[pc];
+      Eff e;
+      EffectOf(program, insn, e);
+      if (!splice_site_[pc]) {
+        SlotEffects(nd, insn, d, 0, nl, weight_of(nd.nest), weight);
+        if (!e.terminal) nd.succ.push_back(pc_node_[pc + 1]);
+        if (e.branch) nd.succ.push_back(pc_node_[e.target]);
+        continue;
+      }
+      // Splice site: the args become the callee's params in place, its other
+      // locals are nulled, and its returns continue at pc + 1.
+      const FunctionCode& callee = program.functions[static_cast<std::size_t>(insn.operand)];
+      Flow cf;
+      BuildFlow(callee, cf, true);
+      const int entry = pc_node_[pc];
+      const int lb = d - callee.num_params;
+      for (int j = lb; j < d; ++j) nd.use.push_back(nl + j);
+      for (int j = d; j < lb + callee.num_locals; ++j) nd.def.push_back(nl + j);
+      nd.succ.push_back(entry + 1);
+      const std::vector<int> cnest = LoopNest(callee, cf);
+      for (std::size_t cpc = 0; cpc < callee.code.size(); ++cpc) {
+        const int cd = cf.depth[cpc];
+        if (cd < 0) continue;
+        Node& cn = nodes[static_cast<std::size_t>(entry + 1) + cpc];
+        const Insn& ci = callee.code[cpc];
+        cn.join = cf.target[cpc] != 0;
+        cn.nest = nd.nest + cnest[cpc];
+        SlotEffects(cn, ci, cd, nl + lb, nl + lb + callee.num_locals, weight_of(cn.nest), weight);
+        Eff ce;
+        EffectOf(program, ci, ce);
+        if (ci.op == Op::kRet || ci.op == Op::kRetVoid) {
+          if (ci.op == Op::kRet) cn.def.push_back(nl + lb);  // the caller's result slot
+          cn.succ.push_back(pc_node_[pc + 1]);
+          continue;
+        }
+        if (!ce.terminal) cn.succ.push_back(entry + 1 + static_cast<int>(cpc) + 1);
+        if (ce.branch) cn.succ.push_back(entry + 1 + static_cast<int>(ce.target));
+      }
+    }
+
+    // Live-variable analysis over per-node slot bitsets.
+    std::size_t nslots = weight.size();
+    for (const Node& nd : nodes) {
+      for (const std::int32_t k : nd.use) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
+      for (const std::int32_t k : nd.def) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
+    }
+    home_.assign(nslots, -1);
+    if (nslots == 0 || nslots > kMaxHomedSlots) return;
+    words_ = (nslots + 63) / 64;
+    const std::size_t w = words_;
+    std::vector<std::uint64_t> use(count * w, 0);
+    std::vector<std::uint64_t> def(count * w, 0);
+    const auto set = [](std::uint64_t* bits, std::size_t k) { bits[k / 64] |= std::uint64_t{1} << (k % 64); };
+    for (std::size_t i = 0; i < count; ++i) {
+      for (const std::int32_t k : nodes[i].use) set(&use[i * w], static_cast<std::size_t>(k));
+      for (const std::int32_t k : nodes[i].def) set(&def[i * w], static_cast<std::size_t>(k));
+    }
+    live_in_.assign(count * w, 0);
+    live_out_.assign(count * w, 0);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t i = count; i-- > 0;) {
+        for (std::size_t x = 0; x < w; ++x) {
+          std::uint64_t out = 0;
+          for (const int s : nodes[i].succ) out |= live_in_[static_cast<std::size_t>(s) * w + x];
+          const std::uint64_t in = use[i * w + x] | (out & ~def[i * w + x]);
+          if (in != live_in_[i * w + x]) changed = true;
+          live_out_[i * w + x] = out;
+          live_in_[i * w + x] = in;
+        }
+      }
+    }
+
+    // Ranges: the nodes where a slot is live, read, or written.
+    weight.resize(nslots, 0);
+    const std::size_t rw = (count + 63) / 64;
+    std::vector<std::uint64_t> range(nslots * rw, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t x = 0; x < w; ++x) {
+        std::uint64_t bits = live_in_[i * w + x] | live_out_[i * w + x] | use[i * w + x] | def[i * w + x];
+        while (bits != 0) {
+          const std::size_t k = 64 * x + static_cast<std::size_t>(__builtin_ctzll(bits));
+          bits &= bits - 1;
+          set(&range[k * rw], i);
+        }
+      }
+      if (nodes[i].join) {
+        for (std::size_t k = static_cast<std::size_t>(nl); k < nslots; ++k) {
+          if (LiveIn(static_cast<int>(i), k)) weight[k] += 2 * weight_of(nodes[i].nest);
+        }
+      }
+    }
+
+    std::vector<std::size_t> order;
+    for (std::size_t k = 0; k < nslots; ++k) {
+      if (weight[k] > 0) order.push_back(k);
+    }
+    // Loop-carried slots: live into the target of a back edge.
+    std::vector<std::uint64_t> carried(w, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      for (const int t : nodes[i].succ) {
+        if (static_cast<std::size_t>(t) > i) continue;
+        for (std::size_t x = 0; x < w; ++x) carried[x] |= live_in_[static_cast<std::size_t>(t) * w + x];
+      }
+    }
+    const auto tier = [&](std::size_t k) { return ((carried[k / 64] >> (k % 64)) & 1) != 0 ? 0 : 1; };
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return tier(x) != tier(y) ? tier(x) < tier(y) : weight[x] > weight[y];
+    });
+    std::vector<std::uint64_t> taken(std::size(kHomeRegs) * rw, 0);
+    for (const std::size_t k : order) {
+      for (std::size_t r = 0; r < std::size(kHomeRegs); ++r) {
+        bool overlap = false;
+        for (std::size_t x = 0; x < rw && !overlap; ++x) {
+          overlap = (range[k * rw + x] & taken[r * rw + x]) != 0;
+        }
+        if (overlap) continue;
+        for (std::size_t x = 0; x < rw; ++x) taken[r * rw + x] |= range[k * rw + x];
+        home_[k] = static_cast<std::int8_t>(kHomeRegs[r]);
+        home_mask_ |= Bit(kHomeRegs[r]);
+        break;
+      }
+    }
+  }
+
+  // The homed slots a helper at the current node may observe: its inputs
+  // and everything live across it. They are stored before the helper runs
+  // (callees read their args from memory, hosts read theirs, and the
+  // collector scans the memory stack for roots) and the caller-saved ones
+  // are reloaded after it.
+  std::vector<std::size_t> HelperHomes() const {
+    std::vector<std::size_t> ks;
+    for (std::size_t k = 0; k < home_.size(); ++k) {
+      if (home_[k] >= 0 && (LiveIn(cur_node_, k) || LiveOut(cur_node_, k))) ks.push_back(k);
+    }
+    return ks;
+  }
+  void StoreHomes(const std::vector<std::size_t>& ks) {
+    for (const std::size_t k : ks) {
+      a.Store64(LOCALS, static_cast<std::int32_t>(8 * k), static_cast<Reg>(home_[k]));
+    }
+  }
+  void ReloadHomes(const std::vector<std::size_t>& ks) {
+    for (const std::size_t k : ks) {
+      const auto r = static_cast<Reg>(home_[k]);
+      if ((kCalleeSavedHomes & Bit(r)) == 0) a.Load64(r, LOCALS, static_cast<std::int32_t>(8 * k));
+    }
+  }
+  // Homed locals of the function live at the current node: what an exit
+  // stub stores besides the operands (which vs_ covers, spliced callee
+  // locals included).
+  Pending LiveLocalHomes() const {
+    Pending p;
+    for (std::size_t k = 0; k < home_.size() && k < static_cast<std::size_t>(fn.num_locals); ++k) {
+      if (home_[k] >= 0 && LiveIn(cur_node_, k)) {
+        p.emplace_back(static_cast<std::int32_t>(8 * k), Loc::Home(static_cast<Reg>(home_[k])));
+      }
+    }
+    return p;
+  }
+
   // --- side exits ----------------------------------------------------------
   // Every exit funnels through here so splice-mode exits pick up the frame
   // to materialize; pc and depth are callee-relative while inl_fn_ is set.
@@ -1011,7 +1402,8 @@ struct Compiler {
   // exits follow a helper call, which already stored everything.
   void PushExit(std::size_t at, std::size_t pc, int d, std::int64_t give, bool reexec) {
     exits.push_back({at, static_cast<std::uint32_t>(pc), d, give, reexec,
-                     reexec ? PendingEntries() : Pending{}, inl_fn_, inl_kk_, inl_ret_pc_});
+                     reexec ? PendingEntries() : Pending{}, reexec ? LiveLocalHomes() : Pending{},
+                     inl_fn_, inl_kk_, inl_ret_pc_});
   }
   const Flow& CurFlow() const { return inl_fn_ != nullptr ? inl_flow_ : flow; }
   void AddExit(std::size_t at, std::size_t pc, bool reexec) {
@@ -1043,16 +1435,34 @@ struct Compiler {
     (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jcc(cc), target});
   }
 
+  // r <- frame->base of this activation.
+  void LoadFrameBase(Reg r) {
+    a.Load64(r, RSP, kFrameOff);
+    a.Load64(r, r, F.base);
+  }
+
   // Commits sp_ = frame->base + num_locals + d into the ctx mailbox.
+  // Clobbers rax.
   void CommitSp(int d) {
-    a.Load64(RAX, FRM, F.base);
+    LoadFrameBase(RAX);
     const std::int32_t add = fn.num_locals + d;
     if (add != 0) a.AluImm(ALU_ADD, RAX, add);
     a.Store64(CTX, L.ctx_sp, RAX);
   }
 
+  // Clobbers rax.
   void SetFramePc(std::size_t pc) {
-    a.StoreImm32Sx(FRM, F.pc, static_cast<std::int32_t>(pc));
+    a.Load64(RAX, RSP, kFrameOff);
+    a.StoreImm32Sx(RAX, F.pc, static_cast<std::int32_t>(pc));
+  }
+
+  // Sets the flags for frame->base against `limit` without a free register
+  // (push and pop leave the flags alone).
+  void CmpFrameBase(std::int64_t limit) {
+    a.Push(RAX);
+    a.Load64(RAX, RSP, 8 + kFrameOff);
+    a.CmpMemImm(RAX, F.base, static_cast<std::int32_t>(limit));
+    a.Pop(RAX);
   }
 
   void CallHelper(const void* helper) {
@@ -1123,7 +1533,8 @@ struct Compiler {
     a.AluImm(ALU_CMP, RCX, static_cast<std::int32_t>(frame_capacity));
     const std::size_t full = a.Jcc8(CC_E);
     a.StoreImm32Sx(RSP, kFlagOff, 1);
-    a.CmpMemImm(FRM, F.base, static_cast<std::int32_t>(splice_base_limit_));
+    a.Load64(RAX, RSP, kFrameOff);
+    a.CmpMemImm(RAX, F.base, static_cast<std::int32_t>(splice_base_limit_));
     const std::size_t high = a.Jcc8(CC_A);
     a.StoreImm32Sx(RSP, kFlagOff, 0);
     a.PatchRel8(deep, a.pos());
@@ -1135,9 +1546,10 @@ struct Compiler {
     for (ColdCheck& c : colds_) {
       a.PatchRel32(c.jne_at, a.pos());
       vs_ = std::move(c.vs);  // exits store the operands as they were at the site
+      cur_node_ = c.node;
       a.CmpMemImm(RSP, kFlagOff, 1);
       JccExit(CC_NE, c.pc);  // call depth limit exceeded
-      a.CmpMemImm(FRM, F.base, static_cast<std::int32_t>(c.base_limit));
+      CmpFrameBase(c.base_limit);
       JccExit(CC_A, c.pc);   // VM stack overflow
       a.PatchRel32(a.Jmp(), c.resume);
     }
@@ -1152,17 +1564,24 @@ struct Compiler {
     a.Push(R15);
     a.AluImm(ALU_SUB, RSP, kFrameReserve);
     a.MovRR(CTX, RDI);
-    a.Load64(STK, CTX, L.ctx_stack);
     a.Load64(GLB, CTX, L.ctx_globals);
     a.Load64(RAX, CTX, L.ctx_nframes);
     a.ImulImm(RAX, RAX, F.size, true);
     a.AluRMem(0x03, RAX, CTX, L.ctx_frames, true);  // add
-    a.Lea(FRM, RAX, -F.size);  // rbp = &frames[nframes - 1]
-    a.Load64(RAX, FRM, F.base);
-    a.LeaSib(LOCALS, STK, RAX, 3, 0);  // r13 = stack + 8*frame->base
+    a.Lea(RAX, RAX, -F.size);  // &frames[nframes - 1]
+    a.Store64(RSP, kFrameOff, RAX);
+    a.Load64(RAX, RAX, F.base);
+    a.Load64(RCX, CTX, L.ctx_stack);
+    a.LeaSib(LOCALS, RCX, RAX, 3, 0);  // r13 = stack + 8*frame->base
     EmitLedgerReload();
     if (std::find(splice_site_.begin(), splice_site_.end(), 1) != splice_site_.end()) {
       EmitSpliceLimitFlag();
+    }
+    // Params (and any local read before it is written) enter their homes.
+    for (std::size_t k = 0; k < home_.size(); ++k) {
+      if (home_[k] >= 0 && LiveIn(0, k)) {
+        a.Load64(static_cast<Reg>(home_[k]), LOCALS, static_cast<std::int32_t>(8 * k));
+      }
     }
   }
 
@@ -1184,13 +1603,16 @@ struct Compiler {
   void EmitStubs() {
     for (const Exit& e : exits) {
       a.PatchRel32(e.at, a.pos());
-      // Pending operands first, while their registers still hold them:
-      // register entries, then constants and copies through rax.
-      for (const auto& [disp, l] : e.pending) {
-        if (l.kind == Loc::kReg) a.Store64(LOCALS, disp, l.reg);
+      // Homed locals and pending operands first, while their registers
+      // still hold them: registers, then constants and copies through rax.
+      for (const auto& [disp, l] : e.homes) {
+        a.Store64(LOCALS, disp, l.reg);
       }
       for (const auto& [disp, l] : e.pending) {
-        if (l.kind == Loc::kReg) continue;
+        if (l.InRegister()) a.Store64(LOCALS, disp, l.reg);
+      }
+      for (const auto& [disp, l] : e.pending) {
+        if (l.InRegister()) continue;
         if (l.FitsImm32()) {
           a.StoreImm32Sx(LOCALS, disp, static_cast<std::int32_t>(l.imm));
         } else {
@@ -1205,7 +1627,8 @@ struct Compiler {
         // resumes at callee pc `e.pc` exactly as if kCall had run. The
         // limit checks already proved frames[nframes] is in bounds, and the
         // splice region makes no calls, so nframes is unchanged.
-        a.Load64(RAX, FRM, F.base);
+        a.Load64(R8, RSP, kFrameOff);
+        a.Load64(RAX, R8, F.base);
         a.Lea(RDX, RAX, e.inl_kk);  // callee base (slot units)
         a.Load64(RCX, CTX, L.ctx_nframes);
         a.ImulImm(RSI, RCX, F.size, true);
@@ -1216,7 +1639,7 @@ struct Compiler {
         a.Store64(RSI, F.base, RDX);
         a.Lea(RCX, RCX, 1);
         a.Store64(CTX, L.ctx_nframes, RCX);
-        a.StoreImm32Sx(FRM, F.pc, e.inl_ret_pc);
+        a.StoreImm32Sx(R8, F.pc, e.inl_ret_pc);
         a.Lea(RDX, RDX, e.inl_callee->num_locals + e.depth);
         a.Store64(CTX, L.ctx_sp, RDX);
       } else if (e.reexec) {
@@ -1245,9 +1668,9 @@ struct Compiler {
   }
 
   // Entering pc `pc` of `fl`: `live` says control falls in from pc - 1.
-  // Jump targets start with every operand stored (their incoming jumps
-  // flush), so the fall-through path flushes too; after a terminal the
-  // stack is whatever the jumps delivered: all in memory.
+  // Jump targets start with every operand in its canonical place (their
+  // incoming jumps flush), so the fall-through path flushes too; after a
+  // terminal the stack is whatever the jumps delivered.
   void EnterPc(const Flow& fl, std::size_t pc, std::size_t base, bool live) {
     const std::size_t d = base + static_cast<std::size_t>(fl.depth[pc]);
     if (!live) {
@@ -1267,6 +1690,7 @@ struct Compiler {
   bool Compile() {
     if (!BuildFlow(fn, flow, false)) return false;
     PlanSplices();
+    PlanHomes();
     const std::size_t n = fn.code.size();
     pc_off.assign(n, -1);
     EmitPrologue();
@@ -1277,6 +1701,7 @@ struct Compiler {
         live = false;
         continue;
       }
+      cur_node_ = pc_node_[pc];
       EnterPc(flow, pc, 0, live);
       pc_off[pc] = static_cast<std::int64_t>(a.pos());
       if (flow.leader[pc]) EmitBlockAccounting(pc);
@@ -1343,6 +1768,7 @@ struct Jit::Impl {
     std::unique_ptr<Jit> jit(new Jit());
     const std::size_t nfns = program.functions.size();
     jit->compiled_.assign(nfns, false);
+    jit->stats_.homed_locals.assign(nfns, 0);
     // Sized once, never resized: kCall sites bake &entries_[i] into code.
     jit->entries_.assign(nfns, nullptr);
 
@@ -1391,6 +1817,13 @@ struct Jit::Impl {
         continue;
       }
       total += sz;
+      std::uint64_t mask = 0;
+      for (std::size_t k = 0; k < c.home_.size(); ++k) {
+        if (c.home_[k] < 0) continue;
+        ++jit->stats_.homed_slots;
+        if (k < 64 && k < static_cast<std::size_t>(f.num_locals)) mask |= std::uint64_t{1} << k;
+      }
+      jit->stats_.homed_locals[static_cast<std::size_t>(fi)] = mask;
       units.push_back({fi, std::move(c.a.code)});
     }
     if (units.empty()) {

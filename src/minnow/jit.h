@@ -11,11 +11,26 @@
 // frame->base), and every slot address is static: the verifier proves a
 // unique operand depth per pc, so operand i of a function with L locals
 // lives at [locals_base + 8*(L+i)] — no stack-pointer register exists in
-// compiled code at all. Within a basic block the compiler defers the
-// stores: a pushed value is tracked as a register, an immediate, or a
-// reference to the local or global it was read from, and consumers read it
-// from there. Values reach their slots at block boundaries, helper calls,
-// and calls, so every block starts from an interpreter-identical frame.
+// compiled code at all.
+//
+// Register roles: r14 holds the JitCtx, r13 the locals base, rbx the
+// globals, r15 fuel; the Frame* lives in the native frame. rbp, r12 and
+// five caller-saved registers are home registers: at load time a live-
+// variable analysis over the block graph (spliced leaf callees included)
+// and an interval allocation give the hottest frame slots — loop-carried
+// ones first, then locals, spliced-callee locals and operand slots live
+// across blocks — a home for the whole function; slots whose live ranges
+// do not overlap share one. rax, rcx, rdx and rdi always stay free for
+// values. Within a basic block the compiler defers the stores: a pushed
+// value is tracked as a register, an immediate, or a reference to the
+// local, home, or global it was read from, and consumers read it from
+// there. The join invariant: at every block boundary each homed slot is in
+// its home and every other slot is in memory, so all incoming edges agree
+// by construction. Before a helper that may allocate or collect, call a
+// host, or push a frame (new.*, call.host, kCall), every homed slot the
+// helper can observe is stored — the collector scans the VM stack
+// conservatively, so a reference held only in a register would be freed —
+// and the caller-saved homes are reloaded after it.
 // Safety checks are inlined (null, array-kind, element-kind, bounds,
 // divide); at sites the elision certificate proved safe the `.nc` opcode
 // forms are emitted natively with no check instructions.
@@ -36,8 +51,9 @@
 // depth, frame->pc set to the faulting instruction, ledgers corrected) and
 // unwinds the whole native call chain back to the runner, which resumes
 // the interpreter on the same frame stack. Each stub carries the map of
-// pending operands at its site, so the interpreter resumes on a
-// memory-identical frame. Trapping instructions are re-executed by the
+// pending operands and of the homed locals live at its site and stores
+// both, so the interpreter resumes on a frame whose live slots are
+// memory-identical to an interpreted run's. Trapping instructions are re-executed by the
 // interpreter so the trap message, the unwind path, and the ledgers come
 // from the same code an interpreted run uses. Host calls and allocations
 // run through helpers that commit VM state first; exceptions a helper
@@ -69,6 +85,10 @@ struct JitStats {
   std::uint64_t bytes = 0;         // native bytes emitted into the arena
   std::uint64_t deopts = 0;        // runtime side exits to the interpreter
   std::uint64_t bailouts = 0;      // functions that stayed interpreted
+  std::uint64_t homed_slots = 0;   // frame slots given a home register (static)
+  // Per function index: bit s set when local s (s < 64) got a home. Lets
+  // tests pin the allocator's choices.
+  std::vector<std::uint64_t> homed_locals;
 };
 
 // Status codes native code returns to the runner (and between compiled

@@ -33,6 +33,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,13 @@ std::string Describe(const Outcome& outcome) {
          std::to_string(outcome.fuel) + ")";
 }
 
+// The host import the register-pressure family calls (`k_mix`).
+Value MixHost(VM&, std::span<const Value> args) {
+  const auto a = static_cast<std::uint64_t>(args[0].AsInt());
+  const auto b = static_cast<std::uint64_t>(args[1].AsInt());
+  return Value::Int(static_cast<std::int64_t>((a * 31 + b) ^ (a >> 3)));
+}
+
 // `fuel` is the budget (-1 = unlimited).
 Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
                   std::initializer_list<std::int64_t> args, std::int64_t fuel = -1) {
@@ -181,6 +189,9 @@ Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
   std::unique_ptr<VM> vm;
   try {
     vm = std::make_unique<VM>(program, options);
+    for (const auto& import : program.host_imports) {
+      if (import.name == "k_mix") vm->BindHost("k_mix", MixHost);
+    }
     vm->RunInit();
     std::vector<Value> values;
     for (const std::int64_t a : args) {
@@ -652,6 +663,147 @@ TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
             const Outcome got_short = RunConfig(compiled, jit, "f", args, budget);
             ASSERT_TRUE(want_short.AgreesWith(got_short) && want_short.SameLedgers(got_short))
                 << "program " << p << " [" << jit.Name() << ", fuel " << budget
+                << "]: got " << Describe(got_short) << ", threaded " << Describe(want_short)
+                << "\nsource:\n"
+                << source;
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- Register-pressure family ---
+//
+// More loop-carried locals than the JIT has home registers, every one of
+// them rewritten each iteration, and live across the three kinds of site
+// that must see them in memory: allocation (new.*, whose collector scans
+// the memory stack), host calls (call.host), and real calls (kCall to a
+// callee that allocates, so it is never spliced). A loop-carried struct
+// chain is reachable only through a local, and a division may trap
+// mid-iteration. Each program runs under the threaded interpreter and the
+// JIT (plain, and with the seeded forced-deopt family), with fuel to spare
+// and with a budget that runs out partway; result, trap, retired count and
+// fuel left must all match.
+
+class PressureGen {
+ public:
+  explicit PressureGen(std::uint32_t seed) : rng_(seed) {}
+
+  std::string Generate() {
+    const int locals = 9 + static_cast<int>(rng_() % 4);  // 9..12 > the 7 homes
+    std::string body;
+    for (int i = 0; i < locals; ++i) {
+      body += "  var x" + std::to_string(i) + ": int = " + Operand(i) + ";\n";
+    }
+    body += "  var keep: Box = new Box();\n  keep.v = v1;\n";
+    const int trips = 2 + static_cast<int>(rng_() % 30);
+    body += "  for (var i: int = 0; i < " + std::to_string(trips) + "; i = i + 1) {\n";
+    const int statements = 3 + static_cast<int>(rng_() % 6);
+    for (int s = 0; s < statements; ++s) {
+      body += Statement(locals);
+    }
+    // Rotate, so every local changes every iteration.
+    body += "    var t: int = x0;\n";
+    for (int i = 0; i + 1 < locals; ++i) {
+      body += "    x" + std::to_string(i) + " = x" + std::to_string(i + 1) + ";\n";
+    }
+    body += "    x" + std::to_string(locals - 1) + " = t + i;\n  }\n";
+    std::string ret = "keep.v";
+    for (int i = 0; i < locals; ++i) {
+      ret += " + x" + std::to_string(i) + " * " + std::to_string(2 * i + 1);
+    }
+    return "struct Box { v: int; next: Box; }\n"
+           "fn g(x: int, b: Box) -> int {\n"
+           "  var t: Box = new Box();\n  t.v = x ^ 5;\n  t.next = b;\n"
+           "  return t.v + b.v;\n}\n"
+           "fn f(v0: int, v1: int, v2: int) -> int {\n" +
+           body + "  return " + ret + ";\n}\n";
+  }
+
+ private:
+  std::string Local(int locals) { return "x" + std::to_string(rng_() % locals); }
+  std::string Operand(int visible) {
+    const std::uint32_t pick = rng_() % (visible > 0 ? 3 : 2);
+    if (pick == 0) return "v" + std::to_string(rng_() % 3);
+    if (pick == 1) return std::to_string(static_cast<int>(rng_() % 2001) - 1000);
+    return "x" + std::to_string(rng_() % static_cast<std::uint32_t>(visible));
+  }
+
+  std::string Statement(int locals) {
+    static constexpr const char* kOps[] = {"+", "-", "*", "^", "&", "|"};
+    const std::string dst = "    " + Local(locals) + " = ";
+    switch (rng_() % 7) {
+      case 0:
+        return dst + Local(locals) + " " + kOps[rng_() % 6] + " " + Local(locals) + ";\n";
+      case 1:
+        return dst + "k_mix(" + Local(locals) + ", " + Local(locals) + ");\n";
+      case 2:
+        return dst + "g(" + Local(locals) + ", keep);\n";
+      case 3: {  // grows the chain only `keep` reaches
+        const std::string nb = "nb" + std::to_string(fresh_++);
+        return "    var " + nb + ": Box = new Box();\n    " + nb + ".v = " + Local(locals) +
+               " + keep.v;\n    " + nb + ".next = keep;\n    keep = " + nb + ";\n";
+      }
+      case 4: {  // allocation churn toward the collection threshold
+        const std::string junk = "junk" + std::to_string(fresh_++);
+        return "    var " + junk + ": int[] = new int[4096];\n    " + junk + "[i & 4095] = " +
+               Local(locals) + ";\n" + dst + junk + "[i & 4095] + keep.v;\n";
+      }
+      case 5:  // now and then divides by zero mid-iteration
+        return dst + Local(locals) + " / (" + Local(locals) + " & 1023);\n";
+      default:
+        return "    if (" + Local(locals) + " < " + Local(locals) + ") {\n  " + dst +
+               Local(locals) + " + 1;\n    } else {\n  " + dst + "k_mix(" + Local(locals) +
+               ", i);\n    }\n";
+    }
+  }
+
+  std::mt19937 rng_;
+  int fresh_ = 0;
+};
+
+TEST(PressureFuzz, HomedLocalsAcrossHelpersAgreeWithTheInterpreter) {
+  int programs = 40;  // local default; GRAFTLAB_FUZZ_PROGRAMS scales it (1/20)
+  if (const char* env = std::getenv("GRAFTLAB_FUZZ_PROGRAMS")) {
+    programs = std::max(programs, std::atoi(env) / 20);
+  }
+  minnow::HostDecl mix;
+  mix.name = "k_mix";
+  mix.params = {minnow::Type::Int(), minnow::Type::Int()};
+  mix.ret = minnow::Type::Int();
+  const std::initializer_list<std::int64_t> arg_sets[] = {
+      {3, 11, -7},
+      {-1, 0, std::numeric_limits<std::int64_t>::min()},
+  };
+  for (int p = 0; p < programs; ++p) {
+    PressureGen gen(0x9E6A11 + p);
+    const std::string source = gen.Generate();
+    if (std::getenv("GRAFTLAB_FUZZ_VERBOSE") != nullptr) {
+      fprintf(stderr, "=== pressure program %d ===\n%s", p, source.c_str());
+      fflush(stderr);
+    }
+    const Program compiled = Compile(source, {mix});
+    const auto deny_seed = static_cast<std::uint32_t>(p);
+    for (const bool fuse : {false, true}) {
+      for (const bool elide : {false, true}) {
+        const Config threaded{DispatchMode::kThreaded, fuse, elide};
+        const Config jits[] = {{DispatchMode::kJit, fuse, elide},
+                               {DispatchMode::kJit, fuse, elide, true, deny_seed}};
+        for (const auto& args : arg_sets) {
+          const Outcome want = RunConfig(compiled, threaded, "f", args, std::int64_t{1} << 40);
+          const std::int64_t budget =
+              static_cast<std::int64_t>(want.retired) * (1 + p % 7) / 8;
+          const Outcome want_short = RunConfig(compiled, threaded, "f", args, budget);
+          for (const Config& jit : jits) {
+            const Outcome got = RunConfig(compiled, jit, "f", args, std::int64_t{1} << 40);
+            ASSERT_TRUE(want.AgreesWith(got) && want.SameLedgers(got))
+                << "pressure program " << p << " [" << jit.Name() << "]: got " << Describe(got)
+                << ", threaded " << Describe(want) << "\nsource:\n"
+                << source;
+            const Outcome got_short = RunConfig(compiled, jit, "f", args, budget);
+            ASSERT_TRUE(want_short.AgreesWith(got_short) && want_short.SameLedgers(got_short))
+                << "pressure program " << p << " [" << jit.Name() << ", fuel " << budget
                 << "]: got " << Describe(got_short) << ", threaded " << Describe(want_short)
                 << "\nsource:\n"
                 << source;

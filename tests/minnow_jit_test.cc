@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/grafts/minnow_grafts.h"
 #include "src/minnow/compiler.h"
 #include "src/minnow/diag.h"
 #include "src/minnow/fuse.h"
@@ -491,6 +492,40 @@ TEST(JitHeap, GcRunsUnderNativeCode) {
              "f", {2000});
 }
 
+// `keep` is loop-carried and homed, so between allocations its only copy is
+// a register, and it is the only path to the newest Cell. Each iteration
+// allocates ~8 KiB, so the 1 MiB collection threshold passes many times.
+// Storing the live homes before every allocation helper is what makes the
+// reference visible to the collector: without it the Cell is reclaimed and
+// `keep.v` reads freed memory (ASan: heap-use-after-free) or diverges.
+TEST(JitHeap, LoopCarriedReferenceInAHomeStaysAGcRoot) {
+  const std::string source = R"(
+    struct Cell { v: int; next: Cell; }
+    fn f(n: int) -> int {
+      var keep: Cell = new Cell();
+      keep.v = 1;
+      var total: int = 0;
+      for (var i: int = 0; i < n; i = i + 1) {
+        var junk: int[] = new int[1024];
+        junk[i % 1024] = i;
+        var fresh: Cell = new Cell();
+        fresh.v = keep.v + junk[i % 1024];
+        keep = fresh;
+        total = total + keep.v;
+      }
+      return total + keep.v;
+    }
+  )";
+  ExpectSame(source, "f", {2000});
+  if (!VM::JitDispatchAvailable()) return;
+  VM vm(minnow::Compile(source), JitOpts());
+  const JitStats* stats = vm.jit_stats();
+  ASSERT_NE(stats, nullptr);
+  const int f = vm.program().FindFunction("f");
+  EXPECT_NE(stats->homed_locals[static_cast<std::size_t>(f)] & (1u << 1), 0u)
+      << "local 1 (keep) must be homed, or this test checks nothing";
+}
+
 TEST(JitHeap, HeapLimitTrapMatches) {
   VmOptions options;
   options.heap_limit = 1u << 20;
@@ -557,7 +592,8 @@ TEST(JitTraps, VmUsableAfterNativeTrap) {
 // to "enough", the trap/no-trap decision, the result, the remaining fuel,
 // and the retired count must be bit-identical between interpreter and JIT.
 // This walks the fuel exit through every basic-block boundary and through
-// mid-block exhaustion at every possible pc.
+// mid-block exhaustion at every possible pc. `g` rotates homed locals every
+// iteration, so each exit must store the homes live at its pc.
 TEST(JitFuel, ExhaustionSweepIsBitIdentical) {
   const std::string source = R"(
     fn helper(x: int) -> int { return x * 2 + 1; }
@@ -570,25 +606,47 @@ TEST(JitFuel, ExhaustionSweepIsBitIdentical) {
       }
       return total;
     }
+    fn g(n: int) -> int {
+      var a: int = 1;
+      var b: int = 2;
+      var c: int = 3;
+      var d: int = 4;
+      for (var i: int = 0; i < n; i = i + 1) {
+        var t: int = d;
+        d = c;
+        c = b ^ i;
+        b = b + (a << 1);
+        a = t;
+        if ((i & 1) == 0) { a = a - c; }
+      }
+      return a + b * 3 + c * 5 + d * 7;
+    }
   )";
   const Program program = minnow::Compile(source);
   const VmOptions interp_opts;
   const VmOptions jit_opts = JitOpts();
-  // First find the total cost, then sweep every budget below it.
-  const Outcome full = RunOne(program, interp_opts, "f", {6});
-  ASSERT_FALSE(full.trapped);
-  for (std::int64_t fuel = 0; fuel <= static_cast<std::int64_t>(full.retired) + 1; ++fuel) {
-    const Outcome interp = RunOne(program, interp_opts, "f", {6}, fuel);
-    const Outcome jit = RunOne(program, jit_opts, "f", {6}, fuel);
-    EXPECT_EQ(interp, jit) << "fuel budget " << fuel << ": interp(trapped=" << interp.trapped
-                           << " result=" << interp.result << " retired=" << interp.retired
-                           << " fuel=" << interp.fuel << ") jit(trapped=" << jit.trapped
-                           << " result=" << jit.result << " retired=" << jit.retired
-                           << " fuel=" << jit.fuel << ")";
-    if (interp.trapped) {
-      EXPECT_EQ(interp.message, "fuel exhausted: graft preempted");
+  for (const char* fn : {"f", "g"}) {
+    // First find the total cost, then sweep every budget below it.
+    const Outcome full = RunOne(program, interp_opts, fn, {6});
+    ASSERT_FALSE(full.trapped);
+    for (std::int64_t fuel = 0; fuel <= static_cast<std::int64_t>(full.retired) + 1; ++fuel) {
+      const Outcome interp = RunOne(program, interp_opts, fn, {6}, fuel);
+      const Outcome jit = RunOne(program, jit_opts, fn, {6}, fuel);
+      EXPECT_EQ(interp, jit) << fn << " fuel budget " << fuel << ": interp(trapped="
+                             << interp.trapped << " result=" << interp.result
+                             << " retired=" << interp.retired << " fuel=" << interp.fuel
+                             << ") jit(trapped=" << jit.trapped << " result=" << jit.result
+                             << " retired=" << jit.retired << " fuel=" << jit.fuel << ")";
+      if (interp.trapped) {
+        EXPECT_EQ(interp.message, "fuel exhausted: graft preempted");
+      }
     }
   }
+  if (!VM::JitDispatchAvailable()) return;
+  VM vm(program, jit_opts);
+  const int g = program.FindFunction("g");
+  EXPECT_EQ(vm.jit_stats()->homed_locals[static_cast<std::size_t>(g)] & 0x3fu, 0x3fu)
+      << "n, a, b, c, d and i are all homed in g";
 }
 
 TEST(JitHosts, CallHostFromNativeCode) {
@@ -812,6 +870,60 @@ TEST(JitDeopt, UncompiledCalleeFallsBackPerEntry) {
   options.jit_compile_filter = [](minnow::Op op) { return op != minnow::Op::kModI; };
   const Outcome jit = RunOne(program, options, "f", {50});
   EXPECT_EQ(interp, jit);
+}
+
+// The allocator's choice for the paper's hottest loop: md5's rounds() keeps
+// the chaining variables a, b, c, d (locals 0-3) and the round counter i
+// (local 4) in registers for the whole function. A later allocator change
+// that silently fell back to memory would fail here, not just run slower.
+TEST(JitHomes, Md5RoundsHomesItsLoopCarriedLocals) {
+  grafts::MinnowConfig config;
+  config.jit = true;
+  grafts::MinnowMd5Graft jit(config);
+  grafts::MinnowMd5Graft interp;
+  std::vector<std::uint8_t> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  jit.Consume(data.data(), data.size());
+  interp.Consume(data.data(), data.size());
+  EXPECT_EQ(jit.Finish(), interp.Finish());
+  if (!VM::JitDispatchAvailable()) return;
+  const JitStats* stats = jit.vm().jit_stats();
+  ASSERT_NE(stats, nullptr);
+  EXPECT_GT(stats->homed_slots, 0u);
+  EXPECT_EQ(stats->bailouts, 0u);
+  const int rounds = jit.vm().program().FindFunction("rounds");
+  ASSERT_GE(rounds, 0);
+  EXPECT_EQ(stats->homed_locals[static_cast<std::size_t>(rounds)] & 0x1fu, 0x1fu)
+      << "homed locals mask 0x" << std::hex << stats->homed_locals[static_cast<std::size_t>(rounds)];
+}
+
+// A spliced leaf callee's locals live in caller operand slots and compete
+// for homes too; one that rewrites its locals must still compile (a shared-
+// home conflict would bail the caller to the interpreter) and agree.
+TEST(JitHomes, SplicedCalleeWritingItsLocalsStaysCompiled) {
+  const std::string source = R"(
+    fn mix(x: int, k: int) -> int {
+      var y: int = x * 3;
+      y = y ^ k;
+      if (y < 0) { y = 0 - y; }
+      var z: int = y + x;
+      z = z % 1000;
+      return z;
+    }
+    fn f(n: int) -> int {
+      var acc: int = 7;
+      for (var i: int = 0; i < n; i = i + 1) { acc = acc + mix(acc, i); }
+      return acc;
+    }
+  )";
+  ExpectSame(source, "f", {200});
+  VmOptions options;
+  options.fuel = 2000;
+  ExpectSame(source, "f", {200}, options);
+  if (!VM::JitDispatchAvailable()) return;
+  VM vm(minnow::Compile(source), JitOpts());
+  EXPECT_EQ(vm.jit_stats()->bailouts, 0u);
+  EXPECT_GT(vm.jit_stats()->homed_slots, 0u);
 }
 
 TEST(JitArena, BudgetBailsOutGracefully) {

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -91,6 +92,54 @@ class SlowGraft : public core::StreamGraft {
  private:
   std::chrono::microseconds delay_;
   md5::Context md5_;
+};
+
+// Accepts on an ephemeral loopback port and hands every connection to
+// Server::AddConnection, which places connections round-robin across the IO
+// threads. Tests that need to know which thread owns a connection listen
+// through this instead of Server::ListenTcp, whose EPOLLEXCLUSIVE accept
+// lets any thread win. Reconnects take the same path.
+class RoundRobinAcceptor {
+ public:
+  // `server` must already be started.
+  explicit RoundRobinAcceptor(Server& server) : server_(server) {
+    fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd_ < 0 || bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        listen(fd_, 16) != 0 ||
+        getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] {
+      for (;;) {
+        const int conn = accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+        if (conn < 0) {
+          if (errno == EINTR) continue;
+          return;  // shut down
+        }
+        if (!server_.AddConnection(conn)) close(conn);
+      }
+    });
+  }
+  ~RoundRobinAcceptor() {
+    if (fd_ >= 0) shutdown(fd_, SHUT_RDWR);  // wakes the blocked accept
+    if (thread_.joinable()) thread_.join();
+    if (fd_ >= 0) close(fd_);
+  }
+  RoundRobinAcceptor(const RoundRobinAcceptor&) = delete;
+  RoundRobinAcceptor& operator=(const RoundRobinAcceptor&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  Server& server_;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
 };
 
 // Minimal blocking client for the tests that must see raw wire replies
@@ -378,8 +427,9 @@ TEST(NetfrontClient, IoThreadCrashIsAdoptedAndCallsKeepSucceeding) {
   const graftd::GraftId md5_id = dispatcher.RegisterStreamGraft("md5", Md5Factory());
 
   // One crash, a few hundred IO-loop passes in: both clients are
-  // connected (one conn per IO thread) by then, so the dying thread owns
-  // a connection the survivor must adopt.
+  // connected by then, one per IO thread (the acceptor below places them
+  // round-robin), so the dying thread owns a connection the survivor must
+  // adopt.
   faultlab::FaultPlan plan;
   plan.seed = 7;
   faultlab::FaultSpec crash;
@@ -396,14 +446,16 @@ TEST(NetfrontClient, IoThreadCrashIsAdoptedAndCallsKeepSucceeding) {
   sopts.dedup_window = 1024;
   Server server(dispatcher, sopts);
   const std::uint32_t wire_md5 = server.ExposeGraft(md5_id);
-  ASSERT_TRUE(server.ListenTcp(0));
   server.Start();
+  RoundRobinAcceptor acceptor(server);
+  ASSERT_NE(acceptor.port(), 0);
 
   ClientOptions copts;
-  copts.port = server.port();
+  copts.port = acceptor.port();
   Client a(copts), b(copts);
   const auto payload = Payload(128, 4);
   const md5::Digest expected = md5::Sum({payload.data(), payload.size()});
+  // a connects (and is placed) before b does.
   ASSERT_TRUE(a.Call(wire_md5, payload.data(), payload.size()).ok);
   ASSERT_TRUE(b.Call(wire_md5, payload.data(), payload.size()).ok);
 
