@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <thread>
 #include <utility>
 
 #include "src/stats/break_even.h"
@@ -18,20 +19,36 @@ namespace {
 constexpr int kEvictionHotListSize = 64;
 constexpr std::size_t kEvictionColdFrames = 64;
 
-// Distinguishes Dispatcher instances for the thread-local lane caches
-// (same idea as tracelab's ring-cache epoch: a stale entry can never alias
-// a new dispatcher at a reused address).
-std::atomic<std::uint64_t> g_dispatcher_epoch{1};
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::this_thread::yield();
+#endif
+}
 
-// One producer thread's claimed lane handles, indexed by shard, valid for
-// a single dispatcher epoch. A thread alternating submissions between two
-// live dispatchers thrashes this cache back to the (mutex-guarded) lane
-// registry — correct, just slower; keep one dispatcher per producer phase.
-struct ProducerLaneCache {
-  std::uint64_t epoch = 0;
-  std::vector<LaneSet<Invocation>::LaneHandle> handles;
+// Pause-then-yield backoff for the shard-claim spin (ClaimShard). Pure
+// CpuRelax is right when the claim holder runs on another core; on an
+// oversubscribed (or single-core) host the holder needs *this* core, and
+// spinning a whole scheduler quantum starves it. After kRelaxSpins rounds
+// the waiter starts donating its timeslice.
+class SpinBackoff {
+ public:
+  void Pause() {
+    if (rounds_ < kRelaxSpins) {
+      ++rounds_;
+      CpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kRelaxSpins = 64;
+  std::uint32_t rounds_ = 0;
 };
-thread_local ProducerLaneCache t_producer_lanes;
 
 // Per-item submissions round-robin through the shards with a thread-local
 // cursor: a plain increment instead of a contended global fetch_add. The
@@ -43,25 +60,10 @@ thread_local std::uint64_t t_next_shard =
 
 }  // namespace
 
-namespace {
-
-// seed_compat forces the supervisor back onto its mutex for every Admit /
-// OnOutcome — part of the seed cost model the bench baseline reconstructs.
-SupervisorPolicy EffectivePolicy(const DispatcherOptions& options) {
-  SupervisorPolicy policy = options.policy;
-  if (options.seed_compat) {
-    policy.lock_free_fast_path = false;
-  }
-  return policy;
-}
-
-}  // namespace
-
 Dispatcher::Dispatcher(DispatcherOptions options, const Clock* clock)
     : options_(options),
-      epoch_(g_dispatcher_epoch.fetch_add(1, std::memory_order_relaxed)),
       clock_(clock),
-      supervisor_(EffectivePolicy(options), clock),
+      supervisor_(options.policy, clock),
       wheel_(DeadlineWheel::Options{options.wheel_tick, 256}) {
   const std::size_t workers = std::max<std::size_t>(1, options_.workers);
   shards_.reserve(workers);
@@ -144,22 +146,9 @@ void Dispatcher::StampTrace(Invocation& invocation) {
   }
 }
 
-LaneSet<Invocation>::LaneHandle& Dispatcher::LaneFor(std::size_t index, WorkerShard& shard) {
-  ProducerLaneCache& cache = t_producer_lanes;
-  if (cache.epoch != epoch_) {
-    cache.epoch = epoch_;
-    cache.handles.assign(shards_.size(), LaneSet<Invocation>::LaneHandle{});
-  }
-  LaneSet<Invocation>::LaneHandle& handle = cache.handles[index];
-  if (handle.lane == nullptr) {
-    handle = shard.lanes.ProducerLane();
-  }
-  return handle;
-}
-
 // The inline fast path: run the invocation on the calling thread when the
 // graft opted in (reentrant_safe) and the target shard's execution claim
-// is free. Skips the lanes, the worker wake, and the context switch — the
+// is free. Skips the queue, the worker wake, and the context switch — the
 // harness analogue of compiling the extension into the kernel — while
 // still passing through StampTrace before and the full supervised RunOne
 // inside, so spans, admission, and outcome scoring are path-independent.
@@ -175,8 +164,8 @@ bool Dispatcher::TryRunInline(WorkerShard& shard, Invocation& invocation) {
     return false;
   }
   if (!accepting_.load(std::memory_order_seq_cst)) {
-    // Shutdown is waiting for the claim; fall through to the lanes, which
-    // are (or are about to be) closed and will refuse cleanly.
+    // Shutdown is waiting for the claim; fall through to the queue, which
+    // is (or is about to be) closed and will refuse cleanly.
     shard.busy.store(false, std::memory_order_release);
     return false;
   }
@@ -201,9 +190,7 @@ bool Dispatcher::Submit(Invocation invocation) {
     return true;
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  const bool pushed = options_.lane_mode == LaneMode::kSpsc
-                          ? shard.lanes.Push(LaneFor(index, shard), invocation, /*block=*/true)
-                          : shard.queue.Push(std::move(invocation));
+  const bool pushed = shard.queue.Push(std::move(invocation));
   if (!pushed) {
     // A Drain() may have parked against the optimistically inflated count;
     // this rollback can be what makes its predicate true, so it needs the
@@ -223,9 +210,7 @@ bool Dispatcher::TrySubmit(Invocation invocation) {
     return true;
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  const bool pushed = options_.lane_mode == LaneMode::kSpsc
-                          ? shard.lanes.Push(LaneFor(index, shard), invocation, /*block=*/false)
-                          : shard.queue.TryPush(std::move(invocation));
+  const bool pushed = shard.queue.TryPush(std::move(invocation));
   if (!pushed) {
     // See Submit: the rollback may complete a parked Drain's predicate.
     submitted_.fetch_sub(1, std::memory_order_seq_cst);
@@ -245,11 +230,7 @@ std::size_t Dispatcher::SubmitBatch(std::span<Invocation> batch) {
     StampTrace(invocation);
   }
   submitted_.fetch_add(batch.size(), std::memory_order_relaxed);
-  const std::size_t accepted =
-      options_.lane_mode == LaneMode::kSpsc
-          ? shard.lanes.PushMany(LaneFor(index, shard), batch.data(), batch.size(),
-                                 /*block=*/true)
-          : shard.queue.PushBatch(batch);
+  const std::size_t accepted = shard.queue.PushBatch(batch);
   if (accepted < batch.size()) {
     // See Submit: the rollback may complete a parked Drain's predicate.
     submitted_.fetch_sub(batch.size() - accepted, std::memory_order_seq_cst);
@@ -269,11 +250,7 @@ std::size_t Dispatcher::TrySubmitBatch(std::span<Invocation> batch) {
     StampTrace(invocation);
   }
   submitted_.fetch_add(batch.size(), std::memory_order_relaxed);
-  const std::size_t accepted =
-      options_.lane_mode == LaneMode::kSpsc
-          ? shard.lanes.PushMany(LaneFor(index, shard), batch.data(), batch.size(),
-                                 /*block=*/false)
-          : shard.queue.TryPushBatch(batch);
+  const std::size_t accepted = shard.queue.TryPushBatch(batch);
   if (accepted < batch.size()) {
     // See Submit: the rollback may complete a parked Drain's predicate.
     submitted_.fetch_sub(batch.size() - accepted, std::memory_order_seq_cst);
@@ -321,13 +298,12 @@ void Dispatcher::Shutdown() {
     }
     shut_down_ = true;
   }
-  // Stop new inline claims, close both lane implementations (producers
-  // from here on get a clean refusal), join the workers, then wait out any
-  // inline run still holding a shard claim.
+  // Stop new inline claims, close the queues (producers from here on get a
+  // clean refusal), join the workers, then wait out any inline run still
+  // holding a shard claim.
   accepting_.store(false, std::memory_order_seq_cst);
   for (auto& shard : shards_) {
     shard->queue.Close();
-    shard->lanes.Close();
   }
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) {
@@ -341,7 +317,7 @@ void Dispatcher::Shutdown() {
 }
 
 // Takes the shard's execution claim; waits are bounded by one inline
-// invocation (the claim is never held across a blocking lane wait).
+// invocation (the claim is never held across a blocking queue wait).
 void Dispatcher::ClaimShard(WorkerShard& shard) {
   bool expected = false;
   SpinBackoff backoff;
@@ -355,35 +331,13 @@ void Dispatcher::ClaimShard(WorkerShard& shard) {
 void Dispatcher::WorkerLoop(WorkerShard& shard) {
   std::vector<Invocation> batch;
   batch.reserve(options_.max_batch);
-  const bool spsc = options_.lane_mode == LaneMode::kSpsc;
   for (;;) {
     batch.clear();
-    const std::size_t n = spsc ? shard.lanes.PopBatch(batch, options_.max_batch)
-                               : shard.queue.PopBatch(batch, options_.max_batch);
+    const std::size_t n = shard.queue.PopBatch(batch, options_.max_batch);
     if (n == 0) {
       return;  // closed and drained
     }
     ClaimShard(shard);
-    if (options_.seed_compat) {
-      // The seed's completion accounting: one completed_ increment per
-      // invocation and an unconditional lock + notify_all per batch.
-      for (const Invocation& invocation : batch) {
-        RunOne(shard, invocation);
-        completed_.fetch_add(1, std::memory_order_release);
-      }
-      shard.busy.store(false, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lock(shard.stats_mu);
-        ++shard.dispatch.batches;
-        shard.dispatch.dequeued += n;
-        shard.dispatch.batch_sizes.Record(n);
-      }
-      {
-        std::lock_guard<std::mutex> lock(drain_mu_);
-      }
-      drain_cv_.notify_all();
-      continue;
-    }
     for (const Invocation& invocation : batch) {
       RunOne(shard, invocation);
     }
@@ -412,14 +366,8 @@ void Dispatcher::RunOne(WorkerShard& shard, const Invocation& invocation) {
 
   // Lock-free: the registry is append-only and frozen before dispatch
   // begins (registration-before-first-Submit contract), so the hot path
-  // pays neither the mutex nor the per-invocation Registration copy the
-  // seed paid here. seed_compat re-enacts that copy for the bench baseline.
-  Registration seed_copy;
-  if (options_.seed_compat) {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    seed_copy = registry_.at(id);
-  }
-  const Registration& registration = options_.seed_compat ? seed_copy : registry_.at(id);
+  // pays neither the registry mutex nor a Registration copy.
+  const Registration& registration = registry_.at(id);
 
   // Tracing is active only for invocations stamped at submit time while the
   // tracer was enabled — a mid-run SetEnabled(true) starts with the next
@@ -674,9 +622,8 @@ TelemetrySnapshot Dispatcher::Snapshot() const {
     }
   }
 
-  // Dispatch-path mechanics: how invocations moved. Lane counters are
-  // atomics (or the queue's own lock) — safe against live dispatch.
-  snapshot.dispatch.lane_mode = options_.lane_mode == LaneMode::kSpsc ? "spsc" : "mutex";
+  // Dispatch-path mechanics: how invocations moved. Queue counters are
+  // read under the queue's own lock — safe against live dispatch.
   for (const auto& shard : shards_) {
     snapshot.dispatch.inline_hits += shard->inline_hits.load(std::memory_order_relaxed);
   }
@@ -692,18 +639,11 @@ TelemetrySnapshot Dispatcher::Snapshot() const {
       row.dequeued = shard.dispatch.dequeued;
       row.batch_sizes = shard.dispatch.batch_sizes;
     }
-    if (options_.lane_mode == LaneMode::kSpsc) {
-      row.spin_wakeups = shard.lanes.spin_wakeups();
-      row.parks = shard.lanes.parks();
-      row.notifies_sent = shard.lanes.notifies_sent();
-      row.notifies_skipped = shard.lanes.notifies_skipped();
-      row.lanes = shard.lanes.lane_count();
-    } else {
-      const auto stats = shard.queue.wait_stats();
-      row.parks = stats.consumer_waits;
-      row.notifies_skipped = stats.notifies_skipped;
-      row.producer_waits = stats.producer_waits;
-    }
+    const auto stats = shard.queue.wait_stats();
+    row.parks = stats.consumer_waits;
+    row.notifies_sent = stats.notifies_sent;
+    row.notifies_skipped = stats.notifies_skipped;
+    row.producer_waits = stats.producer_waits;
     snapshot.dispatch.workers.push_back(std::move(row));
   }
 

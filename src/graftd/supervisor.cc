@@ -40,7 +40,7 @@ void Supervisor::RecomputeHot(GraftId id) {
 AdmitDecision Supervisor::Admit(GraftId id) {
   // Steady-state fast path: healthy with no streak means kRun with nothing
   // to update — one acquire load, no mutex.
-  if (policy_.lock_free_fast_path && hot_.at(id)->load(std::memory_order_acquire)) {
+  if (hot_.at(id)->load(std::memory_order_acquire)) {
     return AdmitDecision::kRun;
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -83,7 +83,7 @@ bool Supervisor::BreakerAdmit(GraftId id) {
   }
   // Steady state: hot implies a closed breaker (RecomputeHot folds the
   // breaker position into the flag) — one acquire load, no mutex.
-  if (policy_.lock_free_fast_path && hot_.at(id)->load(std::memory_order_acquire)) {
+  if (hot_.at(id)->load(std::memory_order_acquire)) {
     return true;
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -130,8 +130,7 @@ void Supervisor::OnOutcome(GraftId id, Outcome outcome) {
   // to skipping the mutex (the same interleaving loses the reset under the
   // lock too, just in a narrower race) and at worst quarantines a genuinely
   // failing graft a streak early.
-  if (policy_.lock_free_fast_path && outcome == Outcome::kOk &&
-      hot_.at(id)->load(std::memory_order_acquire)) {
+  if (outcome == Outcome::kOk && hot_.at(id)->load(std::memory_order_acquire)) {
     return;
   }
   // The locked scorer reports the escalation it decided on (nullptr for

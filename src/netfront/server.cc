@@ -619,7 +619,7 @@ void Server::AdmitRequest(IoThread& io, std::size_t slot, FrameDecoder::Frame& f
     return;
   }
   // Circuit breaker: a graft that keeps faulting is shed here, at the
-  // socket, instead of riding the lanes to a worker that will reject it.
+  // socket, instead of riding the queue to a worker that will reject it.
   if (!dispatcher_.supervisor().BreakerAdmit(graft)) {
     tenant.breaker_open.fetch_add(1, std::memory_order_relaxed);
     AppendError(conn->out, header.tenant, header.graft, header.request_id,
@@ -647,7 +647,7 @@ void Server::AdmitRequest(IoThread& io, std::size_t slot, FrameDecoder::Frame& f
   request->conn_gen = conn->gen;
   // The wire deadline is relative to receipt (no clock sync with the
   // peer); stamp it absolute on the dispatcher clock here so expiry means
-  // the same thing in the staging deque, the lanes, and the worker.
+  // the same thing in the staging deque, the worker queue, and the worker.
   request->deadline_ns =
       header.deadline_us == 0 ? 0 : dispatcher_.NowNs() + header.deadline_us * 1000;
   request->payload = std::move(frame.payload);
@@ -738,7 +738,7 @@ void Server::DrainStaged(IoThread& io) {
   const std::uint64_t t0 = traced ? options_.tracer->NowNs() : 0;
   const std::size_t tenant_count = tenants_.size();
   // Deficit refresh: only once every backlogged tenant has spent its
-  // credit. A lane-full interruption leaves credits (and therefore the
+  // credit. A queue-full interruption leaves credits (and therefore the
   // weight ratio) intact for the next pass.
   bool any_credit = false;
   for (std::size_t t = 0; t < tenant_count; ++t) {
@@ -789,7 +789,7 @@ void Server::DrainStaged(IoThread& io) {
         io.submit_sizes.Record(accepted);
       }
       if (accepted < want) {
-        // Lanes full: stop draining entirely and resume here next pass,
+        // Queue full: stop draining entirely and resume here next pass,
         // with every tenant's remaining credit untouched.
         io.drr_start = t;
         if (traced && submitted > 0) {

@@ -2,9 +2,9 @@
 //
 // Threading model: N IO threads, each owning a private epoll instance, a
 // slice of the connections, per-tenant staging deques, and a completion
-// inbox. Each IO thread is one lane producer into the graftd dispatcher
-// (the SPSC registration happens implicitly on its first SubmitBatch;
-// slots are recycled when the thread exits — see src/graftd/lanes.h). The
+// inbox. Each IO thread is one producer into the graftd dispatcher: its
+// batches land in the workers' bounded MPSC queues (src/graftd/queue.h),
+// with no per-thread registration, so IO threads may come and go. The
 // shared TCP listener is registered in every IO thread's epoll with
 // EPOLLEXCLUSIVE, so the kernel wakes one thread per pending accept and
 // connections spread across the pool without a dedicated acceptor.
@@ -20,7 +20,7 @@
 // Dispatch: staged requests drain through deficit-weighted round robin.
 // Each backlogged tenant holds a credit counter; credits refresh
 // (+quantum x weight) only when every backlogged tenant has spent its
-// credit, so lane-full interruptions never skew the ratio — under
+// credit, so queue-full interruptions never skew the ratio — under
 // saturation, completed requests track configured weights exactly.
 // Batches go down via TrySubmitBatch: partial acceptance is the
 // backpressure signal and the remainder stays staged, in order.
@@ -179,7 +179,7 @@ class Server {
     graftd::Completion completion;
   };
 
-  // A request admitted past the socket, waiting for lane space.
+  // A request admitted past the socket, waiting for queue space.
   struct StagedRequest {
     PendingRequest* request = nullptr;
     graftd::GraftId graft = 0;

@@ -1,25 +1,20 @@
 // BoundedMpscQueue unit tests: power-of-two capacity, FIFO batch
-// semantics, waiter-counted wakeups (and the seed-compat eager_notify
-// escape hatch), close/race behavior, and multi-producer accounting.
-// Also covers LaneSet producer-slot recycling: exited threads hand their
-// lane back, so long-lived sets survive unbounded producer churn.
+// semantics, waiter-counted wakeups, close/race behavior, and
+// multi-producer accounting.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <thread>
 #include <vector>
 
-#include "src/graftd/lanes.h"
 #include "src/graftd/queue.h"
 
 namespace {
 
 using Queue = graftd::BoundedMpscQueue<std::uint64_t>;
-using Lanes = graftd::LaneSet<std::uint64_t>;
 
 TEST(BoundedMpscQueue, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(Queue(1).capacity(), 1u);
@@ -91,20 +86,13 @@ TEST(BoundedMpscQueue, NotifiesAreSkippedWhenNobodyWaits) {
   }
   // No consumer was ever parked, so every push skipped the condvar.
   EXPECT_EQ(queue.wait_stats().notifies_skipped, 8u);
+  EXPECT_EQ(queue.wait_stats().notifies_sent, 0u);
   EXPECT_EQ(queue.wait_stats().consumer_waits, 0u);
 
   std::vector<std::uint64_t> out;
   EXPECT_EQ(queue.PopBatch(out, 16), 8u);
   // Nor was any producer parked, so the pop also skipped its notify.
   EXPECT_EQ(queue.wait_stats().notifies_skipped, 9u);
-}
-
-TEST(BoundedMpscQueue, EagerNotifyModeNeverSkips) {
-  Queue queue(16, /*eager_notify=*/true);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(queue.TryPush(i));
-  }
-  EXPECT_EQ(queue.wait_stats().notifies_skipped, 0u);  // seed behavior
 }
 
 TEST(BoundedMpscQueue, ConsumerWakesFromParkOnPush) {
@@ -123,6 +111,9 @@ TEST(BoundedMpscQueue, ConsumerWakesFromParkOnPush) {
   consumer.join();
   EXPECT_EQ(out, (std::vector<std::uint64_t>{42}));
   EXPECT_GT(queue.wait_stats().consumer_waits, 0u);
+  // The push saw the parked consumer and woke it: exactly one notify, and
+  // the pop (no producer waiting on full) skipped its own.
+  EXPECT_EQ(queue.wait_stats().notifies_sent, 1u);
 }
 
 TEST(BoundedMpscQueue, CloseWakesParkedConsumerAndFailsProducers) {
@@ -212,107 +203,6 @@ TEST(BoundedMpscQueue, MultiProducerCloseRaceDeliversAcceptedItemsExactlyOnce) {
   // the stream but never drops or duplicates an accepted item.
   EXPECT_EQ(popped_count, accepted_count.load());
   EXPECT_EQ(popped_sum, accepted_sum.load());
-}
-
-TEST(LaneSet, ThreadExitReleasesProducerSlot) {
-  Lanes lanes(/*lane_capacity=*/8, /*spin_sweeps=*/4);
-  std::thread producer([&] {
-    const Lanes::LaneHandle handle = lanes.ProducerLane();
-    EXPECT_FALSE(handle.shared);
-    std::uint64_t value = 7;
-    EXPECT_TRUE(lanes.Push(handle, value, /*block=*/true));
-    EXPECT_EQ(lanes.producer_count(), 1u);
-  });
-  producer.join();
-  // The thread_local claim destructor ran before join() returned, so the
-  // slot is already back on the free list.
-  EXPECT_EQ(lanes.producer_count(), 0u);
-  std::vector<std::uint64_t> out;
-  EXPECT_EQ(lanes.PopBatch(out, 4), 1u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{7}));
-}
-
-TEST(LaneSet, SequentialThreadChurnRecyclesSlotsAndLosesNothing) {
-  Lanes lanes(/*lane_capacity=*/8, /*spin_sweeps=*/4);
-  // Far more threads than kMaxLanes: without recycling, thread 64+ would
-  // spill onto the shared overflow lane even though only one producer is
-  // ever alive at a time.
-  constexpr std::uint64_t kThreads = 3 * Lanes::kMaxLanes;
-  std::atomic<std::uint64_t> shared_claims{0};
-  std::vector<std::uint64_t> got;
-  for (std::uint64_t i = 0; i < kThreads; ++i) {
-    std::thread producer([&, i] {
-      const Lanes::LaneHandle handle = lanes.ProducerLane();
-      if (handle.shared) {
-        shared_claims.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::uint64_t value = i;
-      EXPECT_TRUE(lanes.Push(handle, value, /*block=*/true));
-    });
-    producer.join();
-    ASSERT_EQ(lanes.producer_count(), 0u) << "claim leaked by thread " << i;
-    // Drain as we go: recycling funnels every producer into the same slot
-    // (free list is LIFO), so an undrained lane would fill and block the
-    // ninth push forever.
-    std::vector<std::uint64_t> out;
-    ASSERT_GT(lanes.PopBatch(out, 64), 0u);
-    got.insert(got.end(), out.begin(), out.end());
-  }
-  EXPECT_EQ(shared_claims.load(), 0u);  // every claim reused a private slot
-  std::sort(got.begin(), got.end());
-  ASSERT_EQ(got.size(), kThreads);
-  for (std::uint64_t i = 0; i < kThreads; ++i) {
-    EXPECT_EQ(got[i], i);  // nothing dropped or duplicated across the churn
-  }
-}
-
-TEST(LaneSet, SharedOverflowSlotServesExcessProducersAndIsNotRecycled) {
-  Lanes lanes(/*lane_capacity=*/8, /*spin_sweeps=*/4);
-  // Hold kMaxLanes claims simultaneously: the private slots run out and
-  // exactly one producer lands on the shared overflow lane.
-  constexpr std::size_t kProducers = Lanes::kMaxLanes;
-  std::atomic<std::size_t> claimed{0};
-  std::atomic<std::size_t> shared_claims{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      const Lanes::LaneHandle handle = lanes.ProducerLane();
-      if (handle.shared) {
-        shared_claims.fetch_add(1, std::memory_order_relaxed);
-      }
-      claimed.fetch_add(1, std::memory_order_release);
-      while (claimed.load(std::memory_order_acquire) < kProducers) {
-        std::this_thread::yield();  // barrier: everyone claims before anyone exits
-      }
-      std::uint64_t value = 1;
-      EXPECT_TRUE(lanes.Push(handle, value, /*block=*/true));
-    });
-  }
-  for (auto& producer : producers) {
-    producer.join();
-  }
-  EXPECT_EQ(shared_claims.load(), 1u);
-  EXPECT_EQ(lanes.producer_count(), 0u);
-
-  // After the exodus the private slots are all recycled; a late producer
-  // gets one of those back, never the positional overflow slot.
-  std::thread late([&] {
-    const Lanes::LaneHandle handle = lanes.ProducerLane();
-    EXPECT_FALSE(handle.shared);
-    std::uint64_t value = 2;
-    EXPECT_TRUE(lanes.Push(handle, value, /*block=*/true));
-  });
-  late.join();
-
-  std::size_t total = 0;
-  while (total < kProducers + 1) {
-    std::vector<std::uint64_t> out;
-    const std::size_t popped = lanes.PopBatch(out, 16);
-    ASSERT_GT(popped, 0u);
-    total += popped;
-  }
-  EXPECT_EQ(total, kProducers + 1);
 }
 
 }  // namespace

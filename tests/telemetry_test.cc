@@ -219,7 +219,6 @@ TEST(TelemetryJson, ChaosCountersRenderInTextAndJson) {
   row.supervision.breaker_opens = 1;
   snapshot.grafts.push_back(row);
   snapshot.dispatch.shed_expired = 2;
-  snapshot.dispatch.lane_mode = "spsc";
   snapshot.dispatch.workers.emplace_back();  // dispatch section renders
 
   snapshot.netfront.present = true;

@@ -142,29 +142,39 @@ TEST(Tracer, TinyRingDropsAreReportedInDump) {
 }
 
 TEST(Tracer, CrossThreadDumpDuringActiveRecordingLosesNothing) {
-  tracelab::Tracer tracer;
+  // The producer records five rings' worth of events while the main thread
+  // dumps. It never gets more than one ring ahead of the last dump, so the
+  // ring cannot overflow however the two threads are scheduled: every
+  // event must come through exactly once.
+  constexpr std::size_t kRing = 1u << 12;
+  constexpr std::size_t kEvents = 5 * kRing;
+  tracelab::Tracer::Options options;
+  options.ring_capacity = kRing;
+  tracelab::Tracer tracer(options);
   const tracelab::SiteId site = tracer.Intern("producer");
-  constexpr int kEvents = 20000;
-  std::atomic<bool> start{false};
+  std::atomic<std::size_t> drained{0};
+  std::atomic<bool> done{false};
   std::thread producer([&] {
-    while (!start.load()) {
-    }
-    for (int i = 0; i < kEvents; ++i) {
+    for (std::size_t i = 0; i < kEvents; ++i) {
+      while (i - drained.load(std::memory_order_acquire) >= kRing) {
+        std::this_thread::yield();  // ring full: wait for the next dump
+      }
       tracer.Instant(site, static_cast<std::uint64_t>(i + 1));
     }
+    done.store(true, std::memory_order_release);
   });
-  start.store(true);
-  // Snapshot repeatedly while the producer records; cumulative dumps must
-  // converge on every event exactly once (ring is large enough: no drops).
+  // Cumulative dumps while the producer records; each one publishes how
+  // many events have left the ring.
   std::size_t seen = 0;
-  for (int i = 0; i < 50; ++i) {
+  while (!done.load(std::memory_order_acquire)) {
     seen = tracer.Dump().event_count();
+    drained.store(seen, std::memory_order_release);
     std::this_thread::sleep_for(100us);
   }
   producer.join();
   const tracelab::TraceDump final_dump = tracer.Dump();
   EXPECT_EQ(final_dump.dropped(), 0u);
-  EXPECT_EQ(final_dump.event_count(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(final_dump.event_count(), kEvents);
   EXPECT_LE(seen, final_dump.event_count());
 }
 
