@@ -46,6 +46,7 @@
 #include "src/grafts/factory.h"
 #include "src/grafts/minnow_grafts.h"
 #include "src/obslab/plane.h"
+#include "src/obslab/snapshot.h"
 #include "src/stats/harness.h"
 #include "src/tracelab/export.h"
 #include "src/tracelab/trace.h"
@@ -521,8 +522,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dispatcher.deadline_wheel().fired()),
               static_cast<unsigned long long>(dispatcher.contained_faults()));
 
-  bench::PrintSection("Telemetry snapshot (JSON)");
-  std::printf("%s\n", snapshot.ToJson().c_str());
+  bench::PrintSection("Telemetry snapshot (obslab registry JSON)");
+  std::printf("%s\n", obslab::SnapshotJson(snapshot).c_str());
 
   if (trace) {
     const tracelab::TraceDump dump = tracer.Dump();

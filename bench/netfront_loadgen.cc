@@ -403,7 +403,7 @@ int RunChaos(const Flags& flags) {
     std::uint64_t no_outcome = 0;  // Result violating exactly-one (bug)
     std::uint64_t checksum = 0;
     netfront::Client::Stats stats;
-    graftd::LatencyHistogram latency;
+    graftd::Histogram latency;
   };
   std::vector<ClientOutcome> outcomes(n_clients);
 
@@ -529,7 +529,7 @@ int RunChaos(const Flags& flags) {
 
   // --- aggregate client outcomes ---
   ClientOutcome total;
-  graftd::LatencyHistogram latency;
+  graftd::Histogram latency;
   for (const ClientOutcome& mine : outcomes) {
     total.ok += mine.ok;
     total.terminal_err += mine.terminal_err;
@@ -571,7 +571,7 @@ int RunChaos(const Flags& flags) {
               static_cast<unsigned long long>(total.stats.shed_retries),
               static_cast<unsigned long long>(deduped));
   std::printf("per-call p50 %.1fus  p99 %.1fus  max %.1fus  wall %.2fs\n\n",
-              latency.PercentileUs(50), p99_us, static_cast<double>(latency.max_ns()) / 1e3,
+              latency.PercentileUs(50), p99_us, static_cast<double>(latency.max) / 1e3,
               static_cast<double>(wall_ns) / 1e9);
 
   bench::JsonReport report("chaos");
@@ -726,7 +726,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(flags.rate),
               static_cast<unsigned long long>(total), flags.io_threads, flags.workers);
 
-  graftd::LatencyHistogram latency;
+  graftd::Histogram latency;
   std::vector<std::uint8_t> session_hit(flags.sessions, 0);
   std::uint64_t sessions_served = 0;
   std::uint64_t issued = 0;
@@ -864,7 +864,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sessions_served),
               static_cast<unsigned long long>(flags.sessions));
   std::printf("p50 %.1fus  p99 %.1fus  p999 %.1fus  max %.1fus\n\n", p50_us, p99_us, p999_us,
-              static_cast<double>(latency.max_ns()) / 1e3);
+              static_cast<double>(latency.max) / 1e3);
 
   bench::JsonReport report("netfront");
   report.AddUs("netfront_open_loop_p50", completed_ok, p50_us, checksum);

@@ -238,6 +238,7 @@ class Dispatcher {
   // Attaches the fault injector whose per-site counters Snapshot() exports.
   // Not synchronized against dispatch: attach before the first Submit.
   void set_injector(const faultlab::Injector* injector) { injector_ = injector; }
+  const faultlab::Injector* injector() const { return injector_; }
 
   // Observability seam: fires exactly once per invocation that reached
   // RunOne, on the executing thread, with the terminal status and service
@@ -260,6 +261,7 @@ class Dispatcher {
   // Submit (and after the grafts are registered, or register after — sites
   // are interned on both paths).
   void set_tracer(tracelab::Tracer* tracer);
+  tracelab::Tracer* tracer() const { return tracer_; }
 
  private:
   // Pre-interned per-graft stage sites ("queue:<name>", ...), resolved at

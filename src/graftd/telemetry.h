@@ -2,15 +2,14 @@
 //
 // Workers keep graft counters worker-locally (one short mutex per update so
 // a snapshot can read mid-run without tearing) and Dispatcher::Snapshot()
-// merges the shards. Rendering goes through src/stats/ Table for the text
-// form the benches print, plus a machine-readable JSON dump.
+// merges the shards. ToText renders the human-readable tables through
+// src/stats/ Table; the obslab registry renders the same snapshot as JSON
+// and Prometheus text.
 
 #ifndef GRAFTLAB_SRC_GRAFTD_TELEMETRY_H_
 #define GRAFTLAB_SRC_GRAFTD_TELEMETRY_H_
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -22,49 +21,12 @@
 
 namespace graftd {
 
-// Power-of-two histogram of dequeue batch sizes: bucket b counts batches
-// whose size has bit width b+1 (1, 2-3, 4-7, ...). Small and mergeable,
-// like LatencyHistogram, but labeled in invocations rather than time.
-struct BatchHistogram {
-  static constexpr std::size_t kBuckets = 12;  // 2^11 = 2048 max labeled
-
-  std::array<std::uint64_t, kBuckets> counts{};
-  std::uint64_t batches = 0;
-  std::uint64_t total = 0;
-
-  static std::size_t BucketFor(std::uint64_t n) {
-    const std::size_t width = static_cast<std::size_t>(std::bit_width(n));
-    return width == 0 ? 0 : (width - 1 < kBuckets ? width - 1 : kBuckets - 1);
-  }
-
-  void Record(std::uint64_t batch_size) {
-    ++counts[BucketFor(batch_size)];
-    ++batches;
-    total += batch_size;
-  }
-
-  void Merge(const BatchHistogram& other) {
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      counts[i] += other.counts[i];
-    }
-    batches += other.batches;
-    total += other.total;
-  }
-
-  double mean() const {
-    return batches == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(batches);
-  }
-
-  // "1:40 2-3:12 4-7:3" — occupied buckets only; "-" when empty.
-  std::string Summary() const;
-};
-
 // Per-worker dispatch-path accounting (how invocations moved, not what
 // they did): filled by the worker under its stats lock.
 struct DispatchCounters {
   std::uint64_t batches = 0;   // dequeue episodes that yielded work
   std::uint64_t dequeued = 0;  // invocations that arrived via the worker queues
-  BatchHistogram batch_sizes;
+  Histogram batch_sizes;       // invocations per dequeue episode
 };
 
 struct GraftCounters {
@@ -78,7 +40,7 @@ struct GraftCounters {
   std::uint64_t rejected_degraded = 0;  // shed while the device was failing
   std::uint64_t shed_expired = 0;       // deadline passed in queue; body never ran
   std::uint64_t fuel_used = 0;  // summed over metered invocations
-  LatencyHistogram latency;     // service latency of executed invocations
+  Histogram latency;            // service latency (ns) of executed invocations
 
   // Per-opcode retire counts reported through StreamGraft::ExecutionProfile
   // (profiled Minnow VMs). Each worker records its instance's cumulative
@@ -144,7 +106,7 @@ struct GraftCounters {
 // The network front-end's contribution to a telemetry snapshot: plain
 // data filled by netfront::Server::FillTelemetry (graftd deliberately does
 // not depend on netfront — the section struct lives here so the snapshot
-// renders it alongside everything else as "__netfront__").
+// renders it alongside everything else).
 struct NetfrontSection {
   bool present = false;
 
@@ -169,7 +131,7 @@ struct NetfrontSection {
     std::size_t thread = 0;
     std::uint64_t decoded_frames = 0;
     std::uint64_t submit_batches = 0;       // TrySubmitBatch episodes
-    BatchHistogram submit_sizes;            // accepted-per-batch histogram
+    Histogram submit_sizes;                 // accepted frames per submit batch
     std::uint64_t wakeups = 0;              // eventfd wakes received
   };
 
@@ -249,7 +211,7 @@ struct TelemetrySnapshot {
     std::size_t worker = 0;
     std::uint64_t batches = 0;
     std::uint64_t dequeued = 0;
-    BatchHistogram batch_sizes;
+    Histogram batch_sizes;
     // Always 0: workers park as soon as their queue is empty, with no spin
     // phase. Not rendered; kept because graftbench reports it.
     std::uint64_t spin_wakeups = 0;
@@ -277,13 +239,9 @@ struct TelemetrySnapshot {
   // state, invocation outcomes, quarantine history, latency summary —
   // followed by the injection-site table when an injector is attached, and
   // the per-stage timing table plus live break-even panel when traced.
+  // The machine-readable form is the obslab registry's (AppendSnapshotSamples
+  // in src/obslab/snapshot.h).
   std::string ToText() const;
-
-  // The same data as a JSON object: grafts keyed by name, plus reserved
-  // "__faultlab__" (injection counters), "__tracelab__" (stage timings and
-  // break-even panel), and "__netfront__" (front-end admission/connection
-  // accounting) keys when the respective subsystem is attached.
-  std::string ToJson() const;
 };
 
 }  // namespace graftd

@@ -379,7 +379,11 @@ Value VM::RunSwitch(std::size_t entry_frames) {
   }
 }
 
-Value VM::RunThreaded(std::size_t entry_frames) {
+// Pinned to a cache-line boundary: the handlers' offsets within their 64-byte
+// lines then depend on this function alone, not on how much code the linker
+// places before it. Without the pin, resizing unrelated code moved
+// eviction.interp_x_c by 8-11% (EXPERIMENTS.md, code placement).
+[[gnu::aligned(64)]] Value VM::RunThreaded(std::size_t entry_frames) {
 #if GRAFTLAB_VM_COMPUTED_GOTO
   // One label per opcode, generated from the same X-macro as the enum, so
   // the table cannot drift out of order.

@@ -233,7 +233,7 @@ class Server {
     mutable std::mutex stats_mu;
     std::uint64_t decoded_frames = 0;
     std::uint64_t submit_batches = 0;
-    graftd::BatchHistogram submit_sizes;
+    graftd::Histogram submit_sizes;
     std::uint64_t wakeups = 0;
   };
 

@@ -58,11 +58,11 @@ void FlightRecorder::RecordOutcome(std::uint32_t graft, std::uint8_t status,
   // Odd seq marks the write window; the release on the closing store
   // publishes the fields to a reader that sees the same even value twice.
   const std::uint64_t seq = slot.seq.fetch_add(1, std::memory_order_acq_rel);
-  slot.outcome.ts_ns = NowNs();
-  slot.outcome.trace_id = tracelab::CurrentTraceId();
-  slot.outcome.elapsed_ns = elapsed_ns;
-  slot.outcome.graft = graft;
-  slot.outcome.status = status;
+  slot.ts_ns.store(NowNs(), std::memory_order_relaxed);
+  slot.trace_id.store(tracelab::CurrentTraceId(), std::memory_order_relaxed);
+  slot.elapsed_ns.store(elapsed_ns, std::memory_order_relaxed);
+  slot.graft.store(graft, std::memory_order_relaxed);
+  slot.status.store(status, std::memory_order_relaxed);
   slot.seq.store(seq + 2, std::memory_order_release);
 }
 
@@ -78,9 +78,16 @@ std::vector<FlightRecorder::Outcome> FlightRecorder::RecentOutcomes() const {
     if ((seq_before & 1) != 0) {
       continue;  // torn: a writer is mid-update
     }
-    Outcome copy = slot.outcome;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != seq_before) {
+    Outcome copy;
+    copy.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
+    copy.trace_id = slot.trace_id.load(std::memory_order_relaxed);
+    copy.elapsed_ns = slot.elapsed_ns.load(std::memory_order_relaxed);
+    copy.graft = slot.graft.load(std::memory_order_relaxed);
+    copy.status = slot.status.load(std::memory_order_relaxed);
+    // A read-don't-modify-write instead of an acquire fence (which GCC's
+    // TSan rejects): its release half keeps the loads above ahead of the
+    // recheck.
+    if (slot.seq.fetch_add(0, std::memory_order_acq_rel) != seq_before) {
       continue;  // overwritten while copying
     }
     out.push_back(copy);

@@ -102,9 +102,15 @@ class FlightRecorder {
   static const char* StatusName(std::uint8_t status);
 
  private:
+  // The fields are relaxed atomics, so a reader racing a writer sees a
+  // torn copy that the seq recheck discards, never a data race.
   struct Slot {
-    std::atomic<std::uint64_t> seq{0};  // even = stable
-    Outcome outcome;
+    mutable std::atomic<std::uint64_t> seq{0};  // even = stable; readers RMW it
+    std::atomic<std::uint64_t> ts_ns{0};
+    std::atomic<std::uint64_t> trace_id{0};
+    std::atomic<std::uint64_t> elapsed_ns{0};
+    std::atomic<std::uint32_t> graft{0};
+    std::atomic<std::uint8_t> status{0};
   };
 
   std::uint64_t NowNs() const;

@@ -2,8 +2,9 @@
 
 #include <chrono>
 #include <string>
-#include <unordered_map>
 #include <utility>
+
+#include "src/obslab/snapshot.h"
 
 namespace obslab {
 
@@ -15,112 +16,6 @@ namespace {
 // while still closing windows promptly under load (idle periods are
 // covered by the evaluation every scrape performs).
 constexpr std::uint64_t kEvalStride = 256;
-
-const char* OutcomeLabel(std::size_t i) {
-  // Index order matches the GraftCounters fields emitted below.
-  static constexpr const char* kNames[] = {
-      "ok",       "fault",           "preempt",          "disk_fault",
-      "rejected_quarantined", "rejected_detached", "rejected_degraded", "expired"};
-  return kNames[i];
-}
-
-// `registration` >= 0 adds a disambiguating label: re-registering a graft
-// name (one configuration retired, another loaded under the same name)
-// yields multiple registry rows with identical names, and emitting them
-// under identical labels would fold independent counters into one series at
-// the scrape consumer.
-void EmitGraftRow(const graftd::TelemetrySnapshot::Row& row, std::int64_t registration,
-                  std::vector<Sample>& out) {
-  Labels graft{{"graft", row.name}};
-  if (registration >= 0) {
-    graft.emplace_back("registration", std::to_string(registration));
-  }
-  const graftd::GraftCounters& c = row.counters;
-  out.push_back(Sample{"graftlab_graft_invocations_total", graft,
-                       static_cast<double>(c.invocations), true});
-  const std::uint64_t outcomes[] = {c.ok,
-                                    c.faults,
-                                    c.preempts,
-                                    c.disk_faults,
-                                    c.rejected_quarantined,
-                                    c.rejected_detached,
-                                    c.rejected_degraded,
-                                    c.shed_expired};
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (outcomes[i] == 0 && i != 0) {
-      continue;  // keep the scrape lean; "ok" always present as the anchor
-    }
-    Labels labels = graft;
-    labels.emplace_back("outcome", OutcomeLabel(i));
-    out.push_back(Sample{"graftlab_graft_outcomes_total", std::move(labels),
-                         static_cast<double>(outcomes[i]), true});
-  }
-  out.push_back(Sample{"graftlab_graft_fuel_used_total", graft,
-                       static_cast<double>(c.fuel_used), true});
-  if (c.latency.count() > 0) {
-    out.push_back(
-        Sample{"graftlab_graft_latency_p50_us", graft, c.latency.PercentileUs(50.0), false});
-    out.push_back(
-        Sample{"graftlab_graft_latency_p99_us", graft, c.latency.PercentileUs(99.0), false});
-    out.push_back(Sample{"graftlab_graft_latency_p999_us", graft,
-                         c.latency.PercentileUs(99.9), false});
-  }
-  // Per-opcode retire counts ride along unchanged — this is also where the
-  // elision verifier's checks_elided / checks_retained certificates surface
-  // (minnow grafts report them through the same ExecutionProfile table).
-  for (const auto& [opcode, count] : c.vm_opcodes) {
-    Labels labels = graft;
-    labels.emplace_back("opcode", opcode);
-    out.push_back(Sample{"graftlab_vm_opcode_total", std::move(labels),
-                         static_cast<double>(count), true});
-  }
-
-  // Supervision: current graft state and breaker position as one-hot
-  // samples (only the active state is emitted), histories as counters.
-  const graftd::Supervisor::GraftStatus& s = row.supervision;
-  Labels state_labels = graft;
-  state_labels.emplace_back("state", graftd::GraftStateName(s.state));
-  out.push_back(Sample{"graftlab_graft_state", std::move(state_labels), 1.0, false});
-  Labels breaker_labels = graft;
-  breaker_labels.emplace_back("state", graftd::BreakerStateName(s.breaker));
-  out.push_back(Sample{"graftlab_breaker_state", std::move(breaker_labels), 1.0, false});
-  out.push_back(Sample{"graftlab_graft_quarantines_total", graft,
-                       static_cast<double>(s.quarantines), true});
-  out.push_back(Sample{"graftlab_graft_readmissions_total", graft,
-                       static_cast<double>(s.readmissions), true});
-  out.push_back(Sample{"graftlab_graft_degradations_total", graft,
-                       static_cast<double>(s.degradations), true});
-  out.push_back(Sample{"graftlab_graft_recoveries_total", graft,
-                       static_cast<double>(s.recoveries), true});
-  out.push_back(Sample{"graftlab_breaker_opens_total", graft,
-                       static_cast<double>(s.breaker_opens), true});
-}
-
-void EmitDispatch(const graftd::TelemetrySnapshot::DispatchStats& d,
-                  std::vector<Sample>& out) {
-  out.push_back(Sample{"graftlab_dispatch_inline_hits_total", {},
-                       static_cast<double>(d.inline_hits), true});
-  out.push_back(Sample{"graftlab_dispatch_inline_misses_total", {},
-                       static_cast<double>(d.inline_misses), true});
-  out.push_back(Sample{"graftlab_dispatch_shed_expired_total", {},
-                       static_cast<double>(d.shed_expired), true});
-  out.push_back(Sample{"graftlab_dispatch_workers", {},
-                       static_cast<double>(d.workers.size()), false});
-  std::uint64_t batches = 0;
-  std::uint64_t dequeued = 0;
-  std::uint64_t parks = 0;
-  for (const auto& worker : d.workers) {
-    batches += worker.batches;
-    dequeued += worker.dequeued;
-    parks += worker.parks;
-  }
-  out.push_back(
-      Sample{"graftlab_dispatch_batches_total", {}, static_cast<double>(batches), true});
-  out.push_back(
-      Sample{"graftlab_dispatch_dequeued_total", {}, static_cast<double>(dequeued), true});
-  out.push_back(
-      Sample{"graftlab_dispatch_parks_total", {}, static_cast<double>(parks), true});
-}
 
 }  // namespace
 
@@ -181,98 +76,47 @@ void Plane::Attach(graftd::Dispatcher& dispatcher) {
     profiler_.SetGraftName(static_cast<std::uint32_t>(i), initial.grafts[i].name);
   }
 
-  // The big pull source: one dispatcher snapshot per scrape, fanned out
-  // into per-graft counters, latency percentiles, supervision/breaker
-  // states, vm opcode tables and dispatch mechanics.
+  // The big pull source: one dispatcher snapshot per scrape, every section
+  // of it (grafts, dispatch workers, and the injector and tracer sections
+  // when the dispatcher carries them) through the one telemetry schema.
   registry_.AddCollector([this](std::vector<Sample>& out) {
-    if (dispatcher_ == nullptr) {
-      return;
+    if (dispatcher_ != nullptr) {
+      AppendSnapshotSamples(dispatcher_->Snapshot(), out);
     }
-    const graftd::TelemetrySnapshot snapshot = dispatcher_->Snapshot();
-    std::unordered_map<std::string, int> name_counts;
-    for (const auto& row : snapshot.grafts) {
-      ++name_counts[row.name];
-    }
-    for (std::size_t id = 0; id < snapshot.grafts.size(); ++id) {
-      const auto& row = snapshot.grafts[id];
-      const bool duplicate = name_counts[row.name] > 1;
-      EmitGraftRow(row, duplicate ? static_cast<std::int64_t>(id) : -1, out);
-    }
-    EmitDispatch(snapshot.dispatch, out);
   });
 }
 
+// The tracer and injector collectors stand aside for a tracer or injector
+// the attached dispatcher already carries: its snapshot exports them, and
+// one scrape must not hold the same (name, labels) twice.
+
 void Plane::AttachTracer(tracelab::Tracer* tracer) {
   recorder_.set_tracer(tracer);
-  registry_.AddCollector([tracer](std::vector<Sample>& out) {
-    out.push_back(Sample{"graftlab_trace_events_dropped_total", {},
-                         static_cast<double>(tracer->dropped()), true});
+  registry_.AddCollector([this, tracer](std::vector<Sample>& out) {
+    if (dispatcher_ == nullptr || dispatcher_->tracer() != tracer) {
+      out.push_back(Sample{"graftlab_trace_events_dropped_total", {},
+                           static_cast<double>(tracer->dropped()), true});
+    }
     out.push_back(Sample{"graftlab_tracelab_sites_dropped_total", {},
                          static_cast<double>(tracer->sites_dropped()), true});
   });
 }
 
 void Plane::AttachInjector(const faultlab::Injector* injector) {
-  registry_.AddCollector([injector](std::vector<Sample>& out) {
-    for (const auto& site : injector->Counters()) {
-      out.push_back(Sample{"graftlab_fault_site_hits_total",
-                           Labels{{"site", site.site}},
-                           static_cast<double>(site.hits), true});
-      out.push_back(Sample{"graftlab_fault_injections_total",
-                           Labels{{"site", site.site}},
-                           static_cast<double>(site.injected), true});
+  registry_.AddCollector([this, injector](std::vector<Sample>& out) {
+    if (dispatcher_ == nullptr || dispatcher_->injector() != injector) {
+      graftd::TelemetrySnapshot snapshot;
+      snapshot.injections = injector->Counters();
+      AppendSnapshotSamples(snapshot, out);
     }
   });
 }
 
 void Plane::AddNetfrontCollector(std::function<void(graftd::NetfrontSection&)> fill) {
   registry_.AddCollector([fill = std::move(fill)](std::vector<Sample>& out) {
-    graftd::NetfrontSection section;
-    fill(section);
-    if (!section.present) {
-      return;
-    }
-    for (const auto& tenant : section.tenants) {
-      const Labels labels{{"tenant", tenant.name}};
-      out.push_back(Sample{"graftlab_tenant_accepted_total", labels,
-                           static_cast<double>(tenant.accepted), true});
-      out.push_back(Sample{"graftlab_tenant_completed_ok_total", labels,
-                           static_cast<double>(tenant.completed_ok), true});
-      out.push_back(Sample{"graftlab_tenant_completed_error_total", labels,
-                           static_cast<double>(tenant.completed_error), true});
-      out.push_back(Sample{"graftlab_tenant_shed_degraded_total", labels,
-                           static_cast<double>(tenant.shed_degraded), true});
-      out.push_back(Sample{"graftlab_tenant_shed_overload_total", labels,
-                           static_cast<double>(tenant.shed_overload), true});
-      out.push_back(Sample{"graftlab_tenant_quota_rejected_total", labels,
-                           static_cast<double>(tenant.quota_rejected), true});
-      out.push_back(Sample{"graftlab_tenant_breaker_open_total", labels,
-                           static_cast<double>(tenant.breaker_open), true});
-      out.push_back(Sample{"graftlab_tenant_retries_deduped_total", labels,
-                           static_cast<double>(tenant.retries_deduped), true});
-    }
-    out.push_back(Sample{"graftlab_net_connections_opened_total", {},
-                         static_cast<double>(section.connections_opened), true});
-    out.push_back(Sample{"graftlab_net_connections_closed_total", {},
-                         static_cast<double>(section.connections_closed), true});
-    out.push_back(Sample{"graftlab_net_connections_active", {},
-                         static_cast<double>(section.connections_active), false});
-    out.push_back(Sample{"graftlab_net_frame_errors_total", {},
-                         static_cast<double>(section.frame_errors), true});
-    out.push_back(Sample{"graftlab_net_bytes_in_total", {},
-                         static_cast<double>(section.bytes_in), true});
-    out.push_back(Sample{"graftlab_net_bytes_out_total", {},
-                         static_cast<double>(section.bytes_out), true});
-    out.push_back(Sample{"graftlab_net_read_pauses_total", {},
-                         static_cast<double>(section.read_pauses), true});
-    out.push_back(Sample{"graftlab_net_slow_reader_closes_total", {},
-                         static_cast<double>(section.slow_reader_closes), true});
-    out.push_back(Sample{"graftlab_net_io_thread_crashes_total", {},
-                         static_cast<double>(section.io_thread_crashes), true});
-    out.push_back(Sample{"graftlab_net_conns_adopted_total", {},
-                         static_cast<double>(section.conns_adopted), true});
-    out.push_back(Sample{"graftlab_net_crash_orphans_total", {},
-                         static_cast<double>(section.crash_orphans), true});
+    graftd::TelemetrySnapshot snapshot;
+    fill(snapshot.netfront);
+    AppendSnapshotSamples(snapshot, out);
   });
 }
 

@@ -4,11 +4,12 @@
 // recorder, sampling profiler, SLO watchdog) and wires them over a
 // graftd::Dispatcher:
 //
-//   * registry collectors expose every existing telemetry section —
-//     per-graft counters and latency, supervision + breaker states,
-//     vm_opcodes (including the elision certificate's checks_elided /
-//     checks_retained rows), dispatch mechanics, faultlab injection
-//     sites, tracelab drop counters — without touching their hot paths;
+//   * registry collectors expose every telemetry section through the one
+//     schema of src/obslab/snapshot.h — per-graft counters and latency
+//     histograms, supervision + breaker states, vm_opcodes (including the
+//     elision certificate's checks_elided / checks_retained rows), dispatch
+//     mechanics, netfront tenants and IO threads, faultlab injection sites,
+//     tracelab stages and break-even — without touching their hot paths;
 //   * the dispatcher's outcome hook feeds the flight ring, and a
 //     kDiskFault completion triggers a "disk_hard_error" snapshot;
 //   * the supervisor's event hook snapshots on breaker_open, quarantine,
@@ -81,8 +82,8 @@ class Plane {
   void AttachTracer(tracelab::Tracer* tracer);
   void AttachInjector(const faultlab::Injector* injector);
 
-  // Registers a pull source for the "__netfront__" section (wire the
-  // server's FillTelemetry here; the fill callback must outlive scrapes).
+  // Registers a pull source for the netfront section (wire the server's
+  // FillTelemetry here; the fill callback must outlive scrapes).
   void AddNetfrontCollector(std::function<void(graftd::NetfrontSection&)> fill);
 
   // --- netfront seams (plug into ServerOptions as std::functions) ---

@@ -65,7 +65,12 @@ void AppendLabels(std::string& out, const Labels& labels, const char* extra_key 
   out += '}';
 }
 
-const char* KindName(bool monotonic) { return monotonic ? "counter" : "gauge"; }
+const char* TypeName(const Sample& sample) {
+  if (sample.histogram != nullptr) {
+    return "histogram";
+  }
+  return sample.monotonic ? "counter" : "gauge";
+}
 
 }  // namespace
 
@@ -151,7 +156,7 @@ Histogram MetricsRegistry::RegisterHistogram(std::string name, Labels labels,
   instrument->name = sanitized;
   instrument->labels = std::move(labels);
   instrument->help = std::move(help);
-  instrument->histogram = std::make_unique<HistogramCells>();
+  instrument->histogram = std::make_unique<graftd::AtomicHistogram>();
   Histogram handle(instrument->histogram.get());
   instruments_.push_back(std::move(instrument));
   return handle;
@@ -162,26 +167,26 @@ void MetricsRegistry::AddCollector(Collector collector) {
   collectors_.push_back(std::move(collector));
 }
 
-void MetricsRegistry::Collect(std::vector<Sample>& out,
-                              std::vector<const Instrument*>& hists) const {
+std::vector<Sample> MetricsRegistry::Collect() const {
+  std::vector<Sample> out;
   for (const auto& instrument : instruments_) {
+    Sample sample{instrument->name, instrument->labels};
+    sample.help = instrument->help;
     switch (instrument->kind) {
       case Kind::kCounter:
-        out.push_back(Sample{
-            instrument->name, instrument->labels,
-            static_cast<double>(instrument->counter->load(std::memory_order_relaxed)),
-            true});
+        sample.value =
+            static_cast<double>(instrument->counter->load(std::memory_order_relaxed));
+        sample.monotonic = true;
         break;
       case Kind::kGauge:
-        out.push_back(Sample{
-            instrument->name, instrument->labels,
-            static_cast<double>(instrument->gauge->load(std::memory_order_relaxed)),
-            false});
+        sample.value = static_cast<double>(instrument->gauge->load(std::memory_order_relaxed));
         break;
       case Kind::kHistogram:
-        hists.push_back(instrument.get());
+        sample.histogram =
+            std::make_shared<const graftd::Histogram>(instrument->histogram->Snapshot());
         break;
     }
+    out.push_back(std::move(sample));
   }
   for (const Collector& collector : collectors_) {
     const std::size_t before = out.size();
@@ -191,108 +196,106 @@ void MetricsRegistry::Collect(std::vector<Sample>& out,
       out[i].name = SanitizeName(out[i].name);
     }
   }
+  return out;
 }
 
 std::string MetricsRegistry::PrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Sample> samples;
-  std::vector<const Instrument*> hists;
-  Collect(samples, hists);
+  const std::vector<Sample> samples = Collect();
 
   std::string out;
   out.reserve(4096 + samples.size() * 64);
 
   // One HELP/TYPE block per metric name, samples grouped under the first
   // appearance so multi-label families stay legal exposition.
-  std::vector<std::size_t> emitted(samples.size(), 0);
+  std::vector<bool> emitted(samples.size(), false);
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (emitted[i] != 0) {
+    if (emitted[i]) {
       continue;
     }
     const Sample& head = samples[i];
+    if (!head.help.empty()) {
+      out += "# HELP ";
+      out += head.name;
+      out += ' ';
+      AppendHelpEscaped(out, head.help);
+      out += '\n';
+    }
     out += "# TYPE ";
     out += head.name;
     out += ' ';
-    out += KindName(head.monotonic);
+    out += TypeName(head);
     out += '\n';
     for (std::size_t j = i; j < samples.size(); ++j) {
-      if (emitted[j] != 0 || samples[j].name != head.name) {
+      const Sample& sample = samples[j];
+      if (emitted[j] || sample.name != head.name) {
         continue;
       }
-      emitted[j] = 1;
-      out += samples[j].name;
-      AppendLabels(out, samples[j].labels);
-      out += ' ';
-      AppendDouble(out, samples[j].value);
-      out += '\n';
-    }
-  }
-
-  for (const Instrument* hist : hists) {
-    if (!hist->help.empty()) {
-      out += "# HELP ";
-      out += hist->name;
-      out += ' ';
-      AppendHelpEscaped(out, hist->help);
-      out += '\n';
-    }
-    out += "# TYPE ";
-    out += hist->name;
-    out += " histogram\n";
-    // Snapshot buckets first: concurrent recording may advance count
-    // between loads, and `le="+Inf"` must equal _count, so _count is
-    // derived from the bucket snapshot rather than read separately.
-    std::uint64_t cumulative = 0;
-    std::array<std::uint64_t, HistogramCells::kBuckets> counts;
-    for (std::size_t b = 0; b < HistogramCells::kBuckets; ++b) {
-      counts[b] = hist->histogram->buckets[b].load(std::memory_order_relaxed);
-    }
-    for (std::size_t b = 0; b < HistogramCells::kBuckets; ++b) {
-      if (counts[b] == 0 && b + 1 != HistogramCells::kBuckets) {
-        cumulative += counts[b];
-        continue;  // keep the exposition small: only occupied buckets
+      emitted[j] = true;
+      if (sample.histogram == nullptr) {
+        out += sample.name;
+        AppendLabels(out, sample.labels);
+        out += ' ';
+        AppendDouble(out, sample.value);
+        out += '\n';
+        continue;
       }
-      cumulative += counts[b];
-      out += hist->name;
-      out += "_bucket";
-      AppendLabels(out, hist->labels, "le",
-                   b + 1 == HistogramCells::kBuckets
-                       ? std::string("+Inf")
-                       : std::to_string(HistogramCells::BucketUpper(b)));
+      // Only occupied buckets are listed; `le="+Inf"` (every sample, the
+      // clamp bucket's included) and _count are both the snapshot's count.
+      const graftd::Histogram& h = *sample.histogram;
+      const auto bucket_line = [&](const std::string& le, std::uint64_t cumulative) {
+        out += sample.name;
+        out += "_bucket";
+        AppendLabels(out, sample.labels, "le", le);
+        out += ' ';
+        out += std::to_string(cumulative);
+        out += '\n';
+      };
+      std::uint64_t cumulative = 0;
+      for (std::size_t b = 0; b + 1 < graftd::Histogram::kBuckets; ++b) {
+        if (h.counts[b] != 0) {
+          cumulative += h.counts[b];
+          bucket_line(std::to_string(graftd::Histogram::BucketUpper(b)), cumulative);
+        }
+      }
+      bucket_line("+Inf", h.count);
+      out += sample.name;
+      out += "_sum";
+      AppendLabels(out, sample.labels);
       out += ' ';
-      out += std::to_string(cumulative);
+      out += std::to_string(h.total);
+      out += '\n';
+      out += sample.name;
+      out += "_count";
+      AppendLabels(out, sample.labels);
+      out += ' ';
+      out += std::to_string(h.count);
       out += '\n';
     }
-    out += hist->name;
-    out += "_sum";
-    AppendLabels(out, hist->labels);
-    out += ' ';
-    out += std::to_string(hist->histogram->sum.load(std::memory_order_relaxed));
-    out += '\n';
-    out += hist->name;
-    out += "_count";
-    AppendLabels(out, hist->labels);
-    out += ' ';
-    out += std::to_string(cumulative);
-    out += '\n';
   }
   return out;
 }
 
 std::string MetricsRegistry::Json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Sample> samples;
-  std::vector<const Instrument*> hists;
-  Collect(samples, hists);
+  const std::vector<Sample> samples = Collect();
 
   std::string out;
   out.reserve(4096 + samples.size() * 80);
   out += "{\"metrics\":[";
   bool first = true;
-  const auto append_labels = [&out](const Labels& labels) {
-    out += "\"labels\":{";
+  for (const Sample& sample : samples) {
+    if (!first) {
+      out += ',';
+    }
+    first = false;
+    out += "\n  {\"name\":";
+    tracelab::AppendJsonString(out, sample.name);
+    out += ",\"type\":\"";
+    out += TypeName(sample);
+    out += "\",\"labels\":{";
     bool first_label = true;
-    for (const auto& [key, value] : labels) {
+    for (const auto& [key, value] : sample.labels) {
       if (!first_label) {
         out += ',';
       }
@@ -302,50 +305,31 @@ std::string MetricsRegistry::Json() const {
       tracelab::AppendJsonString(out, value);
     }
     out += '}';
-  };
-  for (const Sample& sample : samples) {
-    if (!first) {
-      out += ',';
+    if (sample.histogram == nullptr) {
+      out += ",\"value\":";
+      AppendDouble(out, sample.value);
+      out += '}';
+      continue;
     }
-    first = false;
-    out += "\n  {\"name\":";
-    tracelab::AppendJsonString(out, sample.name);
-    out += ",\"type\":\"";
-    out += KindName(sample.monotonic);
-    out += "\",";
-    append_labels(sample.labels);
-    out += ",\"value\":";
-    AppendDouble(out, sample.value);
-    out += '}';
-  }
-  for (const Instrument* hist : hists) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "\n  {\"name\":";
-    tracelab::AppendJsonString(out, hist->name);
-    out += ",\"type\":\"histogram\",";
-    append_labels(hist->labels);
+    const graftd::Histogram& h = *sample.histogram;
     out += ",\"count\":";
-    out += std::to_string(hist->histogram->count.load(std::memory_order_relaxed));
+    out += std::to_string(h.count);
     out += ",\"sum\":";
-    out += std::to_string(hist->histogram->sum.load(std::memory_order_relaxed));
+    out += std::to_string(h.total);
     out += ",\"buckets\":[";
     bool first_bucket = true;
     std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < HistogramCells::kBuckets; ++b) {
-      const std::uint64_t count = hist->histogram->buckets[b].load(std::memory_order_relaxed);
-      cumulative += count;
-      if (count == 0) {
+    for (std::size_t b = 0; b < graftd::Histogram::kBuckets; ++b) {
+      if (h.counts[b] == 0) {
         continue;
       }
+      cumulative += h.counts[b];
       if (!first_bucket) {
         out += ',';
       }
       first_bucket = false;
       out += "{\"le\":";
-      out += std::to_string(HistogramCells::BucketUpper(b));
+      out += std::to_string(graftd::Histogram::BucketUpper(b));
       out += ",\"count\":";
       out += std::to_string(cumulative);
       out += '}';

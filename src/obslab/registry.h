@@ -18,10 +18,13 @@
 // sanitized to [a-zA-Z0-9_:] (hostile bytes become '_'), label values
 // escape backslash, double-quote and newline, HELP text escapes backslash
 // and newline. Histograms expand into cumulative `_bucket{le=...}` series
-// plus `_sum`/`_count`, with log2-nanosecond bucket bounds (the same
-// buckets as graftd::LatencyHistogram, so live and offline percentiles
-// agree). Counters are monotonic under concurrent scrape: every value is
-// one relaxed load of a cell that only ever grows.
+// plus `_sum`/`_count`, with the log-linear bucket edges of
+// src/graftd/histogram.h (8 buckets per octave, the same buckets the
+// dispatcher's own latency histograms use, so live and offline percentiles
+// agree). `_count` and the JSON `count` are derived from the same bucket
+// snapshot as the buckets themselves, so they always equal `le="+Inf"`.
+// Counters are monotonic under concurrent scrape: every value is one
+// relaxed load of a cell that only ever grows.
 //
 // Metric-name schema (EXPERIMENTS.md "obslab metric names"): everything
 // this registry exports is prefixed `graftlab_`, counters end in `_total`,
@@ -30,9 +33,7 @@
 #ifndef GRAFTLAB_SRC_OBSLAB_REGISTRY_H_
 #define GRAFTLAB_SRC_OBSLAB_REGISTRY_H_
 
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,6 +42,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "src/graftd/histogram.h"
 
 namespace obslab {
 
@@ -89,52 +92,37 @@ class Gauge {
   std::atomic<std::int64_t>* cell_ = nullptr;
 };
 
-// Log2-nanosecond histogram, all-atomic so many threads record without
-// coordination. Bucket i counts values of bit width i (same geometry as
-// graftd::LatencyHistogram).
-struct HistogramCells {
-  static constexpr std::size_t kBuckets = 48;
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-
-  static std::size_t BucketFor(std::uint64_t v) {
-    const std::size_t width = static_cast<std::size_t>(std::bit_width(v));
-    return width < kBuckets ? width : kBuckets - 1;
-  }
-  static std::uint64_t BucketUpper(std::size_t i) {
-    return i >= 64 ? ~0ull : (1ull << i) - 1;
-  }
-};
-
+// Handle to a histogram instrument: graftd::AtomicHistogram cells, so many
+// threads record without coordination.
 class Histogram {
  public:
   Histogram() = default;
   void Record(std::uint64_t v) {
-    if (cells_ == nullptr) {
-      return;
+    if (cells_ != nullptr) {
+      cells_->Record(v);
     }
-    cells_->buckets[HistogramCells::BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
-    cells_->count.fetch_add(1, std::memory_order_relaxed);
-    cells_->sum.fetch_add(v, std::memory_order_relaxed);
-  }
-  std::uint64_t count() const {
-    return cells_ == nullptr ? 0 : cells_->count.load(std::memory_order_relaxed);
   }
 
  private:
   friend class MetricsRegistry;
-  explicit Histogram(HistogramCells* cells) : cells_(cells) {}
-  HistogramCells* cells_ = nullptr;
+  explicit Histogram(graftd::AtomicHistogram* cells) : cells_(cells) {}
+  graftd::AtomicHistogram* cells_ = nullptr;
 };
 
 // One scrape-time sample a collector contributes. Monotonic samples render
-// as counters, others as gauges.
+// as counters, others as gauges; a sample carrying a histogram renders as a
+// histogram series (cumulative `le` buckets, sum, count) and ignores
+// value/monotonic.
 struct Sample {
+  Sample(std::string name, Labels labels, double value = 0.0, bool monotonic = false)
+      : name(std::move(name)), labels(std::move(labels)), value(value), monotonic(monotonic) {}
+
   std::string name;
   Labels labels;
   double value = 0.0;
   bool monotonic = false;
+  std::shared_ptr<const graftd::Histogram> histogram;
+  std::string help;
 };
 
 class MetricsRegistry {
@@ -178,12 +166,13 @@ class MetricsRegistry {
     // Exactly one is live, slab-owned so handle addresses never move.
     std::unique_ptr<std::atomic<std::uint64_t>> counter;
     std::unique_ptr<std::atomic<std::int64_t>> gauge;
-    std::unique_ptr<HistogramCells> histogram;
+    std::unique_ptr<graftd::AtomicHistogram> histogram;
   };
 
   Instrument* FindOrNull(Kind kind, const std::string& name, const Labels& labels);
-  // Renders instruments + collector samples grouped by metric name.
-  void Collect(std::vector<Sample>& out, std::vector<const Instrument*>& hists) const;
+  // Instruments (histograms as snapshots) and collector samples, in
+  // registration order.
+  std::vector<Sample> Collect() const;
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Instrument>> instruments_;

@@ -25,28 +25,7 @@ void SloWatchdog::Record(std::size_t tenant_id, std::uint64_t elapsed_ns) {
   if (tenant == nullptr || tenant->slo_p99_us <= 0.0) {
     return;
   }
-  tenant->window.buckets[HistogramCells::BucketFor(elapsed_ns)].fetch_add(
-      1, std::memory_order_relaxed);
-  tenant->window.count.fetch_add(1, std::memory_order_relaxed);
-}
-
-double SloWatchdog::PercentileUs(const std::array<std::uint64_t, kBuckets>& counts,
-                                 std::uint64_t total, double p) {
-  if (total == 0) {
-    return 0.0;
-  }
-  std::uint64_t rank = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(total));
-  if (rank >= total) {
-    rank = total - 1;
-  }
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += counts[i];
-    if (seen > rank) {
-      return static_cast<double>(HistogramCells::BucketUpper(i)) / 1e3;
-    }
-  }
-  return 0.0;
+  tenant->window.Record(elapsed_ns);
 }
 
 void SloWatchdog::Evaluate(std::uint64_t now_ns) {
@@ -68,22 +47,15 @@ void SloWatchdog::Evaluate(std::uint64_t now_ns) {
       if (now_ns - tenant->window_start_ns < options_.window_ns) {
         continue;  // window still open
       }
-      // Close the window: snapshot then clear. Samples racing the clear are
-      // lost to scoring — bounded by the race window, and never corrupting
-      // (every cell is an independent atomic).
-      std::array<std::uint64_t, kBuckets> counts;
-      std::uint64_t total = 0;
-      for (std::size_t i = 0; i < kBuckets; ++i) {
-        counts[i] = tenant->window.buckets[i].load(std::memory_order_relaxed);
-        total += counts[i];
-      }
-      tenant->window.Clear();
+      // Close the window: Drain exchanges every cell with zero, so a sample
+      // racing the close is scored in this window or the next one.
+      const graftd::Histogram closed = tenant->window.Drain();
       tenant->window_start_ns = now_ns;
-      if (total < options_.min_samples) {
+      if (closed.count < options_.min_samples) {
         continue;  // idle tenants neither burn nor heal
       }
-      const double p99_us = PercentileUs(counts, total, 99.0);
-      const double p999_us = PercentileUs(counts, total, 99.9);
+      const double p99_us = closed.PercentileUs(99.0);
+      const double p999_us = closed.PercentileUs(99.9);
       tenant->last_p99_us_milli.store(static_cast<std::uint64_t>(p99_us * 1e3),
                                       std::memory_order_relaxed);
       const bool burning = p99_us > tenant->slo_p99_us ||

@@ -1,11 +1,11 @@
 // SLO watchdog: rolling-window tail-latency burn-rate evaluation per
 // tenant.
 //
-// Each tenant with a target (TenantConfig::slo_p99_us > 0) gets a pair of
-// atomic log2 histograms: producers record completion latencies into the
-// current window lock-free; Evaluate() — called from any thread, typically
-// a ticker or the scrape path — closes a window once it is older than
-// `window`, computes its p99/p999 upper bounds, and scores it:
+// Each tenant with a target (TenantConfig::slo_p99_us > 0) gets one
+// graftd::AtomicHistogram window: producers record completion latencies into
+// it lock-free; Evaluate() — called from any thread, typically a ticker or
+// the scrape path — drains the window once it is older than `window`, reads
+// its p99/p999 through Histogram::Percentile, and scores it:
 //
 //   burning window  (p99 > slo_p99_us)  -> burn streak + 1
 //   healthy window                      -> burn streak resets to 0
@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "src/graftd/histogram.h"
 #include "src/obslab/registry.h"
 
 namespace obslab {
@@ -56,7 +57,7 @@ class SloWatchdog {
   void AddTenant(std::size_t tenant_id, std::string name, double slo_p99_us,
                  double slo_p999_us = 0.0);
 
-  // Hot path: one bucket fetch_add into the tenant's current window.
+  // Hot path: one AtomicHistogram::Record into the tenant's current window.
   void Record(std::size_t tenant_id, std::uint64_t elapsed_ns);
 
   // Closes and scores any window older than window_ns. Cheap when the
@@ -82,33 +83,16 @@ class SloWatchdog {
   void RegisterWith(MetricsRegistry& registry);
 
  private:
-  static constexpr std::size_t kBuckets = HistogramCells::kBuckets;
-
-  struct Window {
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    void Clear() {
-      for (auto& bucket : buckets) {
-        bucket.store(0, std::memory_order_relaxed);
-      }
-      count.store(0, std::memory_order_relaxed);
-    }
-  };
-
   struct Tenant {
     std::string name;
     double slo_p99_us = 0.0;
     double slo_p999_us = 0.0;
-    Window window;
+    graftd::AtomicHistogram window;
     std::uint64_t window_start_ns = 0;       // guarded by eval_mu_
     std::atomic<std::uint32_t> burn{0};
     std::atomic<std::uint64_t> last_p99_us_milli{0};  // p99 in millionths-of-us x1e3
     bool alarmed = false;                    // guarded by eval_mu_
   };
-
-  // p-th percentile upper bound (us) of a closed window snapshot.
-  static double PercentileUs(const std::array<std::uint64_t, kBuckets>& counts,
-                             std::uint64_t total, double p);
 
   const Options options_;
   std::vector<std::unique_ptr<Tenant>> tenants_;

@@ -108,7 +108,7 @@ TEST(Dispatcher, MultiProducerDispatchAccountsEveryInvocation) {
   EXPECT_EQ(counters.invocations, kProducers * kPerProducer);
   EXPECT_EQ(counters.ok, kProducers * kPerProducer);
   EXPECT_EQ(counters.faults, 0u);
-  EXPECT_EQ(counters.latency.count(), kProducers * kPerProducer);
+  EXPECT_EQ(counters.latency.count, kProducers * kPerProducer);
   EXPECT_EQ(digests_ok.load(), kProducers * kPerProducer);
   EXPECT_EQ(dispatcher.contained_faults(), 0u);
 }
@@ -428,7 +428,7 @@ TEST(Dispatcher, InlineFastPathRunsOnTheSubmittingThread) {
   const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
   EXPECT_EQ(snapshot.dispatch.inline_hits, kInvocations);
   EXPECT_EQ(snapshot.grafts[id].counters.ok, kInvocations);
-  EXPECT_EQ(snapshot.grafts[id].counters.latency.count(), kInvocations);
+  EXPECT_EQ(snapshot.grafts[id].counters.latency.count, kInvocations);
 }
 
 TEST(Dispatcher, InlineFastPathPreservesQuarantineSemantics) {

@@ -14,7 +14,6 @@
 #include "src/envs/safe_env.h"
 #include "src/graftd/clock.h"
 #include "src/graftd/deadline_wheel.h"
-#include "src/graftd/histogram.h"
 #include "src/graftd/queue.h"
 #include "src/graftd/supervisor.h"
 #include "src/graftd/telemetry.h"
@@ -24,22 +23,22 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// --- LatencyHistogram ---
+// --- LatencyHistogram (graftd::Histogram recording nanoseconds) ---
 
 TEST(LatencyHistogram, CountsMeanAndMax) {
-  graftd::LatencyHistogram h;
+  graftd::Histogram h;
   h.Record(1000);
   h.Record(3000);
   h.Record(8000);
-  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.count, 3u);
   EXPECT_DOUBLE_EQ(h.mean_us(), 4.0);
-  EXPECT_EQ(h.max_ns(), 8000u);
+  EXPECT_EQ(h.max, 8000u);
 }
 
 TEST(LatencyHistogram, PercentileIsBucketUpperBound) {
-  graftd::LatencyHistogram h;
+  graftd::Histogram h;
   for (int i = 0; i < 99; ++i) {
-    h.Record(1000);  // bucket 10: [512, 1023]... 1000ns has bit width 10
+    h.Record(1000);  // the bucket [960, 1023]
   }
   h.Record(1u << 20);  // ~1ms outlier
   // p50 lands in the 1000ns bucket; its upper bound is 1023ns.
@@ -50,23 +49,26 @@ TEST(LatencyHistogram, PercentileIsBucketUpperBound) {
 }
 
 TEST(LatencyHistogram, MergeIsExact) {
-  graftd::LatencyHistogram a;
-  graftd::LatencyHistogram b;
+  graftd::Histogram a;
+  graftd::Histogram b;
   a.Record(100);
   a.Record(200);
   b.Record(400000);
   a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.max_ns(), 400000u);
+  EXPECT_EQ(a.count, 3u);
+  EXPECT_EQ(a.max, 400000u);
   EXPECT_NEAR(a.mean_us(), (100 + 200 + 400000) / 3.0 / 1000.0, 1e-9);
 }
 
 TEST(LatencyHistogram, SummaryMentionsPercentiles) {
-  graftd::LatencyHistogram h;
-  h.Record(5000);
-  const std::string summary = h.Summary();
-  EXPECT_NE(summary.find("p50"), std::string::npos);
-  EXPECT_NE(summary.find("p99"), std::string::npos);
+  graftd::TelemetrySnapshot snapshot;
+  graftd::TelemetrySnapshot::Row row;
+  row.name = "g";
+  row.counters.latency.Record(5000);
+  snapshot.grafts.push_back(row);
+  const std::string text = snapshot.ToText();
+  EXPECT_NE(text.find("p50<=5.0us"), std::string::npos) << text;
+  EXPECT_NE(text.find("p99<=5.0us"), std::string::npos) << text;
 }
 
 // --- BoundedMpscQueue ---
@@ -444,63 +446,6 @@ TEST(BudgetLifecycle, RunStreamGraftHonorsBudgetViaWheel) {
       host.RunStreamGraft(*fresh, streamk::Bytes(small.data(), small.size()), 1024, 10s);
   EXPECT_TRUE(quick.ok);
   EXPECT_FALSE(quick.preempted);
-}
-
-// --- Telemetry rendering ---
-
-TEST(Telemetry, TextAndJsonCarryTheCounters) {
-  graftd::TelemetrySnapshot snapshot;
-  graftd::TelemetrySnapshot::Row row;
-  row.name = "md5/C";
-  row.supervision.name = "md5/C";
-  row.supervision.state = graftd::GraftState::kHealthy;
-  row.counters.invocations = 41;
-  row.counters.ok = 40;
-  row.counters.faults = 1;
-  row.counters.latency.Record(50000);
-  snapshot.grafts.push_back(row);
-
-  const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("md5/C"), std::string::npos);
-  EXPECT_NE(text.find("41"), std::string::npos);
-  EXPECT_NE(text.find("healthy"), std::string::npos);
-
-  const std::string json = snapshot.ToJson();
-  EXPECT_NE(json.find("\"md5/C\""), std::string::npos);
-  EXPECT_NE(json.find("\"invocations\":41"), std::string::npos);
-  EXPECT_NE(json.find("\"faults\":1"), std::string::npos);
-  // No injector attached: no faultlab section.
-  EXPECT_EQ(json.find("__faultlab__"), std::string::npos);
-}
-
-TEST(Telemetry, DegradationAndInjectionCountersRender) {
-  graftd::TelemetrySnapshot snapshot;
-  graftd::TelemetrySnapshot::Row row;
-  row.name = "ldisk/C";
-  row.supervision.name = "ldisk/C";
-  row.supervision.state = graftd::GraftState::kDegraded;
-  row.supervision.degradations = 2;
-  row.supervision.recoveries = 1;
-  row.counters.invocations = 9;
-  row.counters.disk_faults = 4;
-  row.counters.rejected_degraded = 3;
-  snapshot.grafts.push_back(row);
-  snapshot.injections.push_back({"disk.write", 120, 4});
-
-  const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("degraded"), std::string::npos);
-  EXPECT_NE(text.find("disk.write"), std::string::npos);
-  EXPECT_NE(text.find("120"), std::string::npos);
-
-  const std::string json = snapshot.ToJson();
-  EXPECT_NE(json.find("\"disk_faults\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"rejected_degraded\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"degradations\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"recoveries\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"__faultlab__\""), std::string::npos);
-  EXPECT_NE(json.find("\"site\":\"disk.write\""), std::string::npos);
-  EXPECT_NE(json.find("\"hits\":120"), std::string::npos);
-  EXPECT_NE(json.find("\"injected\":4"), std::string::npos);
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "src/netfront/client.h"
 #include "src/netfront/server.h"
 #include "src/netfront/wire.h"
+#include "src/obslab/snapshot.h"
 
 namespace {
 
@@ -360,7 +361,9 @@ TEST(NetfrontClient, BreakerOpensShedsAtAdmissionThenProbesClosed) {
   EXPECT_EQ(snapshot.grafts[md5_id].supervision.breaker_opens, 1u);
   EXPECT_GE(snapshot.netfront.tenants[0].breaker_open, 3u);
   // The rendered telemetry carries the breaker columns.
-  EXPECT_NE(snapshot.ToJson().find("\"breaker\":\"closed\""), std::string::npos);
+  const std::string closed =
+      R"("graftlab_breaker_state","type":"gauge","labels":{"graft":"md5","state":"closed"})";
+  EXPECT_NE(obslab::SnapshotJson(snapshot).find(closed), std::string::npos);
   EXPECT_NE(snapshot.ToText().find("brk-open"), std::string::npos);
 }
 

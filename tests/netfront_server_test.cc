@@ -22,6 +22,7 @@
 #include "src/md5/md5.h"
 #include "src/netfront/server.h"
 #include "src/netfront/wire.h"
+#include "src/obslab/snapshot.h"
 
 namespace {
 
@@ -172,7 +173,8 @@ TEST(NetfrontServer, RoundTripVerifiesDigest) {
   EXPECT_EQ(snapshot.netfront.frame_errors, 0u);
   // Renders without throwing and carries the section markers.
   EXPECT_NE(snapshot.ToText().find("netfront tenant"), std::string::npos);
-  EXPECT_NE(snapshot.ToJson().find("__netfront__"), std::string::npos);
+  EXPECT_NE(obslab::SnapshotJson(snapshot).find("\"graftlab_tenant_accepted_total\""),
+            std::string::npos);
 }
 
 TEST(NetfrontServer, ManyRequestsPipelinedOnOneConnection) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/technology.h"
+#include "src/faultlab/injector.h"
 #include "src/graftd/clock.h"
 #include "src/graftd/dispatcher.h"
 #include "src/grafts/factory.h"
@@ -138,9 +140,9 @@ TEST(Registry, EscapesHostileLabelValues) {
 TEST(Registry, HistogramBucketsAreCumulative) {
   MetricsRegistry registry;
   obslab::Histogram histogram = registry.RegisterHistogram("lat_ns", {}, "latency");
-  histogram.Record(1);        // bit width 1 -> le="1"
-  histogram.Record(1000);     // bit width 10 -> le="1023"
-  histogram.Record(1000000);  // bit width 20 -> le="1048575"
+  histogram.Record(1);        // exact below 16 -> le="1"
+  histogram.Record(1000);     // [960, 1023] -> le="1023"
+  histogram.Record(1000000);  // [983040, 1048575] -> le="1048575"
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("lat_ns_bucket{le=\"1\"} 1"), std::string::npos) << text;
   EXPECT_NE(text.find("lat_ns_bucket{le=\"1023\"} 2"), std::string::npos) << text;
@@ -148,6 +150,46 @@ TEST(Registry, HistogramBucketsAreCumulative) {
   EXPECT_NE(text.find("lat_ns_bucket{le=\"+Inf\"} 3"), std::string::npos) << text;
   EXPECT_NE(text.find("lat_ns_sum 1001001"), std::string::npos) << text;
   EXPECT_NE(text.find("lat_ns_count 3"), std::string::npos) << text;
+}
+
+// The count field of the one histogram line of a registry JSON body, and
+// the cumulative count of its last listed bucket.
+std::pair<std::uint64_t, std::uint64_t> JsonHistogramCounts(const std::string& json) {
+  const std::size_t line = json.find("\"type\":\"histogram\"");
+  const std::size_t end = json.find("]}", line);
+  const std::size_t count = json.find("\"count\":", line);
+  const std::size_t last = json.rfind("\"count\":", end);
+  return {std::strtoull(json.c_str() + count + 8, nullptr, 10),
+          std::strtoull(json.c_str() + last + 8, nullptr, 10)};
+}
+
+TEST(Registry, HistogramCountAgreesWithBucketsUnderConcurrentRecord) {
+  MetricsRegistry registry;
+  obslab::Histogram histogram = registry.RegisterHistogram("lat_ns");
+  histogram.Record(1000);  // every scrape has a bucket to read
+  std::atomic<bool> stop{false};
+  std::atomic<bool> running{false};
+  std::thread writer([&] {
+    std::uint64_t state = 1;
+    while (!stop.load(std::memory_order_relaxed)) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      histogram.Record(state >> 40);  // up to ~16M ns: many distinct buckets
+      running.store(true, std::memory_order_relaxed);
+    }
+  });
+  while (!running.load(std::memory_order_relaxed)) {
+  }
+  // Invariant, not timing: whatever the writer does between the loads,
+  // each rendering derives its count from the bucket snapshot it lists.
+  for (int i = 0; i < 200; ++i) {
+    const auto [count, cumulative] = JsonHistogramCounts(registry.Json());
+    EXPECT_EQ(count, cumulative);
+    const std::string text = registry.PrometheusText();
+    EXPECT_GE(MetricValue(text, "lat_ns_count"), 1.0);
+    EXPECT_EQ(MetricValue(text, "lat_ns_count"), MetricValue(text, "lat_ns_bucket{le=\"+Inf\"}"));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
 }
 
 TEST(Registry, ReRegistrationSharesTheCell) {
@@ -356,13 +398,30 @@ graftd::StreamGraftFactory Md5Factory() {
 }
 
 TEST(Plane, MidDispatchSnapshotsAndScrapesAreValid) {
+  // Every telemetry section at once: the tracer and injector ride both the
+  // dispatcher (so its snapshot exports them) and the plane, and one graft
+  // name is registered twice.
+  tracelab::Tracer tracer;
+  faultlab::FaultPlan plan;
+  plan.Add(faultlab::FaultSpec{.site = "disk.write"});
+  faultlab::Injector injector(plan);
   graftd::DispatcherOptions dopts;
   dopts.workers = 2;
   dopts.queue_capacity = 512;
   graftd::Dispatcher dispatcher(dopts);
   const graftd::GraftId id = dispatcher.RegisterStreamGraft("md5", Md5Factory());
+  dispatcher.RegisterStreamGraft("md5", Md5Factory());
+  dispatcher.set_tracer(&tracer);
+  dispatcher.set_injector(&injector);
   Plane plane;
   plane.Attach(dispatcher);
+  plane.AttachTracer(&tracer);
+  plane.AttachInjector(&injector);
+  plane.AddNetfrontCollector([](graftd::NetfrontSection& section) {
+    section.present = true;
+    section.io_threads.resize(2);
+    section.io_threads[1].thread = 1;
+  });
 
   std::vector<std::uint8_t> data(4096, 0x5A);
   std::thread producer([&] {
@@ -388,6 +447,22 @@ TEST(Plane, MidDispatchSnapshotsAndScrapesAreValid) {
   const std::string text = plane.Exposition(obslab::kFormatPrometheus);
   EXPECT_EQ(MetricValue(text, "graftlab_graft_invocations_total"), 200.0) << text;
   EXPECT_EQ(MetricValue(text, "graftlab_obs_enabled"), 1.0);
+  // No (name, labels) pair twice in one scrape.
+  std::set<std::string> series;
+  for (std::size_t pos = 0, eol; pos < text.size(); pos = eol + 1) {
+    eol = text.find('\n', pos);
+    const std::string line = text.substr(pos, eol - pos);
+    if (line[0] != '#') {
+      EXPECT_TRUE(series.insert(line.substr(0, line.rfind(' '))).second) << "twice: " << line;
+    }
+  }
+  for (const char* expected : {"graftlab_fault_site_hits_total{site=\"disk.write\"}",
+                               "graftlab_trace_events_dropped_total",
+                               "graftlab_trace_stage_spans_total{graft=\"md5\",stage=\"body\"}",
+                               "graftlab_graft_invocations_total{graft=\"md5\",registration=\"1\"}",
+                               "graftlab_net_submit_batch_size_count{io_thread=\"1\"}"}) {
+    EXPECT_EQ(series.count(expected), 1u) << expected;
+  }
   // Disabled, the hooks go quiet but scraping still works.
   plane.SetEnabled(false);
   {

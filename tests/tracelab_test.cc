@@ -15,6 +15,7 @@
 #include "src/graftd/clock.h"
 #include "src/graftd/dispatcher.h"
 #include "src/grafts/factory.h"
+#include "src/obslab/snapshot.h"
 #include "src/tracelab/export.h"
 #include "src/tracelab/json_util.h"
 #include "src/tracelab/trace.h"
@@ -407,8 +408,8 @@ TEST(TracedDispatch, MixedRunProducesStageRowsInstantsAndBreakEven) {
   const std::string text = snapshot.ToText();
   EXPECT_NE(text.find("trace stage"), std::string::npos);
   EXPECT_NE(text.find("break-even (live)"), std::string::npos);
-  const std::string json = snapshot.ToJson();
-  EXPECT_NE(json.find("\"__tracelab__\""), std::string::npos);
+  const std::string json = obslab::SnapshotJson(snapshot);
+  EXPECT_NE(json.find("\"graftlab_trace_stage_spans_total\""), std::string::npos);
   EXPECT_NE(json.find("\"eviction_break_even\""), std::string::npos);
 }
 
@@ -428,7 +429,7 @@ TEST(TracedDispatch, UntracedDispatcherSnapshotHasNoTraceSection) {
   const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
   EXPECT_FALSE(snapshot.traced);
   EXPECT_TRUE(snapshot.stages.empty());
-  EXPECT_EQ(snapshot.ToJson().find("__tracelab__"), std::string::npos);
+  EXPECT_EQ(obslab::SnapshotJson(snapshot).find("graftlab_trace_"), std::string::npos);
   // The eviction shape itself still dispatches and succeeds untraced.
   ASSERT_EQ(snapshot.grafts.size(), 1u);
   EXPECT_EQ(snapshot.grafts[0].counters.ok, 1u);
