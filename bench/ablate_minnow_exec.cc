@@ -8,119 +8,66 @@
 // paper's "compiled Java" row.
 //
 // Three ablations:
-//   A1a  interpreter vs compiled Java (kJavaTranslated, the JIT) vs native C
-//        (all three grafts)
+//   A1a  interpreter vs compiled Java (the JIT) vs native C (all three
+//        grafts)
 //   A1c  the interpreter's own axes: switch vs threaded dispatch, with and
 //        without superinstruction fusion — the gate is >= 1.5x on the
-//        MD5-stream graft for (threaded + fused) over the plain switch loop
-//   A1d  the template JIT with the check-elision certificate vs the best
-//        interpreter row — the gate is >= 5x on the MD5-stream graft over
-//        (threaded + fused) with identical digests, plus a normalized-cost
-//        table against SFI on all three grafts (the paper's "compiled Java
-//        lands within striking distance of SFI" claim)
+//        MD5-stream graft for (threaded + fused) over the plain switch loop,
+//        with identical digests
+//   A1d  the template JIT with the check-elision certificate vs the
+//        threaded + fused interpreter — the gate is >= 5x on the MD5-stream
+//        graft — plus its normalized cost against SFI on all three grafts
+//        (the paper's "compiled Java lands within striking distance of SFI"
+//        claim)
+//
+// A1a and A1d print from one run of graftbench's paper matrix
+// (graftbench/matrix.h), the same estimator the repository benchmark
+// reports: each round builds a fresh instance of every row, runs a warm
+// pass and a measured pass, and divides the measured pass by that round's C
+// pass; rows take turns going first. The tables show the medians of those
+// per-round ratios and of the pass times, and every row's output is checked
+// against an oracle. The matrix has no switch-dispatch rows, so A1c times
+// its four configurations the same way: interleaved round by round in
+// rotated order, each pass divided by that round's switch/raw pass, the
+// median over rounds reported.
 //
 // A final section prints the opcode and opcode-pair frequency profile the
 // fusion set was selected from (the same counters graftd telemetry exports).
+//
+// Exit status: nonzero if a matrix row differs from its oracle, an A1c
+// digest is wrong, or the A1c or A1d gate fails.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/graft_measures.h"
-#include "src/core/technology.h"
-#include "src/grafts/factory.h"
+#include "graftbench/common.h"
+#include "graftbench/matrix.h"
 #include "src/grafts/minnow_grafts.h"
+#include "src/md5/md5.h"
 #include "src/stats/harness.h"
-#include "src/stats/running_stats.h"
 #include "src/vmsim/frame.h"
 
 namespace {
 
-using core::Technology;
+using graftbench::Graft;
+using graftbench::MatrixResult;
+using graftbench::Median;
+using graftbench::NowNs;
+using graftbench::Row;
 
-// Best-pass time to fingerprint `bytes` through a MinnowMd5Graft built with
-// `config`; folds the digest into *checksum so configurations can be
-// cross-checked in the JSON report. The minimum over passes is the
-// least-interference estimate — this box's clock dips make per-config means
-// swing ~1.6x, which would dominate the cross-config ratios the section
-// gates on.
-double MeasureConfigMd5Us(const grafts::MinnowConfig& config, std::size_t runs,
-                          std::size_t bytes, std::uint64_t* checksum) {
-  constexpr std::size_t kChunk = 64u << 10;
-  std::vector<std::uint8_t> data(bytes);
-  std::mt19937_64 rng(1996);
-  for (auto& b : data) {
-    b = static_cast<std::uint8_t>(rng());
-  }
-  stats::RunningStats per_pass_us;
-  for (std::size_t run = 0; run < runs; ++run) {
-    grafts::MinnowMd5Graft graft(config);
-    stats::SpinWarmup();
-    for (int pass = 0; pass < 2; ++pass) {  // warm pass, then measured pass
-      stats::Timer timer;
-      for (std::size_t off = 0; off < data.size(); off += kChunk) {
-        graft.Consume(data.data() + off, std::min(kChunk, data.size() - off));
-      }
-      md5::Digest digest = graft.Finish();
-      stats::DoNotOptimize(digest);
-      if (pass == 1) {
-        per_pass_us.Add(timer.ElapsedUs());
-        if (checksum != nullptr) {
-          *checksum = bench::Checksum(digest.data(), digest.size());
-        }
-      }
-    }
-  }
-  return per_pass_us.min();
-}
+constexpr std::size_t kMd5Chunk = 64u << 10;
+constexpr int kHotList = 64;                  // the paper's average hot-list length
+constexpr std::size_t kEvictionCalls = 2048;  // ChooseVictim calls per pass
 
-// Mean time of one ChooseVictim call (64-entry hot list, cold candidate)
-// for a MinnowEvictionGraft built with `config`.
-double MeasureConfigEvictionUs(const grafts::MinnowConfig& config, std::size_t runs) {
-  std::vector<vmsim::Frame> frames(bench::kHotListSize + 64);
-  vmsim::LruQueue queue;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    frames[i].page = 100000 + i;  // never hot
-    queue.PushMru(&frames[i]);
-  }
-  stats::RunningStats per_call_us;
-  for (std::size_t run = 0; run < runs; ++run) {
-    grafts::MinnowEvictionGraft graft(config);
-    for (int p = 1; p <= bench::kHotListSize; ++p) {
-      graft.HotListAdd(static_cast<vmsim::PageId>(p));
-    }
-    const auto measurement = stats::MeasureAutoScaled(3, 5000.0, [&](std::size_t iters) {
-      vmsim::Frame* sink = nullptr;
-      for (std::size_t i = 0; i < iters; ++i) {
-        sink = graft.ChooseVictim(queue.head());
-      }
-      stats::DoNotOptimize(sink);
-    });
-    per_call_us.Add(measurement.mean_us());
-  }
-  return per_call_us.mean();
-}
+constexpr Graft kPaperGrafts[] = {Graft::kMd5, Graft::kEviction, Graft::kLdisk};
 
-// Mean time to replay `writes` skewed block writes through a
-// MinnowLogicalDiskGraft built with `config` (fresh graft per run: the log
-// starts empty, as in the paper).
-double MeasureConfigLdiskUs(const grafts::MinnowConfig& config, std::size_t runs,
-                            std::uint64_t writes) {
-  ldisk::Geometry geometry;
-  geometry.num_blocks = writes;
-  stats::RunningStats per_run_us;
-  for (std::size_t run = 0; run < runs; ++run) {
-    grafts::MinnowLogicalDiskGraft graft(geometry, config);
-    stats::SpinWarmup();
-    stats::Timer timer;
-    const auto replay =
-        ldisk::ReplayWorkload(graft, geometry, writes, /*seed=*/80204, /*validate=*/false);
-    stats::DoNotOptimize(replay.writes);
-    per_run_us.Add(timer.ElapsedUs());
-  }
-  return per_run_us.min();  // best pass, as in MeasureConfigMd5Us
+double MedianPassUs(const MatrixResult& matrix, Graft graft, Row row) {
+  return Median(matrix.pass_ns[static_cast<std::size_t>(graft)][static_cast<std::size_t>(row)]) /
+         1e3;
 }
 
 grafts::MinnowConfig InterpConfig(bool threaded, bool fuse) {
@@ -128,6 +75,44 @@ grafts::MinnowConfig InterpConfig(bool threaded, bool fuse) {
   config.fuse = fuse;
   config.dispatch = threaded ? minnow::DispatchMode::kThreaded : minnow::DispatchMode::kSwitch;
   return config;
+}
+
+// A fresh MinnowMd5Graft, a warm pass and a measured pass over `data`;
+// returns the measured pass (ns) and its digest.
+std::uint64_t Md5PassNs(const grafts::MinnowConfig& config, const std::vector<std::uint8_t>& data,
+                        md5::Digest& digest) {
+  grafts::MinnowMd5Graft graft(config);
+  std::uint64_t pass_ns = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::uint64_t start = NowNs();
+    for (std::size_t off = 0; off < data.size(); off += kMd5Chunk) {
+      graft.Consume(data.data() + off, std::min(kMd5Chunk, data.size() - off));
+    }
+    digest = graft.Finish();
+    pass_ns = NowNs() - start;
+  }
+  return pass_ns;
+}
+
+// A fresh MinnowEvictionGraft with a 64-page hot list, a warm pass and a
+// measured pass of ChooseVictim calls on a queue of cold frames (each call
+// searches the whole hot list); returns the measured pass (ns).
+std::uint64_t EvictionPassNs(const grafts::MinnowConfig& config, vmsim::LruQueue& queue) {
+  grafts::MinnowEvictionGraft graft(config);
+  for (int p = 1; p <= kHotList; ++p) {
+    graft.HotListAdd(static_cast<vmsim::PageId>(p));
+  }
+  std::uint64_t pass_ns = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    vmsim::Frame* sink = nullptr;
+    const std::uint64_t start = NowNs();
+    for (std::size_t call = 0; call < kEvictionCalls; ++call) {
+      sink = graft.ChooseVictim(queue.head());
+    }
+    pass_ns = NowNs() - start;
+    stats::DoNotOptimize(sink);
+  }
+  return pass_ns;
 }
 
 }  // namespace
@@ -138,40 +123,43 @@ int main(int argc, char** argv) {
                      "paper §4.3 / §6 ('compiled Java')");
   bench::JsonReport report("ablate_minnow_exec");
 
-  const std::size_t runs = options.full ? 20 : 6;
-  const std::size_t md5_bytes = options.full ? (256u << 10) : (64u << 10);
-  const std::uint64_t writes = options.full ? 65536 : 16384;
+  graftbench::MatrixConfig matrix_config;
+  matrix_config.seconds = options.full ? 10.0 : 3.0;
+  const MatrixResult matrix = graftbench::RunMatrix(matrix_config);
+  const bool matrix_ok = matrix.rows_failed == 0;
+  for (const Graft graft : kPaperGrafts) {
+    for (std::size_t r = 0; r < graftbench::kRows; ++r) {
+      const Row row = static_cast<Row>(r);
+      report.AddUs(std::string(graftbench::GraftName(graft)) + "/" + graftbench::RowName(row),
+                   matrix.rounds, MedianPassUs(matrix, graft, row), 0);
+    }
+  }
 
   // --- A1a: interpreter vs compiled Java (the JIT) vs native ---
   bench::PrintSection("A1a: interpreter vs compiled Java (Java/translated, the JIT)");
-  struct Row {
-    const char* name;
-    double interp_us;
-    double compiled_us;
-    double native_us;
-  };
-  Row rows[] = {
-      {"eviction (per call)", bench::MeasureEvictionUs(Technology::kJava, runs),
-       bench::MeasureEvictionUs(Technology::kJavaTranslated, runs), bench::MeasureEvictionUs(Technology::kC, runs)},
-      {"md5 (per buffer)", bench::MeasureMd5Us(Technology::kJava, runs, md5_bytes),
-       bench::MeasureMd5Us(Technology::kJavaTranslated, runs, md5_bytes),
-       bench::MeasureMd5Us(Technology::kC, runs, md5_bytes)},
-      {"ldisk (per workload)", bench::MeasureLdiskUs(Technology::kJava, runs, writes),
-       bench::MeasureLdiskUs(Technology::kJavaTranslated, runs, writes),
-       bench::MeasureLdiskUs(Technology::kC, runs, writes)},
-  };
-
-  std::printf("%-22s %14s %14s %12s %10s %18s\n", "graft", "interpreter", "compiled",
-              "native C", "speedup", "remaining gap vs C");
-  for (const Row& row : rows) {
-    std::printf("%-22s %12.2fus %12.2fus %10.2fus %9.2fx %17.1fx\n", row.name, row.interp_us,
-                row.compiled_us, row.native_us, row.interp_us / row.compiled_us,
-                row.compiled_us / row.native_us);
+  std::printf("paper matrix: %zu rounds, %llu rows checked, %llu differ from their oracle\n",
+              matrix.rounds, static_cast<unsigned long long>(matrix.rows_run),
+              static_cast<unsigned long long>(matrix.rows_failed));
+  std::printf("median pass times and median per-round ratios (%zu calls per eviction pass)\n",
+              matrix.eviction_calls);
+  std::printf("%-10s %14s %12s %12s %10s %18s\n", "graft", "interpreter", "compiled", "native C",
+              "speedup", "remaining gap vs C");
+  for (const Graft graft : kPaperGrafts) {
+    const double interp_x_c = matrix.MedianRatio(graft, Row::kInterp);
+    const double jit_x_c = matrix.MedianRatio(graft, Row::kJit);
+    std::printf("%-10s %12.1fus %10.1fus %10.1fus %9.2fx %17.2fx\n", graftbench::GraftName(graft),
+                MedianPassUs(matrix, graft, Row::kInterp), MedianPassUs(matrix, graft, Row::kJit),
+                MedianPassUs(matrix, graft, Row::kC), interp_x_c / jit_x_c, jit_x_c);
   }
-  report.AddUs("md5/interpreter", runs, rows[1].interp_us, bench::Md5Checksum(Technology::kJava));
-  report.AddUs("md5/translated", runs, rows[1].compiled_us,
-               bench::Md5Checksum(Technology::kJavaTranslated));
-  report.AddUs("md5/native_c", runs, rows[1].native_us, bench::Md5Checksum(Technology::kC));
+  std::printf("\ncompiled footprint (after a measured pass):\n");
+  for (const Graft graft : kPaperGrafts) {
+    const graftbench::MinnowCounters& c = matrix.minnow[static_cast<std::size_t>(graft)];
+    std::printf("  %-10s %8llu bytes of code, %llu deopts, %llu bailouts, %llu checks elided\n",
+                graftbench::GraftName(graft), static_cast<unsigned long long>(c.jit_bytes),
+                static_cast<unsigned long long>(c.jit_deopts),
+                static_cast<unsigned long long>(c.jit_bailouts),
+                static_cast<unsigned long long>(c.checks_elided));
+  }
 
   // --- A1c: dispatch loop and fusion, the interpreter's own axes ---
   bench::PrintSection("A1c: switch vs threaded dispatch x superinstruction fusion");
@@ -181,47 +169,77 @@ int main(int argc, char** argv) {
   }
   struct Config {
     const char* name;
+    const char* slug;
     bool threaded;
     bool fuse;
   };
-  const Config configs[] = {
-      {"switch, raw bytecode", false, false},
-      {"switch + fusion", false, true},
-      {"threaded, raw bytecode", true, false},
-      {"threaded + fusion", true, true},
+  constexpr std::size_t kConfigs = 4;
+  const Config configs[kConfigs] = {
+      {"switch, raw bytecode", "switch_raw", false, false},
+      {"switch + fusion", "switch_fused", false, true},
+      {"threaded, raw bytecode", "threaded_raw", true, false},
+      {"threaded + fusion", "threaded_fused", true, true},
   };
-  double md5_us[4];
-  double evict_us[4];
-  std::uint64_t md5_checksum[4];
-  for (int i = 0; i < 4; ++i) {
-    const auto config = InterpConfig(configs[i].threaded, configs[i].fuse);
-    md5_us[i] = MeasureConfigMd5Us(config, runs, md5_bytes, &md5_checksum[i]);
-    evict_us[i] = MeasureConfigEvictionUs(config, runs);
+  const std::size_t rounds = options.full ? 25 : 9;
+  std::vector<std::uint8_t> data(options.full ? (256u << 10) : (64u << 10));
+  graftbench::SplitMix rng(1996);
+  for (auto& b : data) {
+    b = static_cast<std::uint8_t>(rng.Next());
   }
+  const md5::Digest expected = md5::Sum({data.data(), data.size()});
+  std::vector<vmsim::Frame> frames(kHotList + 64);
+  vmsim::LruQueue queue;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i].page = 100000 + i;  // never hot
+    queue.PushMru(&frames[i]);
+  }
+
+  // Per configuration: the per-round speedup over switch/raw and the pass
+  // times, for md5 and eviction.
+  std::array<std::vector<double>, kConfigs> md5_speedup, evict_speedup, md5_ns, evict_ns;
+  std::array<std::uint64_t, kConfigs> md5_checksum{};
+  bool digests_ok = true;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    std::array<std::uint64_t, kConfigs> md5_pass{}, evict_pass{};
+    for (std::size_t j = 0; j < kConfigs; ++j) {
+      const std::size_t i = (round + j) % kConfigs;
+      const grafts::MinnowConfig config = InterpConfig(configs[i].threaded, configs[i].fuse);
+      md5::Digest digest{};
+      md5_pass[i] = Md5PassNs(config, data, digest);
+      digests_ok &= digest == expected;
+      md5_checksum[i] = bench::Checksum(digest.data(), digest.size());
+      evict_pass[i] = EvictionPassNs(config, queue);
+    }
+    for (std::size_t i = 0; i < kConfigs; ++i) {
+      md5_speedup[i].push_back(static_cast<double>(md5_pass[0]) / static_cast<double>(md5_pass[i]));
+      evict_speedup[i].push_back(static_cast<double>(evict_pass[0]) /
+                                 static_cast<double>(evict_pass[i]));
+      md5_ns[i].push_back(static_cast<double>(md5_pass[i]));
+      evict_ns[i].push_back(static_cast<double>(evict_pass[i]) / kEvictionCalls);
+    }
+  }
+  std::printf("%zu rounds; median pass times and median per-round speedup over switch/raw\n",
+              rounds);
   std::printf("%-24s %14s %10s %14s %10s\n", "configuration", "md5", "speedup", "eviction",
               "speedup");
-  for (int i = 0; i < 4; ++i) {
-    std::printf("%-24s %12.2fus %9.2fx %12.3fus %9.2fx\n", configs[i].name, md5_us[i],
-                md5_us[0] / md5_us[i], evict_us[i], evict_us[0] / evict_us[i]);
-    const std::string slug = std::string(configs[i].threaded ? "threaded" : "switch") +
-                             (configs[i].fuse ? "_fused" : "_raw");
-    report.AddUs("md5_dispatch/" + slug, runs, md5_us[i], md5_checksum[i]);
-    report.AddUs("eviction_dispatch/" + slug, runs, evict_us[i], 0);
+  for (std::size_t i = 0; i < kConfigs; ++i) {
+    std::printf("%-24s %12.1fus %9.2fx %12.1fns %9.2fx\n", configs[i].name, Median(md5_ns[i]) / 1e3,
+                Median(md5_speedup[i]), Median(evict_ns[i]), Median(evict_speedup[i]));
+    report.Add(std::string("md5_dispatch/") + configs[i].slug, rounds, Median(md5_ns[i]),
+               md5_checksum[i]);
+    report.Add(std::string("eviction_dispatch/") + configs[i].slug, rounds, Median(evict_ns[i]), 0);
   }
-  const bool checksums_agree = md5_checksum[0] == md5_checksum[1] &&
-                               md5_checksum[0] == md5_checksum[2] &&
-                               md5_checksum[0] == md5_checksum[3];
-  const double md5_speedup = md5_us[0] / md5_us[3];
-  const double evict_speedup = evict_us[0] / evict_us[3];
-  std::printf("\ndigests identical across configurations: %s\n",
-              checksums_agree ? "yes" : "NO (BUG)");
+  const double dispatch_speedup = Median(md5_speedup[kConfigs - 1]);
+  const bool dispatch_ok = dispatch_speedup >= 1.5 && digests_ok;
+  std::printf("\ndigests identical to md5::Sum in every configuration: %s\n",
+              digests_ok ? "yes" : "NO (BUG)");
   std::printf("threaded+fusion vs switch baseline: md5 %.2fx, eviction %.2fx -> %s "
               "(target >= 1.5x on md5)\n",
-              md5_speedup, evict_speedup, md5_speedup >= 1.5 ? "PASS" : "FAIL");
+              dispatch_speedup, Median(evict_speedup[kConfigs - 1]),
+              dispatch_speedup >= 1.5 ? "PASS" : "FAIL");
 
-  // --- A1d: the load-time template JIT vs the best interpreter row ---
+  // --- A1d: the load-time template JIT vs the threaded + fused interpreter ---
   bench::PrintSection("A1d: verify-then-compile template JIT");
-  bench::JsonReport jit_report("minnow_jit");
   bool jit_gate_ok = true;
   if (!minnow::VM::JitDispatchAvailable()) {
     std::printf("JIT NOT COMPILED IN (built with -DGRAFTLAB_JIT=OFF or a non-x86-64/non-GNU\n");
@@ -231,73 +249,21 @@ int main(int argc, char** argv) {
     // The JIT row reuses the check-elision certificate (minnow/elide.h): sites
     // the load-time proof certifies compile to the unchecked `.nc` forms, so
     // the native code carries only the checks the proof could not discharge.
-    grafts::MinnowConfig jit_config = InterpConfig(/*threaded=*/true, /*fuse=*/true);
-    jit_config.jit = true;
-    jit_config.elide = true;
-    std::uint64_t jit_md5_checksum = 0;
-    const double jit_md5_us = MeasureConfigMd5Us(jit_config, runs, md5_bytes, &jit_md5_checksum);
-    const double jit_evict_us = MeasureConfigEvictionUs(jit_config, runs);
-    const double jit_ldisk_us = MeasureConfigLdiskUs(jit_config, runs, writes);
-    const double interp_ldisk_us =
-        MeasureConfigLdiskUs(InterpConfig(/*threaded=*/true, /*fuse=*/true), runs, writes);
-    const double sfi_md5_us = bench::MeasureMd5Us(Technology::kSfi, runs, md5_bytes);
-    const double sfi_evict_us = bench::MeasureEvictionUs(Technology::kSfi, runs);
-    const double sfi_ldisk_us = bench::MeasureLdiskUs(Technology::kSfi, runs, writes);
-
-    struct JitRow {
-      const char* name;
-      const char* slug;
-      double interp_us;
-      double jit_us;
-      double sfi_us;
-    };
-    const JitRow jit_rows[] = {
-        {"eviction (per call)", "eviction", evict_us[3], jit_evict_us, sfi_evict_us},
-        {"md5 (per buffer)", "md5", md5_us[3], jit_md5_us, sfi_md5_us},
-        {"ldisk (per workload)", "ldisk", interp_ldisk_us, jit_ldisk_us, sfi_ldisk_us},
-    };
-    std::printf("%-22s %15s %12s %9s %12s %12s\n", "graft", "interp (best)", "jit", "speedup",
-                "sfi", "jit cost/sfi");
-    for (const JitRow& row : jit_rows) {
-      std::printf("%-22s %13.2fus %10.2fus %8.2fx %10.2fus %11.2fx\n", row.name, row.interp_us,
-                  row.jit_us, row.interp_us / row.jit_us, row.sfi_us, row.jit_us / row.sfi_us);
-      jit_report.AddUs(std::string(row.slug) + "/interp_threaded_fused", runs, row.interp_us, 0);
-      jit_report.AddUs(std::string(row.slug) + "/jit", runs, row.jit_us, 0);
-      jit_report.AddUs(std::string(row.slug) + "/sfi", runs, row.sfi_us, 0);
+    // The interpreter and JIT columns are A1a's; this adds SFI.
+    std::printf("%-10s %12s %13s\n", "graft", "sfi", "jit cost/sfi");
+    for (const Graft graft : kPaperGrafts) {
+      std::printf("%-10s %10.1fus %12.2fx\n", graftbench::GraftName(graft),
+                  MedianPassUs(matrix, graft, Row::kSfi),
+                  matrix.MedianRatio(graft, Row::kJit) / matrix.MedianRatio(graft, Row::kSfi));
     }
-    // Row 0 of the md5 measurements above carries the digest checksum; repeat
-    // it with the real checksums so scripts can diff jit against the
-    // interpreter and SFI rows without rerunning.
-    jit_report.AddUs("md5/jit_checksummed", runs, jit_md5_us, jit_md5_checksum);
-    jit_report.AddUs("md5/interp_checksummed", runs, md5_us[3], md5_checksum[3]);
-    jit_report.AddUs("md5/sfi_checksummed", runs, sfi_md5_us,
-                     bench::Md5Checksum(Technology::kSfi));
-
-    // Compiled-footprint evidence: what the arena holds for the MD5 graft.
-    {
-      grafts::MinnowMd5Graft probe(jit_config);
-      if (const minnow::JitStats* stats = probe.vm().jit_stats()) {
-        std::printf("\nmd5 graft arena: %llu functions compiled, %llu bytes of code, "
-                    "%llu bailouts, %llu slots homed\n",
-                    static_cast<unsigned long long>(stats->compiled_fns),
-                    static_cast<unsigned long long>(stats->bytes),
-                    static_cast<unsigned long long>(stats->bailouts),
-                    static_cast<unsigned long long>(stats->homed_slots));
-      }
-    }
-
-    const double jit_speedup = md5_us[3] / jit_md5_us;
-    const bool jit_digest_ok = jit_md5_checksum == md5_checksum[3];
-    jit_gate_ok = jit_speedup >= 5.0 && jit_digest_ok;
-    std::printf("digest identical to interpreter: %s\n", jit_digest_ok ? "yes" : "NO (BUG)");
-    std::printf("jit vs threaded+fusion on md5: %.2fx -> %s (target >= 5x)\n", jit_speedup,
-                jit_gate_ok ? "PASS" : "FAIL");
-    std::printf("normalized cost vs SFI: md5 %.2fx, eviction %.2fx, ldisk %.2fx "
-                "(paper target: within 2-5x)\n",
-                jit_md5_us / sfi_md5_us, jit_evict_us / sfi_evict_us,
-                jit_ldisk_us / sfi_ldisk_us);
+    const double jit_speedup =
+        matrix.MedianRatio(Graft::kMd5, Row::kInterp) / matrix.MedianRatio(Graft::kMd5, Row::kJit);
+    jit_gate_ok = jit_speedup >= 5.0;
+    std::printf("\njit vs threaded+fusion on md5: %.2fx -> %s (target >= 5x; paper target for\n"
+                "jit cost/sfi: within 2-5x)\n",
+                jit_speedup, jit_gate_ok ? "PASS" : "FAIL");
   }
-  jit_report.Write();
+  std::printf("every matrix row matches its oracle: %s\n", matrix_ok ? "yes" : "NO (BUG)");
 
   // --- Opcode frequency profile (the fusion-set evidence) ---
   bench::PrintSection("Opcode profile, MD5 graft (raw bytecode, profiled run)");
@@ -323,5 +289,5 @@ int main(int argc, char** argv) {
   std::printf("\nSee tests/conformance_test.cc and tests/minnow_dispatch_fuzz_test.cc for the\n");
   std::printf("differential-correctness evidence.\n");
   report.Write();
-  return (md5_speedup >= 1.5 && checksums_agree && jit_gate_ok) ? 0 : 1;
+  return (matrix_ok && dispatch_ok && jit_gate_ok) ? 0 : 1;
 }

@@ -17,10 +17,8 @@
 #include "bench/graft_measures.h"
 #include "src/core/technology.h"
 #include "src/diskmod/disk_model.h"
-#include "src/grafts/factory.h"
 #include "src/ldisk/logical_disk.h"
 #include "src/stats/break_even.h"
-#include "src/stats/harness.h"
 #include "src/stats/table.h"
 
 namespace {
@@ -65,24 +63,12 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    stats::RunningStats per_run_us;
-    for (std::size_t run = 0; run < runs; ++run) {
-      auto graft = grafts::CreateLogicalDiskGraft(technology, geometry);
-      stats::Timer timer;
-      const auto replay =
-          ldisk::ReplayWorkload(*graft, geometry, writes, /*seed=*/80204, /*validate=*/false);
-      per_run_us.Add(timer.ElapsedUs());
-      stats::DoNotOptimize(replay.writes);
-    }
-
     stats::TechnologyResult row;
     row.name = core::TechnologyName(technology);
-    row.raw_us = per_run_us.mean();
-    row.stddev_pct = per_run_us.stddev_percent();
-    row.per_block_us = stats::PerBlockOverheadUs(per_run_us.mean(), static_cast<double>(writes));
+    row.raw_us = bench::MeasureLdiskUs(technology, runs, writes, &row.stddev_pct);
+    row.per_block_us = stats::PerBlockOverheadUs(row.raw_us, static_cast<double>(writes));
     rows.push_back(row);
-    report.AddUs("ldisk_262144/" + row.name, runs, per_run_us.mean(),
-                 bench::LdiskChecksum(technology));
+    report.AddUs("ldisk_262144/" + row.name, runs, row.raw_us, bench::LdiskChecksum(technology));
   }
 
   std::printf("%s\n", stats::RenderTechnologyTable(

@@ -15,8 +15,9 @@
 //
 // The second half checks that the live break-even panel (observed spans,
 // TelemetrySnapshot::break_even) agrees with the offline computation
-// (bench/graft_measures.h medians through the same src/stats/break_even.h
-// formulas) within 2x for the eviction and MD5 shapes.
+// (the means of bench/graft_measures.h's fresh-instance runs through the
+// same src/stats/break_even.h formulas) within 2x for the eviction and MD5
+// shapes.
 //
 // Exit status is the gate: nonzero on any overhead or agreement failure.
 

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -485,8 +486,11 @@ TEST(NetfrontServer, SlowReaderIsClosedAtTheHardCap) {
   ServerOptions options;
   options.io_threads = 1;
   options.staging_high = 8192;
-  // Tiny watermarks so a non-reading client trips them fast.
-  options.write_buffer_high = 2048;
+  // A tiny hard cap so a non-reading client trips it fast. The pause
+  // watermark sits at the cap: the flush path checks the close first, so
+  // the server never stops reading this client before it closes it (a
+  // pause below the cap would leave both sides waiting on each other).
+  options.write_buffer_high = 8192;
   options.write_buffer_hard = 8192;
   Server server(dispatcher, options);
   const std::uint32_t wire_md5 = server.ExposeGraft(md5_id);
@@ -501,18 +505,27 @@ TEST(NetfrontServer, SlowReaderIsClosedAtTheHardCap) {
   setsockopt(fds[1], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
   ASSERT_TRUE(server.AddConnection(fds[1]));
 
-  Client client;
-  client.Adopt(fds[0]);
+  // ~2000 replies x 32B = 64KB of replies the client never reads. The
+  // sends never block: a full socket buffer is retried for at most ~5s in
+  // all, and a send error means the server already closed us.
   const auto payload = Payload(16, 6);
-  // ~2000 replies x 32B = 64KB of replies the client never reads.
-  bool send_failed = false;
+  std::vector<std::uint8_t> frame;
   for (std::uint64_t i = 0; i < 2000; ++i) {
-    if (!client.SendRequest(0, wire_md5, i, payload)) {
-      send_failed = true;  // server already closed us: also a pass
+    netfront::AppendRequest(frame, 0, wire_md5, i, payload.data(), payload.size());
+  }
+  std::size_t sent = 0;
+  for (int waits = 0; sent < frame.size() && waits < 5000;) {
+    const ssize_t w =
+        send(fds[0], frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w > 0) {
+      sent += static_cast<std::size_t>(w);
+    } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      ++waits;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
       break;
     }
   }
-  (void)send_failed;
 
   graftd::NetfrontSection section;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -524,9 +537,7 @@ TEST(NetfrontServer, SlowReaderIsClosedAtTheHardCap) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "hard cap never tripped";
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  // No read_pauses assertion here: a single completion batch can leap the
-  // buffer past both watermarks at once, closing without ever pausing.
-  client.Close();
+  close(fds[0]);
   server.Stop();
 }
 
