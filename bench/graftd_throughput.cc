@@ -154,7 +154,7 @@ struct CrossingVariant {
   const char* name;
   const char* key;    // JSON report row
   std::size_t batch;  // 0 = per-item Submit
-  bool inline_path;   // register the graft reentrant-safe
+  bool inline_path;   // DispatcherOptions::inline_fast_path
 };
 
 // Upper bound on the crossing gate's queue/inline ratio: the worst of 27
@@ -183,14 +183,10 @@ CrossingResult DriveCrossing(const CrossingVariant& variant,
   dispatch_options.queue_capacity = 256;
   dispatch_options.inline_fast_path = variant.inline_path;
   graftd::Dispatcher dispatcher(dispatch_options);
-  graftd::GraftTraits traits;
-  traits.reentrant_safe = variant.inline_path;
   const graftd::GraftId id = dispatcher.RegisterStreamGraft(
-      "touch",
-      [](envs::PreemptToken*) -> std::unique_ptr<core::StreamGraft> {
+      "touch", [](envs::PreemptToken*) -> std::unique_ptr<core::StreamGraft> {
         return std::make_unique<TouchGraft>();
-      },
-      traits);
+      });
 
   CrossingResult result;
   std::atomic<std::uint64_t> checksum{0};
@@ -308,6 +304,7 @@ int main(int argc, char** argv) {
     graftd::DispatcherOptions dispatch_options;
     dispatch_options.workers = workers;
     dispatch_options.queue_capacity = 256;
+    dispatch_options.inline_fast_path = false;  // the workers' scaling is under test
     graftd::Dispatcher dispatcher(dispatch_options);
     const graftd::GraftId id = dispatcher.RegisterStreamGraft("md5/C", Md5Factory(Technology::kC));
     const double seconds = DriveStream(dispatcher, id, data, invocations, producers, io_us);
@@ -409,6 +406,7 @@ int main(int argc, char** argv) {
   dispatch_options.policy.fault_threshold = 3;
   dispatch_options.policy.base_backoff = 50ms;
   dispatch_options.policy.max_quarantines = 3;
+  dispatch_options.inline_fast_path = false;  // every invocation runs on a worker
   graftd::Dispatcher dispatcher(dispatch_options);
 
   // --trace: record the supervised run as nested spans and export Chrome

@@ -50,11 +50,12 @@ class SpinBackoff {
   std::uint32_t rounds_ = 0;
 };
 
-// Per-item submissions round-robin through the shards with a thread-local
-// cursor: a plain increment instead of a contended global fetch_add. The
-// hashed start offset de-phases producer threads, so lockstep submitters
-// land on different shards instead of fighting for the same inline claim.
-// Batch submissions keep the global cursor (one RMW amortized per batch).
+// Per-item submissions and inline batches round-robin through the shards
+// with a thread-local cursor: a plain increment instead of a contended
+// global fetch_add. The hashed start offset de-phases producer threads, so
+// lockstep submitters land on different shards instead of fighting for the
+// same inline claim. Queued batches keep the global cursor (one RMW
+// amortized per batch).
 thread_local std::uint64_t t_next_shard =
     std::hash<std::thread::id>{}(std::this_thread::get_id());
 
@@ -100,32 +101,26 @@ GraftId Dispatcher::Register(Registration registration) {
   return id;
 }
 
-GraftId Dispatcher::RegisterStreamGraft(std::string name, StreamGraftFactory factory,
-                                        GraftTraits traits) {
+GraftId Dispatcher::RegisterStreamGraft(std::string name, StreamGraftFactory factory) {
   Registration registration;
   registration.name = std::move(name);
   registration.shape = GraftShape::kStream;
-  registration.traits = traits;
   registration.stream_factory = std::move(factory);
   return Register(std::move(registration));
 }
 
-GraftId Dispatcher::RegisterBlackBoxGraft(std::string name, BlackBoxGraftFactory factory,
-                                          GraftTraits traits) {
+GraftId Dispatcher::RegisterBlackBoxGraft(std::string name, BlackBoxGraftFactory factory) {
   Registration registration;
   registration.name = std::move(name);
   registration.shape = GraftShape::kBlackBox;
-  registration.traits = traits;
   registration.blackbox_factory = std::move(factory);
   return Register(std::move(registration));
 }
 
-GraftId Dispatcher::RegisterEvictionGraft(std::string name, EvictionGraftFactory factory,
-                                          GraftTraits traits) {
+GraftId Dispatcher::RegisterEvictionGraft(std::string name, EvictionGraftFactory factory) {
   Registration registration;
   registration.name = std::move(name);
   registration.shape = GraftShape::kEviction;
-  registration.traits = traits;
   registration.eviction_factory = std::move(factory);
   return Register(std::move(registration));
 }
@@ -146,15 +141,14 @@ void Dispatcher::StampTrace(Invocation& invocation) {
   }
 }
 
-// The inline fast path: run the invocation on the calling thread when the
-// graft opted in (reentrant_safe) and the target shard's execution claim
-// is free. Skips the queue, the worker wake, and the context switch — the
-// harness analogue of compiling the extension into the kernel — while
-// still passing through StampTrace before and the full supervised RunOne
-// inside, so spans, admission, and outcome scoring are path-independent.
-bool Dispatcher::TryRunInline(WorkerShard& shard, Invocation& invocation) {
-  if (!options_.inline_fast_path || invocation.graft >= registry_.size() ||
-      !registry_[invocation.graft].traits.reentrant_safe) {
+// The inline fast path: run the invocations on the calling thread when the
+// target shard's execution claim is free. Skips the queue, the worker wake,
+// and the context switch — the harness analogue of compiling the extension
+// into the kernel — while still passing through StampTrace before and the
+// full supervised RunOne inside, so spans, admission, and outcome scoring
+// are path-independent.
+bool Dispatcher::TryRunInline(WorkerShard& shard, std::span<Invocation> batch) {
+  if (!options_.inline_fast_path) {
     return false;
   }
   bool expected = false;
@@ -169,24 +163,34 @@ bool Dispatcher::TryRunInline(WorkerShard& shard, Invocation& invocation) {
     shard.busy.store(false, std::memory_order_release);
     return false;
   }
-  // No submitted_/completed_ accounting: the invocation submits AND
-  // completes inside this call, so leaving both counters untouched keeps
+  // No submitted_/completed_ accounting: the invocations submit AND
+  // complete inside this call, so leaving both counters untouched keeps
   // the drain invariant (completed == submitted) in one atomic step — a
-  // concurrent Drain() linearizes before or after the whole invocation,
-  // both valid orders for an unordered race. Two lock-prefixed RMWs and
-  // the drain-wake check stay off the fast path.
-  shard.inline_hits.store(shard.inline_hits.load(std::memory_order_relaxed) + 1,
+  // concurrent Drain() linearizes before or after the whole batch, both
+  // valid orders for an unordered race. Two lock-prefixed RMWs and the
+  // drain-wake check stay off the fast path.
+  shard.inline_hits.store(shard.inline_hits.load(std::memory_order_relaxed) + batch.size(),
                           std::memory_order_relaxed);
-  RunOne(shard, invocation);
+  for (const Invocation& invocation : batch) {
+    RunOne(shard, invocation);
+  }
   shard.busy.store(false, std::memory_order_release);
   return true;
+}
+
+bool Dispatcher::RunBatchInline(std::span<Invocation> batch) {
+  WorkerShard& shard = *shards_[t_next_shard++ % shards_.size()];
+  for (Invocation& invocation : batch) {
+    StampTrace(invocation);
+  }
+  return TryRunInline(shard, batch);
 }
 
 bool Dispatcher::Submit(Invocation invocation) {
   const std::size_t index = t_next_shard++ % shards_.size();
   WorkerShard& shard = *shards_[index];
   StampTrace(invocation);
-  if (TryRunInline(shard, invocation)) {
+  if (TryRunInline(shard, {&invocation, 1})) {
     return true;
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -206,7 +210,7 @@ bool Dispatcher::TrySubmit(Invocation invocation) {
   const std::size_t index = t_next_shard++ % shards_.size();
   WorkerShard& shard = *shards_[index];
   StampTrace(invocation);
-  if (TryRunInline(shard, invocation)) {
+  if (TryRunInline(shard, {&invocation, 1})) {
     return true;
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);

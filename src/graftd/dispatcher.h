@@ -18,9 +18,12 @@
 //     lock/wake episode over a whole span of invocations, and workers
 //     dequeue up to max_batch per lock round-trip;
 //   * an inline fast path — when the submitting thread targets an idle
-//     shard and the graft is registered reentrant-safe, the invocation
-//     runs on the caller's thread and skips the queue entirely: the moral
-//     equivalent of the paper's "compiled into the kernel" column.
+//     shard, the invocation runs on the caller's thread and skips the
+//     queue entirely: the moral equivalent of the paper's "compiled into
+//     the kernel" column. Per-item Submit/TrySubmit take it on their own;
+//     a batch takes it only through RunBatchInline, which a front-end
+//     calls when the batch is all the work it holds (run to completion:
+//     it would otherwise wake a worker and go to sleep itself).
 //
 // All three paths carry full tracelab span attribution (queue-wait,
 // crossing, body) and go through the same supervisor admission/outcome
@@ -30,10 +33,10 @@
 // record, one merged telemetry row), graft *instances* are per worker —
 // each worker lazily constructs its own instance from the registered
 // factory, wired to its own host's PreemptToken. Extension state is
-// normally worker-private; the inline fast path may touch it from the
-// submitting thread, but only under the shard's execution claim (an atomic
-// busy flag that serializes inline runs against worker batches), which is
-// why it is restricted to grafts explicitly marked reentrant-safe.
+// worker-private; the inline fast path may touch it from the submitting
+// thread, but only under the shard's execution claim (an atomic busy flag
+// that serializes inline runs against worker batches). No graft keeps
+// thread-affine state, so serializing the callers is all it takes.
 //
 // Budget enforcement: one shared DeadlineWheel serves every worker, so the
 // per-invocation cost of a wall-clock budget is an O(1) Arm/Cancel instead
@@ -143,22 +146,12 @@ struct Invocation {
   std::uint64_t submit_ns = 0;
 };
 
-// Per-registration properties of a graft's technology.
-struct GraftTraits {
-  // The graft's instances tolerate being invoked from different threads
-  // (never concurrently — the shard's execution claim serializes), so the
-  // submitting thread may run it inline when the target shard is idle.
-  // Safe for the paper's technologies, whose extension state is confined
-  // to the instance; leave false for grafts that cache thread-local state.
-  bool reentrant_safe = false;
-};
-
 struct DispatcherOptions {
   std::size_t workers = 4;
   std::size_t queue_capacity = 1024;  // per worker queue
   std::size_t max_batch = 32;
-  // Master switch for the inline fast path (per-graft opt-in still
-  // required via GraftTraits::reentrant_safe).
+  // The one switch for the inline fast path (Submit, TrySubmit and
+  // RunBatchInline); off, every invocation crosses a worker queue.
   bool inline_fast_path = true;
   SupervisorPolicy policy{};
   core::GraftHostOptions host_options{};
@@ -176,19 +169,15 @@ class Dispatcher {
 
   // Registration is not synchronized against dispatch: register every graft
   // before the first Submit.
-  GraftId RegisterStreamGraft(std::string name, StreamGraftFactory factory,
-                              GraftTraits traits = GraftTraits{});
-  GraftId RegisterBlackBoxGraft(std::string name, BlackBoxGraftFactory factory,
-                                GraftTraits traits = GraftTraits{});
-  GraftId RegisterEvictionGraft(std::string name, EvictionGraftFactory factory,
-                                GraftTraits traits = GraftTraits{});
+  GraftId RegisterStreamGraft(std::string name, StreamGraftFactory factory);
+  GraftId RegisterBlackBoxGraft(std::string name, BlackBoxGraftFactory factory);
+  GraftId RegisterEvictionGraft(std::string name, EvictionGraftFactory factory);
 
   // Round-robin submit. Submit blocks on a full queue (and is the fairness
   // choice for benchmarks); TrySubmit returns false instead — the
   // backpressure signal for producers that can shed load. Both may run the
-  // invocation inline on the calling thread (reentrant-safe graft, idle
-  // shard); a true return means the invocation was executed or durably
-  // queued either way.
+  // invocation inline on the calling thread (idle shard); a true return
+  // means the invocation was executed or durably queued either way.
   bool Submit(Invocation invocation);
   bool TrySubmit(Invocation invocation);
 
@@ -197,11 +186,21 @@ class Dispatcher {
   // wake). Accepted invocations are moved from; returns how many were
   // accepted. SubmitBatch blocks for queue space and is short only when the
   // dispatcher shuts down mid-batch; TrySubmitBatch stops at the first
-  // full queue (partial acceptance is the backpressure signal). Batches
-  // never take the inline fast path — batching amortizes the queue
-  // crossing instead of skipping it.
+  // full queue (partial acceptance is the backpressure signal). Neither
+  // runs anything inline — batching amortizes the queue crossing instead
+  // of skipping it; RunBatchInline is the batch's inline path.
   std::size_t SubmitBatch(std::span<Invocation> batch);
   std::size_t TrySubmitBatch(std::span<Invocation> batch);
+
+  // Batch inline fast path: runs the whole span on the calling thread, in
+  // order, under the execution claim of the caller's next round-robin
+  // shard — if that shard is idle (the claim is free), the dispatcher is
+  // still accepting, and inline_fast_path is on. Returns true once every
+  // invocation has run and fired its on_complete; false if it refused, in
+  // which case nothing ran and the span is intact for TrySubmitBatch. Meant
+  // for a producer whose batch is all the work it holds: handing it to a
+  // worker would only wake the worker while the producer goes to sleep.
+  bool RunBatchInline(std::span<Invocation> batch);
 
   // Blocks until every accepted invocation has completed.
   void Drain();
@@ -280,7 +279,6 @@ class Dispatcher {
   struct Registration {
     std::string name;
     GraftShape shape = GraftShape::kStream;
-    GraftTraits traits{};
     StreamGraftFactory stream_factory;
     BlackBoxGraftFactory blackbox_factory;
     EvictionGraftFactory eviction_factory;
@@ -328,7 +326,7 @@ class Dispatcher {
 
   void WorkerLoop(WorkerShard& shard);
   void RunOne(WorkerShard& shard, const Invocation& invocation);
-  bool TryRunInline(WorkerShard& shard, Invocation& invocation);
+  bool TryRunInline(WorkerShard& shard, std::span<Invocation> batch);
   void ClaimShard(WorkerShard& shard);
   void NotifyDrain();
   GraftCounters& StatsFor(WorkerShard& shard, GraftId id);

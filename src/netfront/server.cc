@@ -62,6 +62,8 @@ ErrorCode ErrorCodeFor(graftd::CompletionStatus status) {
 
 }  // namespace
 
+thread_local const Server::IoThread* Server::current_io_ = nullptr;
+
 Server::Server(graftd::Dispatcher& dispatcher, ServerOptions options)
     : dispatcher_(dispatcher), options_(std::move(options)) {
   std::vector<TenantConfig> configs = options_.tenants;
@@ -264,7 +266,7 @@ void Server::FillTelemetry(graftd::NetfrontSection& section) const {
   section.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   section.read_pauses = read_pauses_.load(std::memory_order_relaxed);
   section.slow_reader_closes = slow_reader_closes_.load(std::memory_order_relaxed);
-  section.io_thread_crashes = io_thread_crashes_.load(std::memory_order_relaxed);
+  section.io_thread_crashes = io_thread_crashes_.load(std::memory_order_acquire);
   section.conns_adopted = conns_adopted_.load(std::memory_order_relaxed);
   section.crash_orphans = crash_orphans_.load(std::memory_order_relaxed);
   section.tenants.clear();
@@ -300,6 +302,7 @@ void Server::FillTelemetry(graftd::NetfrontSection& section) const {
 
 void Server::IoLoop(std::size_t index) {
   IoThread& io = *io_threads_[index];
+  current_io_ = &io;
   // Profiler attribution: SIGPROF samples landing on an IO thread charge
   // to the front end's "net" stage (no graft) for the thread's lifetime.
   const tracelab::ScopedProfSlot prof_net(0, tracelab::ProfStage::kNet);
@@ -375,6 +378,9 @@ void Server::IoLoop(std::size_t index) {
     AdoptInbox(io);
     ProcessCompletions(io);
     DrainStaged(io);
+    // Replies to chunks DrainStaged ran on this thread: flushed in this
+    // pass, with no eventfd round trip.
+    ProcessCompletions(io);
   }
 }
 
@@ -776,7 +782,13 @@ void Server::DrainStaged(IoThread& io) {
         };
         chunk.push_back(std::move(invocation));
       }
-      const std::size_t accepted = dispatcher_.TrySubmitBatch(chunk);
+      // Run to completion: a chunk that is all the staged work, bound for
+      // an idle shard, runs here; anything else takes the queue.
+      const std::size_t accepted =
+          want == io.staged_total.load(std::memory_order_relaxed) &&
+                  dispatcher_.RunBatchInline(chunk)
+              ? want
+              : dispatcher_.TrySubmitBatch(chunk);
       if (accepted > 0) {
         deque.erase(deque.begin(), deque.begin() + static_cast<std::ptrdiff_t>(accepted));
         io.staged_total.fetch_sub(accepted, std::memory_order_relaxed);
@@ -827,7 +839,7 @@ void Server::OnCompletion(PendingRequest* request, const graftd::Completion& com
     AccountOrphan(record);
     return;
   }
-  if (was_empty) {
+  if (was_empty && &io != current_io_) {
     Wake(io);
   }
 }
@@ -860,10 +872,6 @@ bool Server::CrashIoThread(IoThread& io) {
   }
   if (survivors.empty()) {
     return false;  // never kill the last IO thread
-  }
-  io_thread_crashes_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.obs_event) {
-    options_.obs_event("io_thread_crash");
   }
   // From here OnCompletion and AddConnection route around this thread.
   std::vector<CompletionRecord> completions;
@@ -928,6 +936,12 @@ bool Server::CrashIoThread(IoThread& io) {
     Wake(survivor);
   }
   conns_adopted_.fetch_add(adopted, std::memory_order_relaxed);
+  // Count the crash only once its adoption is accounted: a reader that
+  // sees the crash (acquire, FillTelemetry) also sees the adopted conns.
+  io_thread_crashes_.fetch_add(1, std::memory_order_release);
+  if (options_.obs_event) {
+    options_.obs_event("io_thread_crash");
+  }
   // Detach the shared listener from this epoll; accept readiness is level
   // triggered, so the surviving pollers keep getting it. The epoll and
   // event fds stay open until Stop() — closing them here could race a

@@ -25,11 +25,21 @@
 // Batches go down via TrySubmitBatch: partial acceptance is the
 // backpressure signal and the remainder stays staged, in order.
 //
-// Completion routing: the dispatcher's on_complete hook fires on a worker
-// thread; it enqueues the completion to the owning IO thread's inbox and
-// wakes its eventfd. The IO thread validates the connection is still the
-// one that sent the request (slot + generation), encodes the reply into
-// the connection's write buffer, and flushes. Write-buffer backpressure:
+// Run to completion: when the chunk about to go down is all the work the
+// IO thread has staged and its target shard is idle, the IO thread runs
+// it itself (Dispatcher::RunBatchInline) instead of waking a worker only
+// to go back to sleep in epoll_wait. With more work staged, or the shard
+// busy, the chunk takes the queue, so workers keep their parallelism
+// under load.
+//
+// Completion routing: the dispatcher's on_complete hook fires on the
+// thread that ran the invocation. On a worker it enqueues the completion
+// to the owning IO thread's inbox and wakes its eventfd. On the owning IO
+// thread itself (a run-to-completion chunk) it enqueues without the wake:
+// the loop processes the inbox again right after DrainStaged. The IO
+// thread validates the connection is still the one that sent the request
+// (slot + generation), encodes the reply into the connection's write
+// buffer, and flushes. Write-buffer backpressure:
 // past `write_buffer_high` the connection's reads pause (EPOLLIN dropped,
 // so a fast sender can't pump new requests while replies back up); past
 // `write_buffer_hard` the slow reader is closed.
@@ -287,7 +297,8 @@ class Server {
   // its generation, decoder state and write buffer.
   std::size_t InstallAdopted(IoThread& io, std::unique_ptr<Conn> conn);
   void Wake(IoThread& io);
-  // Routes a worker-side completion to the owning IO thread's inbox.
+  // Routes a completion to the owning IO thread's inbox (waking it unless
+  // the completion fired on that thread).
   void OnCompletion(PendingRequest* request, const graftd::Completion& completion);
   // Accounts a completion whose IO thread is gone: tenant counters, dedup
   // publication, in_flight — everything but the (impossible) socket reply.
@@ -305,6 +316,10 @@ class Server {
   // Drops a pending (not-done) entry — the staged attempt died with a
   // crashed IO thread, so a retry must be admitted as a fresh attempt.
   void DedupForget(std::uint16_t tenant_id, std::uint64_t request_id);
+
+  // The IO thread the calling thread runs, if any (set for the life of
+  // IoLoop): tells OnCompletion it is already on the owning thread.
+  static thread_local const IoThread* current_io_;
 
   graftd::Dispatcher& dispatcher_;
   const ServerOptions options_;

@@ -359,10 +359,8 @@ void DriveSubmitAfterShutdown(QueueShape shape) {
   graftd::DispatcherOptions options;
   options.workers = shape.workers;
   graftd::Dispatcher dispatcher(options);
-  graftd::GraftTraits traits;
-  traits.reentrant_safe = true;  // even the inline path must refuse
   const graftd::GraftId id =
-      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC), traits);
+      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC));
 
   const auto data = MakeData(64);
   const auto make_invocation = [&] {
@@ -402,10 +400,8 @@ TEST(Dispatcher, InlineFastPathRunsOnTheSubmittingThread) {
   graftd::DispatcherOptions options;
   options.workers = 2;
   graftd::Dispatcher dispatcher(options);
-  graftd::GraftTraits traits;
-  traits.reentrant_safe = true;
   const graftd::GraftId id =
-      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC), traits);
+      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC));
 
   const std::thread::id submitter = std::this_thread::get_id();
   std::uint64_t ran_on_submitter = 0;
@@ -437,11 +433,8 @@ TEST(Dispatcher, InlineFastPathPreservesQuarantineSemantics) {
   options.policy.fault_threshold = 3;
   options.policy.base_backoff = std::chrono::duration_cast<std::chrono::microseconds>(1h);
   graftd::Dispatcher dispatcher(options);
-  graftd::GraftTraits traits;
-  traits.reentrant_safe = true;
   const graftd::GraftId faulty = dispatcher.RegisterStreamGraft(
-      "faulty", [](envs::PreemptToken*) { return std::make_unique<AlwaysFaultGraft>(); },
-      traits);
+      "faulty", [](envs::PreemptToken*) { return std::make_unique<AlwaysFaultGraft>(); });
 
   // Single-threaded inline submission: the streak is deterministic even
   // though no worker ever touches these invocations.
@@ -476,10 +469,8 @@ TEST(Dispatcher, InlineAndQueuedPathsProduceEquivalentTraces) {
     graftd::Dispatcher dispatcher(options);
     tracelab::Tracer tracer;
     dispatcher.set_tracer(&tracer);
-    graftd::GraftTraits traits;
-    traits.reentrant_safe = inline_path;
     const graftd::GraftId id =
-        dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC), traits);
+        dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC));
     for (std::uint64_t i = 0; i < kInvocations; ++i) {
       graftd::Invocation invocation;
       invocation.graft = id;
@@ -513,6 +504,125 @@ TEST(Dispatcher, InlineAndQueuedPathsProduceEquivalentTraces) {
   EXPECT_EQ(queued.grafts[0].counters.ok, inlined.grafts[0].counters.ok);
 }
 
+// --- RunBatchInline: a whole batch on the caller's thread ---
+
+std::vector<graftd::Invocation> MakeBatch(graftd::GraftId id, const std::vector<std::uint8_t>& data,
+                                          std::size_t n,
+                                          std::vector<graftd::CompletionStatus>& statuses) {
+  std::vector<graftd::Invocation> batch(n);
+  for (auto& invocation : batch) {
+    invocation.graft = id;
+    invocation.data = streamk::Bytes(data.data(), data.size());
+    invocation.on_complete = [&statuses](const graftd::Completion& completion) {
+      statuses.push_back(completion.status);
+    };
+  }
+  return batch;
+}
+
+TEST(Dispatcher, RunBatchInlineRunsEveryInvocationOnTheCaller) {
+  const auto data = MakeData(1024);
+  const md5::Digest expected = md5::Sum(std::span(data.data(), data.size()));
+  graftd::DispatcherOptions options;
+  options.workers = 2;
+  graftd::Dispatcher dispatcher(options);
+  const graftd::GraftId id =
+      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC));
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t ran_here = 0;
+  std::vector<graftd::Invocation> batch(8);
+  for (auto& invocation : batch) {
+    invocation.graft = id;
+    invocation.data = streamk::Bytes(data.data(), data.size());
+    invocation.on_complete = [&](const graftd::Completion& completion) {
+      if (std::this_thread::get_id() == caller &&
+          completion.status == graftd::CompletionStatus::kOk && completion.digest == expected) {
+        ++ran_here;
+      }
+    };
+  }
+  // Idle shards: the claim is free, so the batch runs before the call returns.
+  ASSERT_TRUE(dispatcher.RunBatchInline(batch));
+  EXPECT_EQ(ran_here, batch.size());
+  dispatcher.Drain();  // nothing was queued, and Drain still returns
+
+  const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
+  EXPECT_EQ(snapshot.dispatch.inline_hits, batch.size());
+  EXPECT_EQ(snapshot.grafts[id].counters.ok, batch.size());
+  for (const auto& worker : snapshot.dispatch.workers) {
+    EXPECT_EQ(worker.dequeued, 0u);
+  }
+}
+
+TEST(Dispatcher, RunBatchInlineRefusesAfterShutdown) {
+  graftd::DispatcherOptions options;
+  options.workers = 1;
+  graftd::Dispatcher dispatcher(options);
+  const graftd::GraftId id =
+      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC));
+  dispatcher.Shutdown();
+
+  const auto data = MakeData(64);
+  std::vector<graftd::CompletionStatus> statuses;
+  auto batch = MakeBatch(id, data, 4, statuses);
+  EXPECT_FALSE(dispatcher.RunBatchInline(batch));
+  // Refused means nothing ran and the span is untouched.
+  EXPECT_TRUE(statuses.empty());
+  for (const auto& invocation : batch) {
+    EXPECT_TRUE(invocation.on_complete);
+  }
+  dispatcher.Drain();
+  const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
+  EXPECT_EQ(snapshot.dispatch.inline_hits, 0u);
+  EXPECT_EQ(snapshot.grafts[id].counters.invocations, 0u);
+}
+
+TEST(Dispatcher, RunBatchInlineCompletesRejectionsAndExpiries) {
+  graftd::FakeClock clock;
+  graftd::DispatcherOptions options;
+  options.workers = 1;
+  options.policy.fault_threshold = 3;
+  options.policy.base_backoff = std::chrono::duration_cast<std::chrono::microseconds>(1h);
+  graftd::Dispatcher dispatcher(options, &clock);
+  const graftd::GraftId faulty = dispatcher.RegisterStreamGraft(
+      "faulty", [](envs::PreemptToken*) { return std::make_unique<AlwaysFaultGraft>(); });
+  const graftd::GraftId md5 =
+      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC));
+  clock.Advance(1ms);
+  const auto data = MakeData(64);
+
+  // Three faults quarantine the graft; the other five are supervisor
+  // rejections, and every one of the eight still fires on_complete.
+  std::vector<graftd::CompletionStatus> statuses;
+  auto faults = MakeBatch(faulty, data, 8, statuses);
+  ASSERT_TRUE(dispatcher.RunBatchInline(faults));
+  ASSERT_EQ(statuses.size(), 8u);
+  for (std::size_t i = 0; i < statuses.size(); ++i) {
+    EXPECT_EQ(statuses[i], i < 3 ? graftd::CompletionStatus::kFault
+                                 : graftd::CompletionStatus::kRejectedQuarantined);
+  }
+
+  // A deadline already past is shed with kExpired before the body runs;
+  // a live one beside it in the same batch runs normally.
+  statuses.clear();
+  auto deadlines = MakeBatch(md5, data, 2, statuses);
+  deadlines[0].deadline_ns = 1;
+  deadlines[1].deadline_ns = dispatcher.NowNs() + 1'000'000'000ull;
+  ASSERT_TRUE(dispatcher.RunBatchInline(deadlines));
+  EXPECT_EQ(statuses, (std::vector<graftd::CompletionStatus>{graftd::CompletionStatus::kExpired,
+                                                             graftd::CompletionStatus::kOk}));
+  dispatcher.Drain();
+
+  const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
+  EXPECT_EQ(snapshot.dispatch.inline_hits, 10u);
+  EXPECT_EQ(snapshot.grafts[faulty].counters.faults, 3u);
+  EXPECT_EQ(snapshot.grafts[faulty].counters.rejected_quarantined, 5u);
+  EXPECT_EQ(snapshot.grafts[md5].counters.shed_expired, 1u);
+  EXPECT_EQ(snapshot.grafts[md5].counters.ok, 1u);
+  EXPECT_EQ(snapshot.dispatch.shed_expired, 1u);
+}
+
 // The ThreadSanitizer stress target: every submission flavor from multiple
 // threads, racing a Snapshot() poller.
 void DriveConcurrentStress(QueueShape shape) {
@@ -525,10 +635,8 @@ void DriveConcurrentStress(QueueShape shape) {
   options.workers = shape.workers;
   options.queue_capacity = 16;
   graftd::Dispatcher dispatcher(options);
-  graftd::GraftTraits traits;
-  traits.reentrant_safe = true;  // let inline runs race worker batches
   const graftd::GraftId id =
-      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC), traits);
+      dispatcher.RegisterStreamGraft("md5/C", Md5Factory(core::Technology::kC));
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<bool> done{false};
@@ -593,6 +701,7 @@ TEST(Dispatcher, TrySubmitSignalsBackpressure) {
   graftd::DispatcherOptions options;
   options.workers = 1;
   options.queue_capacity = 2;
+  options.inline_fast_path = false;  // the queue's backpressure is under test
   graftd::Dispatcher dispatcher(options);
   const graftd::GraftId slow = dispatcher.RegisterStreamGraft(
       "md5/C", Md5Factory(core::Technology::kC));

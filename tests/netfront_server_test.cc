@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -53,6 +54,27 @@ class SlowGraft : public core::StreamGraft {
  private:
   std::chrono::microseconds delay_;
   md5::Context md5_;
+};
+
+// A stream graft that holds its shard until the test opens the latch:
+// Finish() announces that it is running, then waits.
+class LatchGraft : public core::StreamGraft {
+ public:
+  LatchGraft(std::atomic<bool>* entered, std::atomic<bool>* open)
+      : entered_(entered), open_(open) {}
+  void Consume(const std::uint8_t*, std::size_t) override {}
+  md5::Digest Finish() override {
+    entered_->store(true, std::memory_order_release);
+    while (!open_->load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return md5::Digest{};
+  }
+  const char* technology() const override { return "test-latch"; }
+
+ private:
+  std::atomic<bool>* entered_;
+  std::atomic<bool>* open_;
 };
 
 // Blocking client for a netfront server: sends requests, decodes replies.
@@ -176,6 +198,133 @@ TEST(NetfrontServer, RoundTripVerifiesDigest) {
   EXPECT_NE(snapshot.ToText().find("netfront tenant"), std::string::npos);
   EXPECT_NE(obslab::SnapshotJson(snapshot).find("\"graftlab_tenant_accepted_total\""),
             std::string::npos);
+}
+
+TEST(NetfrontServer, IdleServerRepliesWithoutAWorkerHop) {
+  // Sequential round trips: each request is the only staged work and its
+  // shard is idle, so the IO thread runs it and flushes the reply itself —
+  // no worker dequeue, no eventfd wake.
+  DispatcherOptions dopts;
+  dopts.workers = 2;
+  Dispatcher dispatcher(dopts);
+  const graftd::GraftId md5_id = dispatcher.RegisterStreamGraft(
+      "md5", [](envs::PreemptToken* preempt) {
+        return grafts::CreateMd5Graft(core::Technology::kC, preempt);
+      });
+  ServerOptions sopts;
+  sopts.io_threads = 1;
+  Server server(dispatcher, sopts);
+  const std::uint32_t wire_md5 = server.ExposeGraft(md5_id);
+  ASSERT_TRUE(server.ListenTcp(0));
+  server.Start();
+
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  constexpr std::uint64_t kRequests = 32;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const auto payload = Payload(64 + 61 * i, static_cast<std::uint8_t>(i));
+    ASSERT_TRUE(client.SendRequest(0, wire_md5, i, payload));
+    FrameDecoder::Frame reply;
+    ASSERT_TRUE(client.ReadFrame(reply));
+    ASSERT_EQ(reply.header.type, FrameType::kResponse);
+    EXPECT_EQ(reply.header.request_id, i);
+    const md5::Digest expected = md5::Sum({payload.data(), payload.size()});
+    ASSERT_EQ(reply.payload.size(), 8u);
+    EXPECT_EQ(std::memcmp(reply.payload.data(), expected.data(), 8), 0) << "request " << i;
+  }
+
+  // Read before Stop(), whose shutdown wakes would count.
+  graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
+  server.FillTelemetry(snapshot.netfront);
+  EXPECT_EQ(snapshot.dispatch.inline_hits, kRequests);
+  for (const auto& worker : snapshot.dispatch.workers) {
+    EXPECT_EQ(worker.dequeued, 0u) << "worker " << worker.worker;
+  }
+  ASSERT_EQ(snapshot.netfront.io_threads.size(), 1u);
+  EXPECT_EQ(snapshot.netfront.io_threads[0].wakeups, 0u);
+  EXPECT_EQ(snapshot.netfront.tenants[0].completed_ok, kRequests);
+  client.Close();
+  server.Stop();
+}
+
+TEST(NetfrontServer, BusyShardFallsBackToTheQueue) {
+  // A latch-blocked graft holds the only shard: the IO thread cannot claim
+  // it, so the wire requests take the worker queue and are answered, once
+  // each, after the latch opens.
+  DispatcherOptions dopts;
+  dopts.workers = 1;
+  Dispatcher dispatcher(dopts);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> open{false};
+  const graftd::GraftId latch_id =
+      dispatcher.RegisterStreamGraft("latch", [&](envs::PreemptToken*) {
+        return std::make_unique<LatchGraft>(&entered, &open);
+      });
+  const graftd::GraftId md5_id = dispatcher.RegisterStreamGraft(
+      "md5", [](envs::PreemptToken* preempt) {
+        return grafts::CreateMd5Graft(core::Technology::kC, preempt);
+      });
+  ServerOptions sopts;
+  sopts.io_threads = 1;
+  Server server(dispatcher, sopts);
+  const std::uint32_t wire_md5 = server.ExposeGraft(md5_id);
+  ASSERT_TRUE(server.ListenTcp(0));
+  server.Start();
+
+  // Queued batches never run inline, so the worker takes the latch.
+  graftd::Invocation blocker;
+  blocker.graft = latch_id;
+  ASSERT_EQ(dispatcher.SubmitBatch({&blocker, 1}), 1u);
+  while (!entered.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  constexpr std::uint64_t kRequests = 4;
+  const auto payload = Payload(256, 7);
+  std::vector<std::uint8_t> frames;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    netfront::AppendRequest(frames, 0, wire_md5, i, payload.data(), payload.size());
+  }
+  ASSERT_TRUE(client.SendRaw(frames.data(), frames.size()));
+
+  // Wait until every request is in the dispatcher; none can have run.
+  graftd::NetfrontSection section;
+  for (;;) {
+    server.FillTelemetry(section);
+    if (section.tenants[0].accepted == kRequests) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(section.tenants[0].completed_ok, 0u);
+  graftd::TelemetrySnapshot held = dispatcher.Snapshot();
+  EXPECT_EQ(held.dispatch.inline_hits, 0u);
+  EXPECT_GE(held.dispatch.inline_misses, 1u);
+
+  open.store(true, std::memory_order_release);
+  const md5::Digest expected = md5::Sum({payload.data(), payload.size()});
+  std::vector<int> replies(kRequests, 0);
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    FrameDecoder::Frame reply;
+    ASSERT_TRUE(client.ReadFrame(reply));
+    ASSERT_EQ(reply.header.type, FrameType::kResponse);
+    ASSERT_LT(reply.header.request_id, kRequests);
+    ++replies[reply.header.request_id];
+    EXPECT_EQ(std::memcmp(reply.payload.data(), expected.data(), 8), 0);
+  }
+  EXPECT_EQ(replies, std::vector<int>(kRequests, 1));
+  client.Close();
+  server.Stop();
+
+  graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
+  server.FillTelemetry(snapshot.netfront);
+  EXPECT_EQ(snapshot.netfront.tenants[0].completed_ok, kRequests);
+  EXPECT_EQ(snapshot.grafts[md5_id].counters.ok, kRequests);
+  EXPECT_EQ(snapshot.dispatch.inline_hits, 0u);
+  ASSERT_EQ(snapshot.dispatch.workers.size(), 1u);
+  EXPECT_EQ(snapshot.dispatch.workers[0].dequeued, kRequests + 1);  // + the blocker
 }
 
 TEST(NetfrontServer, ManyRequestsPipelinedOnOneConnection) {
