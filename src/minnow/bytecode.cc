@@ -4,164 +4,31 @@
 
 namespace minnow {
 
-const char* OpName(Op op) {
-  switch (op) {
-    case Op::kNop: return "nop";
-    case Op::kConstInt: return "const.i";
-    case Op::kConstNull: return "const.null";
-    case Op::kLoadLocal: return "load.local";
-    case Op::kStoreLocal: return "store.local";
-    case Op::kLoadGlobal: return "load.global";
-    case Op::kStoreGlobal: return "store.global";
-    case Op::kPop: return "pop";
-    case Op::kDup: return "dup";
-    case Op::kAddI: return "add.i";
-    case Op::kSubI: return "sub.i";
-    case Op::kMulI: return "mul.i";
-    case Op::kDivI: return "div.i";
-    case Op::kModI: return "mod.i";
-    case Op::kNegI: return "neg.i";
-    case Op::kAndI: return "and.i";
-    case Op::kOrI: return "or.i";
-    case Op::kXorI: return "xor.i";
-    case Op::kShlI: return "shl.i";
-    case Op::kShrI: return "shr.i";
-    case Op::kNotI: return "not.i";
-    case Op::kAddU: return "add.u";
-    case Op::kSubU: return "sub.u";
-    case Op::kMulU: return "mul.u";
-    case Op::kDivU: return "div.u";
-    case Op::kModU: return "mod.u";
-    case Op::kShlU: return "shl.u";
-    case Op::kShrU: return "shr.u";
-    case Op::kNotU: return "not.u";
-    case Op::kEqI: return "eq.i";
-    case Op::kNeI: return "ne.i";
-    case Op::kLtI: return "lt.i";
-    case Op::kLeI: return "le.i";
-    case Op::kGtI: return "gt.i";
-    case Op::kGeI: return "ge.i";
-    case Op::kLtU: return "lt.u";
-    case Op::kLeU: return "le.u";
-    case Op::kGtU: return "gt.u";
-    case Op::kGeU: return "ge.u";
-    case Op::kEqRef: return "eq.ref";
-    case Op::kNeRef: return "ne.ref";
-    case Op::kNotB: return "not.b";
-    case Op::kCastU32: return "cast.u32";
-    case Op::kCastByte: return "cast.byte";
-    case Op::kJmp: return "jmp";
-    case Op::kJmpIfFalse: return "jmp.false";
-    case Op::kJmpIfTrue: return "jmp.true";
-    case Op::kCall: return "call";
-    case Op::kCallHost: return "call.host";
-    case Op::kRet: return "ret";
-    case Op::kRetVoid: return "ret.void";
-    case Op::kNewStruct: return "new.struct";
-    case Op::kNewArray: return "new.array";
-    case Op::kLoadField: return "load.field";
-    case Op::kStoreField: return "store.field";
-    case Op::kLoadElem: return "load.elem";
-    case Op::kStoreElem: return "store.elem";
-    case Op::kArrayLen: return "array.len";
-    case Op::kTrap: return "trap";
-    case Op::kLoadAddI: return "load+add.i";
-    case Op::kAddConstI: return "add.const.i";
-    case Op::kConstStore: return "const+store";
-    case Op::kBrEqI: return "br.eq.i";
-    case Op::kBrNeI: return "br.ne.i";
-    case Op::kBrLtI: return "br.lt.i";
-    case Op::kBrLeI: return "br.le.i";
-    case Op::kBrGtI: return "br.gt.i";
-    case Op::kBrGeI: return "br.ge.i";
-    case Op::kBrEqRef: return "br.eq.ref";
-    case Op::kBrNeRef: return "br.ne.ref";
-    case Op::kBrEqImmI: return "br.eq.imm.i";
-    case Op::kBrNeImmI: return "br.ne.imm.i";
-    case Op::kBrLtImmI: return "br.lt.imm.i";
-    case Op::kBrLeImmI: return "br.le.imm.i";
-    case Op::kBrGtImmI: return "br.gt.imm.i";
-    case Op::kBrGeImmI: return "br.ge.imm.i";
-    case Op::kLoadLocal2: return "load.local2";
-    case Op::kLoadConstI: return "load+const.i";
-    case Op::kMoveLocal: return "move.local";
-    case Op::kStoreLoad: return "store+load";
-    case Op::kLoadGlobalLocal: return "load.global+local";
-    case Op::kLoadElemNC: return "load.arr.nc";
-    case Op::kStoreElemNC: return "store.arr.nc";
-    case Op::kLoadFieldNC: return "deref.nc";
-    case Op::kStoreFieldNC: return "deref.store.nc";
-    case Op::kDivNZ: return "div.nz";
-    case Op::kModNZ: return "mod.nz";
-    case Op::kArrayLenNC: return "len.nc";
-  }
-  return "?";
-}
-
 std::string Disassemble(const FunctionCode& fn) {
   std::ostringstream out;
   out << "fn " << fn.name << " params=" << fn.num_params << " locals=" << fn.num_locals
       << " max_stack=" << fn.max_stack << "\n";
   for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
-    out << "  " << pc << ": " << OpName(fn.code[pc].op);
-    switch (fn.code[pc].op) {
-      case Op::kConstInt:
-      case Op::kLoadLocal:
-      case Op::kStoreLocal:
-      case Op::kLoadGlobal:
-      case Op::kStoreGlobal:
-      case Op::kJmp:
-      case Op::kJmpIfFalse:
-      case Op::kJmpIfTrue:
-      case Op::kCall:
-      case Op::kCallHost:
-      case Op::kNewStruct:
-      case Op::kNewArray:
-      case Op::kLoadField:
-      case Op::kStoreField:
-      case Op::kLoadElem:
-      case Op::kStoreElem:
-      case Op::kLoadElemNC:
-      case Op::kStoreElemNC:
-      case Op::kLoadFieldNC:
-      case Op::kStoreFieldNC:
-      case Op::kTrap:
-      case Op::kLoadAddI:
-      case Op::kAddConstI:
-      case Op::kBrEqI:
-      case Op::kBrNeI:
-      case Op::kBrLtI:
-      case Op::kBrLeI:
-      case Op::kBrGtI:
-      case Op::kBrGeI:
-      case Op::kBrEqRef:
-      case Op::kBrNeRef:
-        out << " " << fn.code[pc].operand;
+    const Insn& insn = fn.code[pc];
+    out << "  " << pc << ": " << OpName(insn.op);
+    switch (InfoOf(insn.op).operand) {
+      case Operand::kNone:
         break;
-      case Op::kConstStore:
-        out << " " << ConstStoreValue(fn.code[pc].operand) << " -> local "
-            << ConstStoreSlot(fn.code[pc].operand);
+      case Operand::kImmTarget:
+        out << " " << ImmBranchValue(insn.operand) << " -> " << ImmBranchTarget(insn.operand);
         break;
-      case Op::kBrEqImmI:
-      case Op::kBrNeImmI:
-      case Op::kBrLtImmI:
-      case Op::kBrLeImmI:
-      case Op::kBrGtImmI:
-      case Op::kBrGeImmI:
-        out << " " << ImmBranchValue(fn.code[pc].operand) << " -> "
-            << ImmBranchTarget(fn.code[pc].operand);
+      case Operand::kConstLocal:
+        out << " " << ConstStoreValue(insn.operand) << " -> local " << ConstStoreSlot(insn.operand);
         break;
-      case Op::kLoadConstI:
-        out << " local " << ConstStoreSlot(fn.code[pc].operand) << ", "
-            << ConstStoreValue(fn.code[pc].operand);
+      case Operand::kLocalConst:
+        out << " local " << ConstStoreSlot(insn.operand) << ", " << ConstStoreValue(insn.operand);
         break;
-      case Op::kLoadLocal2:
-      case Op::kMoveLocal:
-      case Op::kStoreLoad:
-      case Op::kLoadGlobalLocal:
-        out << " " << SlotPairA(fn.code[pc].operand) << ", " << SlotPairB(fn.code[pc].operand);
+      case Operand::kLocalPair:
+      case Operand::kGlobalLocal:
+        out << " " << SlotPairA(insn.operand) << ", " << SlotPairB(insn.operand);
         break;
       default:
+        out << " " << insn.operand;
         break;
     }
     out << "\n";

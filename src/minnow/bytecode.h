@@ -7,9 +7,15 @@
 // must not take on faith (jump targets, stack discipline, slot and pool
 // indices), mirroring how a kernel would treat downloaded code.
 //
-// The opcode set is defined once through GRAFTLAB_MINNOW_OPS so the enum, the
-// name table, the interpreter's computed-goto label table, and the opcode
-// profiler can never drift out of sync. Opcode semantics:
+// The opcode set is defined once, one row per opcode, in GRAFTLAB_MINNOW_OPS.
+// A row carries the opcode's mnemonic, its operand-stack shape, how control
+// leaves it, what its operand holds, and the comparison it performs. The
+// macro generates the enum, kNumOps, the OpInfo table, and the interpreter's
+// computed-goto label table. The verifier, the JIT's flow analysis, the
+// fuser, the elider and the disassembler all read each opcode's shape from
+// that table through the helpers below, so none keeps its own copy. Adding
+// an opcode means one row here plus its interpreter body (vm_dispatch.inc)
+// and its JIT template (jit_emit_x64.inc). Opcode semantics:
 //
 //   kNop
 //   kConstInt      push operand
@@ -99,111 +105,224 @@
 
 #include "src/minnow/types.h"
 
-// X-macro over every opcode, in enum order. New opcodes go at the end so
-// fused programs disassembled in old logs stay readable.
-#define GRAFTLAB_MINNOW_OPS(X) \
-  X(kNop)                      \
-  X(kConstInt)                 \
-  X(kConstNull)                \
-  X(kLoadLocal)                \
-  X(kStoreLocal)               \
-  X(kLoadGlobal)               \
-  X(kStoreGlobal)              \
-  X(kPop)                      \
-  X(kDup)                      \
-  X(kAddI)                     \
-  X(kSubI)                     \
-  X(kMulI)                     \
-  X(kDivI)                     \
-  X(kModI)                     \
-  X(kNegI)                     \
-  X(kAndI)                     \
-  X(kOrI)                      \
-  X(kXorI)                     \
-  X(kShlI)                     \
-  X(kShrI)                     \
-  X(kNotI)                     \
-  X(kAddU)                     \
-  X(kSubU)                     \
-  X(kMulU)                     \
-  X(kDivU)                     \
-  X(kModU)                     \
-  X(kShlU)                     \
-  X(kShrU)                     \
-  X(kNotU)                     \
-  X(kEqI)                      \
-  X(kNeI)                      \
-  X(kLtI)                      \
-  X(kLeI)                      \
-  X(kGtI)                      \
-  X(kGeI)                      \
-  X(kLtU)                      \
-  X(kLeU)                      \
-  X(kGtU)                      \
-  X(kGeU)                      \
-  X(kEqRef)                    \
-  X(kNeRef)                    \
-  X(kNotB)                     \
-  X(kCastU32)                  \
-  X(kCastByte)                 \
-  X(kJmp)                      \
-  X(kJmpIfFalse)               \
-  X(kJmpIfTrue)                \
-  X(kCall)                     \
-  X(kCallHost)                 \
-  X(kRet)                      \
-  X(kRetVoid)                  \
-  X(kNewStruct)                \
-  X(kNewArray)                 \
-  X(kLoadField)                \
-  X(kStoreField)               \
-  X(kLoadElem)                 \
-  X(kStoreElem)                \
-  X(kArrayLen)                 \
-  X(kTrap)                     \
-  X(kLoadAddI)                 \
-  X(kAddConstI)                \
-  X(kConstStore)               \
-  X(kBrEqI)                    \
-  X(kBrNeI)                    \
-  X(kBrLtI)                    \
-  X(kBrLeI)                    \
-  X(kBrGtI)                    \
-  X(kBrGeI)                    \
-  X(kBrEqRef)                  \
-  X(kBrNeRef)                  \
-  X(kBrEqImmI)                 \
-  X(kBrNeImmI)                 \
-  X(kBrLtImmI)                 \
-  X(kBrLeImmI)                 \
-  X(kBrGtImmI)                 \
-  X(kBrGeImmI)                 \
-  X(kLoadLocal2)               \
-  X(kLoadConstI)               \
-  X(kMoveLocal)                \
-  X(kStoreLoad)                \
-  X(kLoadGlobalLocal)          \
-  X(kLoadElemNC)               \
-  X(kStoreElemNC)              \
-  X(kLoadFieldNC)              \
-  X(kStoreFieldNC)             \
-  X(kDivNZ)                    \
-  X(kModNZ)                    \
-  X(kArrayLenNC)
+// X-macro over every opcode, in enum order: X(op, mnemonic, pops, pushes,
+// control, operand, compare), with the last three naming a Control, an
+// Operand and an Op (see OpInfo below). New opcodes go at the end so fused
+// programs disassembled in old logs stay readable.
+#define GRAFTLAB_MINNOW_OPS(X)                                                                  \
+  X(kNop,             "nop",               0,         0,         kNext,   kNone,        kNop)   \
+  X(kConstInt,        "const.i",           0,         1,         kNext,   kImm,         kNop)   \
+  X(kConstNull,       "const.null",        0,         1,         kNext,   kNone,        kNop)   \
+  X(kLoadLocal,       "load.local",        0,         1,         kNext,   kLocal,       kNop)   \
+  X(kStoreLocal,      "store.local",       1,         0,         kNext,   kLocal,       kNop)   \
+  X(kLoadGlobal,      "load.global",       0,         1,         kNext,   kGlobal,      kNop)   \
+  X(kStoreGlobal,     "store.global",      1,         0,         kNext,   kGlobal,      kNop)   \
+  X(kPop,             "pop",               1,         0,         kNext,   kNone,        kNop)   \
+  X(kDup,             "dup",               1,         2,         kNext,   kNone,        kNop)   \
+  X(kAddI,            "add.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kSubI,            "sub.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kMulI,            "mul.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kDivI,            "div.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kModI,            "mod.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kNegI,            "neg.i",             1,         1,         kNext,   kNone,        kNop)   \
+  X(kAndI,            "and.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kOrI,             "or.i",              2,         1,         kNext,   kNone,        kNop)   \
+  X(kXorI,            "xor.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kShlI,            "shl.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kShrI,            "shr.i",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kNotI,            "not.i",             1,         1,         kNext,   kNone,        kNop)   \
+  X(kAddU,            "add.u",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kSubU,            "sub.u",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kMulU,            "mul.u",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kDivU,            "div.u",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kModU,            "mod.u",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kShlU,            "shl.u",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kShrU,            "shr.u",             2,         1,         kNext,   kNone,        kNop)   \
+  X(kNotU,            "not.u",             1,         1,         kNext,   kNone,        kNop)   \
+  X(kEqI,             "eq.i",              2,         1,         kNext,   kNone,        kEqI)   \
+  X(kNeI,             "ne.i",              2,         1,         kNext,   kNone,        kNeI)   \
+  X(kLtI,             "lt.i",              2,         1,         kNext,   kNone,        kLtI)   \
+  X(kLeI,             "le.i",              2,         1,         kNext,   kNone,        kLeI)   \
+  X(kGtI,             "gt.i",              2,         1,         kNext,   kNone,        kGtI)   \
+  X(kGeI,             "ge.i",              2,         1,         kNext,   kNone,        kGeI)   \
+  X(kLtU,             "lt.u",              2,         1,         kNext,   kNone,        kLtU)   \
+  X(kLeU,             "le.u",              2,         1,         kNext,   kNone,        kLeU)   \
+  X(kGtU,             "gt.u",              2,         1,         kNext,   kNone,        kGtU)   \
+  X(kGeU,             "ge.u",              2,         1,         kNext,   kNone,        kGeU)   \
+  X(kEqRef,           "eq.ref",            2,         1,         kNext,   kNone,        kEqRef) \
+  X(kNeRef,           "ne.ref",            2,         1,         kNext,   kNone,        kNeRef) \
+  X(kNotB,            "not.b",             1,         1,         kNext,   kNone,        kNop)   \
+  X(kCastU32,         "cast.u32",          1,         1,         kNext,   kNone,        kNop)   \
+  X(kCastByte,        "cast.byte",         1,         1,         kNext,   kNone,        kNop)   \
+  X(kJmp,             "jmp",               0,         0,         kJump,   kTarget,      kNop)   \
+  X(kJmpIfFalse,      "jmp.false",         1,         0,         kBranch, kTarget,      kNop)   \
+  X(kJmpIfTrue,       "jmp.true",          1,         0,         kBranch, kTarget,      kNop)   \
+  X(kCall,            "call",              kVarStack, kVarStack, kCall,   kFunction,    kNop)   \
+  X(kCallHost,        "call.host",         kVarStack, kVarStack, kCall,   kHost,        kNop)   \
+  X(kRet,             "ret",               1,         0,         kReturn, kNone,        kNop)   \
+  X(kRetVoid,         "ret.void",          0,         0,         kReturn, kNone,        kNop)   \
+  X(kNewStruct,       "new.struct",        0,         1,         kNext,   kStruct,      kNop)   \
+  X(kNewArray,        "new.array",         1,         1,         kNext,   kElemKind,    kNop)   \
+  X(kLoadField,       "load.field",        1,         1,         kNext,   kField,       kNop)   \
+  X(kStoreField,      "store.field",       2,         0,         kNext,   kField,       kNop)   \
+  X(kLoadElem,        "load.elem",         2,         1,         kNext,   kElemKind,    kNop)   \
+  X(kStoreElem,       "store.elem",        3,         0,         kNext,   kElemKind,    kNop)   \
+  X(kArrayLen,        "array.len",         1,         1,         kNext,   kNone,        kNop)   \
+  X(kTrap,            "trap",              0,         0,         kTrap,   kImm,         kNop)   \
+  X(kLoadAddI,        "load+add.i",        1,         1,         kNext,   kLocal,       kNop)   \
+  X(kAddConstI,       "add.const.i",       1,         1,         kNext,   kImm,         kNop)   \
+  X(kConstStore,      "const+store",       0,         0,         kNext,   kConstLocal,  kNop)   \
+  X(kBrEqI,           "br.eq.i",           2,         0,         kBranch, kTarget,      kEqI)   \
+  X(kBrNeI,           "br.ne.i",           2,         0,         kBranch, kTarget,      kNeI)   \
+  X(kBrLtI,           "br.lt.i",           2,         0,         kBranch, kTarget,      kLtI)   \
+  X(kBrLeI,           "br.le.i",           2,         0,         kBranch, kTarget,      kLeI)   \
+  X(kBrGtI,           "br.gt.i",           2,         0,         kBranch, kTarget,      kGtI)   \
+  X(kBrGeI,           "br.ge.i",           2,         0,         kBranch, kTarget,      kGeI)   \
+  X(kBrEqRef,         "br.eq.ref",         2,         0,         kBranch, kTarget,      kEqRef) \
+  X(kBrNeRef,         "br.ne.ref",         2,         0,         kBranch, kTarget,      kNeRef) \
+  X(kBrEqImmI,        "br.eq.imm.i",       1,         0,         kBranch, kImmTarget,   kEqI)   \
+  X(kBrNeImmI,        "br.ne.imm.i",       1,         0,         kBranch, kImmTarget,   kNeI)   \
+  X(kBrLtImmI,        "br.lt.imm.i",       1,         0,         kBranch, kImmTarget,   kLtI)   \
+  X(kBrLeImmI,        "br.le.imm.i",       1,         0,         kBranch, kImmTarget,   kLeI)   \
+  X(kBrGtImmI,        "br.gt.imm.i",       1,         0,         kBranch, kImmTarget,   kGtI)   \
+  X(kBrGeImmI,        "br.ge.imm.i",       1,         0,         kBranch, kImmTarget,   kGeI)   \
+  X(kLoadLocal2,      "load.local2",       0,         2,         kNext,   kLocalPair,   kNop)   \
+  X(kLoadConstI,      "load+const.i",      0,         2,         kNext,   kLocalConst,  kNop)   \
+  X(kMoveLocal,       "move.local",        0,         0,         kNext,   kLocalPair,   kNop)   \
+  X(kStoreLoad,       "store+load",        1,         1,         kNext,   kLocalPair,   kNop)   \
+  X(kLoadGlobalLocal, "load.global+local", 0,         2,         kNext,   kGlobalLocal, kNop)   \
+  X(kLoadElemNC,      "load.arr.nc",       2,         1,         kNext,   kElemKind,    kNop)   \
+  X(kStoreElemNC,     "store.arr.nc",      3,         0,         kNext,   kElemKind,    kNop)   \
+  X(kLoadFieldNC,     "deref.nc",          1,         1,         kNext,   kField,       kNop)   \
+  X(kStoreFieldNC,    "deref.store.nc",    2,         0,         kNext,   kField,       kNop)   \
+  X(kDivNZ,           "div.nz",            2,         1,         kNext,   kNone,        kNop)   \
+  X(kModNZ,           "mod.nz",            2,         1,         kNext,   kNone,        kNop)   \
+  X(kArrayLenNC,      "len.nc",            1,         1,         kNext,   kNone,        kNop)
 
 namespace minnow {
 
 enum class Op : std::uint8_t {
-#define GRAFTLAB_MINNOW_ENUM_ENTRY(name) name,
+#define GRAFTLAB_MINNOW_ENUM_ENTRY(op, ...) op,
   GRAFTLAB_MINNOW_OPS(GRAFTLAB_MINNOW_ENUM_ENTRY)
 #undef GRAFTLAB_MINNOW_ENUM_ENTRY
 };
 
 inline constexpr std::size_t kNumOps = 0
-#define GRAFTLAB_MINNOW_COUNT_ENTRY(name) +1
+#define GRAFTLAB_MINNOW_COUNT_ENTRY(op, ...) +1
     GRAFTLAB_MINNOW_OPS(GRAFTLAB_MINNOW_COUNT_ENTRY)
 #undef GRAFTLAB_MINNOW_COUNT_ENTRY
     ;
+
+// How control leaves an instruction.
+enum class Control : std::uint8_t {
+  kNext,    // falls through to pc + 1
+  kBranch,  // to its target or to pc + 1
+  kJump,    // to its target only
+  kCall,    // runs a function or host import, then falls through
+  kReturn,  // leaves the function
+  kTrap,    // raises a trap
+};
+
+// What an instruction's operand holds. The packed forms are built by the
+// Pack* helpers below.
+enum class Operand : std::uint8_t {
+  kNone,         // nothing (the operand is ignored)
+  kImm,          // an integer constant, or kTrap's message selector
+  kLocal,        // a local slot
+  kGlobal,       // a global index
+  kFunction,     // a function index
+  kHost,         // a host import index
+  kStruct,       // a struct id
+  kElemKind,     // an array element TypeKind
+  kField,        // a field index
+  kTarget,       // a branch target
+  kImmTarget,    // imm<<32 | target (PackImmBranch)
+  kConstLocal,   // const<<32 | slot, const stored into the slot (PackConstStore)
+  kLocalConst,   // const<<32 | slot, slot then const pushed (PackConstStore)
+  kLocalPair,    // a<<32 | b, two local slots (PackSlotPair)
+  kGlobalLocal,  // g<<32 | s, a global and a local slot (PackSlotPair)
+};
+
+// The pops/pushes of kCall and kCallHost: the callee's signature decides
+// them (ResolveShape).
+inline constexpr int kVarStack = -1;
+
+// One row of GRAFTLAB_MINNOW_OPS.
+struct OpInfo {
+  const char* name;
+  int pops;
+  int pushes;
+  Control control;
+  Operand operand;
+  // Comparisons: the opcode itself. Fused compare-and-branches: the
+  // comparison they branch on. Everything else: kNop.
+  Op compare;
+};
+
+inline constexpr OpInfo kOpTable[] = {
+#define GRAFTLAB_MINNOW_INFO_ENTRY(op, name, pops, pushes, control, operand, compare) \
+  {name, pops, pushes, Control::control, Operand::operand, Op::compare},
+    GRAFTLAB_MINNOW_OPS(GRAFTLAB_MINNOW_INFO_ENTRY)
+#undef GRAFTLAB_MINNOW_INFO_ENTRY
+};
+
+// The row of a byte outside the opcode set: no shape, no successor.
+inline constexpr OpInfo kUnknownOp = {"?", 0, 0, Control::kTrap, Operand::kNone, Op::kNop};
+
+inline constexpr bool IsValidOp(Op op) { return static_cast<std::size_t>(op) < kNumOps; }
+
+inline constexpr const OpInfo& InfoOf(Op op) {
+  return IsValidOp(op) ? kOpTable[static_cast<std::size_t>(op)] : kUnknownOp;
+}
+
+inline constexpr const char* OpName(Op op) { return InfoOf(op).name; }
+
+// True when the instruction names a branch target (see BranchTarget).
+inline constexpr bool HasTarget(Op op) {
+  const Control c = InfoOf(op).control;
+  return c == Control::kBranch || c == Control::kJump;
+}
+
+// True when control may continue at pc + 1.
+inline constexpr bool FallsThrough(Op op) {
+  const Control c = InfoOf(op).control;
+  return c == Control::kNext || c == Control::kBranch || c == Control::kCall;
+}
+
+// True when the instruction ends a basic block: it branches, calls, or leaves.
+inline constexpr bool EndsBlock(Op op) { return InfoOf(op).control != Control::kNext; }
+
+// The comparison that holds exactly when `cmp` does not; kNop when `cmp` is
+// not a comparison.
+inline constexpr Op NegateCompare(Op cmp) {
+  switch (cmp) {
+    case Op::kEqI: return Op::kNeI;
+    case Op::kNeI: return Op::kEqI;
+    case Op::kLtI: return Op::kGeI;
+    case Op::kLeI: return Op::kGtI;
+    case Op::kGtI: return Op::kLeI;
+    case Op::kGeI: return Op::kLtI;
+    case Op::kLtU: return Op::kGeU;
+    case Op::kLeU: return Op::kGtU;
+    case Op::kGtU: return Op::kLeU;
+    case Op::kGeU: return Op::kLtU;
+    case Op::kEqRef: return Op::kNeRef;
+    case Op::kNeRef: return Op::kEqRef;
+    default: return Op::kNop;
+  }
+}
+
+// The fused compare-and-branch that branches on `cmp` with a `form` operand
+// (kTarget or kImmTarget); kNop when there is none.
+inline constexpr Op FusedBranch(Op cmp, Operand form) {
+  for (std::size_t i = 0; cmp != Op::kNop && i < kNumOps; ++i) {
+    if (kOpTable[i].control == Control::kBranch && kOpTable[i].operand == form &&
+        kOpTable[i].compare == cmp) {
+      return static_cast<Op>(i);
+    }
+  }
+  return Op::kNop;
+}
 
 // True for the unchecked opcode variants only the check-elision pass
 // (elide.h) may emit. The verifier rejects them unless the program's
@@ -248,6 +367,21 @@ struct Insn {
   Op op = Op::kNop;
   std::int64_t operand = 0;
 };
+
+// The target of an instruction for which HasTarget holds.
+inline constexpr std::int64_t BranchTarget(const Insn& insn) {
+  return InfoOf(insn.op).operand == Operand::kImmTarget
+             ? static_cast<std::int64_t>(ImmBranchTarget(insn.operand))
+             : insn.operand;
+}
+
+inline constexpr void SetBranchTarget(Insn& insn, std::int64_t target) {
+  if (InfoOf(insn.op).operand == Operand::kImmTarget) {
+    insn.operand = PackImmBranch(ImmBranchValue(insn.operand), static_cast<std::uint32_t>(target));
+  } else {
+    insn.operand = target;
+  }
+}
 
 struct FunctionCode {
   std::string name;
@@ -317,7 +451,38 @@ struct Program {
   }
 };
 
-const char* OpName(Op op);
+// An instruction's operand-stack shape.
+struct StackShape {
+  int pops = 0;
+  int pushes = 0;
+};
+
+// The shape of `insn` in `program`: the table's, or for kCall and kCallHost
+// the callee's arity and result. False for a byte outside the opcode set or
+// a callee index out of range.
+inline bool ResolveShape(const Program& program, const Insn& insn, StackShape& shape) {
+  if (!IsValidOp(insn.op)) {
+    return false;
+  }
+  const OpInfo& info = InfoOf(insn.op);
+  shape = {info.pops, info.pushes};
+  if (info.pops != kVarStack) {
+    return true;
+  }
+  const auto index = static_cast<std::size_t>(insn.operand);
+  if (info.operand == Operand::kFunction) {
+    if (insn.operand < 0 || index >= program.functions.size()) {
+      return false;
+    }
+    shape = {program.functions[index].num_params, program.functions[index].returns_value ? 1 : 0};
+    return true;
+  }
+  if (insn.operand < 0 || index >= program.host_imports.size()) {
+    return false;
+  }
+  shape = {program.host_imports[index].arity, program.host_imports[index].returns_value ? 1 : 0};
+  return true;
+}
 
 // Human-readable disassembly, for tests and debugging.
 std::string Disassemble(const FunctionCode& fn);

@@ -252,24 +252,6 @@ void WidenState(const State& prev, State& next) {
 
 // --- refinement ----------------------------------------------------------
 
-Op NegateCmp(Op op) {
-  switch (op) {
-    case Op::kEqI: return Op::kNeI;
-    case Op::kNeI: return Op::kEqI;
-    case Op::kLtI: return Op::kGeI;
-    case Op::kLeI: return Op::kGtI;
-    case Op::kGtI: return Op::kLeI;
-    case Op::kGeI: return Op::kLtI;
-    case Op::kLtU: return Op::kGeU;
-    case Op::kLeU: return Op::kGtU;
-    case Op::kGtU: return Op::kLeU;
-    case Op::kGeU: return Op::kLtU;
-    case Op::kEqRef: return Op::kNeRef;
-    case Op::kNeRef: return Op::kEqRef;
-    default: return Op::kNop;
-  }
-}
-
 // Meet (intersection) of facts known about one and the same value; false if
 // the intersection is empty (the edge is infeasible).
 bool MeetVal(AbsVal& into, const AbsVal& fact) {
@@ -414,7 +396,7 @@ bool RefineByPred(State& state, const Pred& pred, bool truth) {
   if (!pred.valid) {
     return true;
   }
-  const Op cmp = truth ? pred.cmp : NegateCmp(pred.cmp);
+  const Op cmp = truth ? pred.cmp : NegateCompare(pred.cmp);
   if (cmp == Op::kNop) {
     return true;
   }
@@ -605,6 +587,27 @@ class Analyzer {
     auto next = [&] { FlowTo(out, visits, worklist, pc, pc + 1, state); };
     auto jump = [&](std::size_t target) { FlowTo(out, visits, worklist, pc, target, state); };
 
+    // A fused compare-and-branch: each edge refines by the comparison it
+    // branches on, or by its negation.
+    if (const Op cmp = InfoOf(insn.op).compare; cmp != Op::kNop && HasTarget(insn.op)) {
+      Slot b;
+      if (InfoOf(insn.op).operand == Operand::kImmTarget) {
+        b.v = AbsVal::Const(ImmBranchValue(insn.operand));
+      } else {
+        b = pop();
+      }
+      const Slot a = pop();
+      State taken = state;
+      if (RefineCompare(taken, cmp, a.origin, a.v, b.origin, b.v)) {
+        FlowTo(out, visits, worklist, pc, static_cast<std::size_t>(BranchTarget(insn)), taken);
+      }
+      State fall = std::move(state);
+      if (RefineCompare(fall, NegateCompare(cmp), a.origin, a.v, b.origin, b.v)) {
+        FlowTo(out, visits, worklist, pc, pc + 1, fall);
+      }
+      return;
+    }
+
     switch (insn.op) {
       case Op::kNop:
         next();
@@ -764,9 +767,9 @@ class Analyzer {
         Slot a = pop();
         Slot res;
         res.v = AbsVal::Range(0, 1);
-        if (a.pred.valid && NegateCmp(a.pred.cmp) != Op::kNop) {
+        if (a.pred.valid && NegateCompare(a.pred.cmp) != Op::kNop) {
           res.pred = a.pred;
-          res.pred.cmp = NegateCmp(a.pred.cmp);
+          res.pred.cmp = NegateCompare(a.pred.cmp);
         }
         push(std::move(res));
         next();
@@ -923,66 +926,6 @@ class Analyzer {
         state.locals[slot] = AbsVal::Const(ConstStoreValue(insn.operand));
         KillOrigin(state, Origin::kLocal, slot);
         next();
-        return;
-      }
-      case Op::kBrEqI:
-      case Op::kBrNeI:
-      case Op::kBrLtI:
-      case Op::kBrLeI:
-      case Op::kBrGtI:
-      case Op::kBrGeI:
-      case Op::kBrEqRef:
-      case Op::kBrNeRef: {
-        const Slot b = pop();
-        const Slot a = pop();
-        Op cmp;
-        switch (insn.op) {
-          case Op::kBrEqI: cmp = Op::kEqI; break;
-          case Op::kBrNeI: cmp = Op::kNeI; break;
-          case Op::kBrLtI: cmp = Op::kLtI; break;
-          case Op::kBrLeI: cmp = Op::kLeI; break;
-          case Op::kBrGtI: cmp = Op::kGtI; break;
-          case Op::kBrGeI: cmp = Op::kGeI; break;
-          case Op::kBrEqRef: cmp = Op::kEqRef; break;
-          default: cmp = Op::kNeRef; break;
-        }
-        const auto target = static_cast<std::size_t>(insn.operand);
-        State taken = state;
-        if (RefineCompare(taken, cmp, a.origin, a.v, b.origin, b.v)) {
-          FlowTo(out, visits, worklist, pc, target, taken);
-        }
-        State fall = std::move(state);
-        if (RefineCompare(fall, NegateCmp(cmp), a.origin, a.v, b.origin, b.v)) {
-          FlowTo(out, visits, worklist, pc, pc + 1, fall);
-        }
-        return;
-      }
-      case Op::kBrEqImmI:
-      case Op::kBrNeImmI:
-      case Op::kBrLtImmI:
-      case Op::kBrLeImmI:
-      case Op::kBrGtImmI:
-      case Op::kBrGeImmI: {
-        const Slot a = pop();
-        const AbsVal imm = AbsVal::Const(ImmBranchValue(insn.operand));
-        Op cmp;
-        switch (insn.op) {
-          case Op::kBrEqImmI: cmp = Op::kEqI; break;
-          case Op::kBrNeImmI: cmp = Op::kNeI; break;
-          case Op::kBrLtImmI: cmp = Op::kLtI; break;
-          case Op::kBrLeImmI: cmp = Op::kLeI; break;
-          case Op::kBrGtImmI: cmp = Op::kGtI; break;
-          default: cmp = Op::kGeI; break;
-        }
-        const auto target = static_cast<std::size_t>(ImmBranchTarget(insn.operand));
-        State taken = state;
-        if (RefineCompare(taken, cmp, a.origin, a.v, Origin{}, imm)) {
-          FlowTo(out, visits, worklist, pc, target, taken);
-        }
-        State fall = std::move(state);
-        if (RefineCompare(fall, NegateCmp(cmp), a.origin, a.v, Origin{}, imm)) {
-          FlowTo(out, visits, worklist, pc, pc + 1, fall);
-        }
         return;
       }
       case Op::kLoadLocal2: {

@@ -7,48 +7,11 @@ namespace minnow {
 
 namespace {
 
-bool IsImmBranch(Op op) {
-  return op == Op::kBrEqImmI || op == Op::kBrNeImmI || op == Op::kBrLtImmI ||
-         op == Op::kBrLeImmI || op == Op::kBrGtImmI || op == Op::kBrGeImmI;
-}
-
-bool IsBranch(Op op) {
-  switch (op) {
-    case Op::kJmp:
-    case Op::kJmpIfFalse:
-    case Op::kJmpIfTrue:
-    case Op::kBrEqI:
-    case Op::kBrNeI:
-    case Op::kBrLtI:
-    case Op::kBrLeI:
-    case Op::kBrGtI:
-    case Op::kBrGeI:
-    case Op::kBrEqRef:
-    case Op::kBrNeRef:
-      return true;
-    default:
-      return IsImmBranch(op);
-  }
-}
-
-std::int64_t GetBranchTarget(const Insn& insn) {
-  return IsImmBranch(insn.op) ? static_cast<std::int64_t>(ImmBranchTarget(insn.operand))
-                              : insn.operand;
-}
-
-void SetBranchTarget(Insn& insn, std::int64_t target) {
-  if (IsImmBranch(insn.op)) {
-    insn.operand = PackImmBranch(ImmBranchValue(insn.operand), static_cast<std::uint32_t>(target));
-  } else {
-    insn.operand = target;
-  }
-}
-
 std::vector<bool> JumpTargets(const FunctionCode& fn) {
   std::vector<bool> targets(fn.code.size() + 1, false);
   for (const Insn& insn : fn.code) {
-    if (IsBranch(insn.op)) {
-      targets[static_cast<std::size_t>(GetBranchTarget(insn))] = true;
+    if (HasTarget(insn.op)) {
+      targets[static_cast<std::size_t>(BranchTarget(insn))] = true;
     }
   }
   return targets;
@@ -74,42 +37,12 @@ void Compact(FunctionCode& fn, const std::vector<bool>& keep) {
       continue;
     }
     Insn insn = fn.code[i];
-    if (IsBranch(insn.op)) {
-      SetBranchTarget(insn, remap[static_cast<std::size_t>(GetBranchTarget(insn))]);
+    if (HasTarget(insn.op)) {
+      SetBranchTarget(insn, remap[static_cast<std::size_t>(BranchTarget(insn))]);
     }
     out.push_back(insn);
   }
   fn.code = std::move(out);
-}
-
-// Maps a comparison followed by kJmpIfTrue (or, when `inverted`, kJmpIfFalse)
-// to the equivalent fused compare-and-branch opcode. Returns false for
-// comparisons with no fused form (the unsigned family).
-bool FusedCompareBranch(Op cmp, bool inverted, Op& out) {
-  switch (cmp) {
-    case Op::kEqI: out = inverted ? Op::kBrNeI : Op::kBrEqI; return true;
-    case Op::kNeI: out = inverted ? Op::kBrEqI : Op::kBrNeI; return true;
-    case Op::kLtI: out = inverted ? Op::kBrGeI : Op::kBrLtI; return true;
-    case Op::kLeI: out = inverted ? Op::kBrGtI : Op::kBrLeI; return true;
-    case Op::kGtI: out = inverted ? Op::kBrLeI : Op::kBrGtI; return true;
-    case Op::kGeI: out = inverted ? Op::kBrLtI : Op::kBrGeI; return true;
-    case Op::kEqRef: out = inverted ? Op::kBrNeRef : Op::kBrEqRef; return true;
-    case Op::kNeRef: out = inverted ? Op::kBrEqRef : Op::kBrNeRef; return true;
-    default: return false;
-  }
-}
-
-// The imm forms only exist for the signed-integer comparisons.
-bool FusedImmCompareBranch(Op cmp, bool inverted, Op& out) {
-  switch (cmp) {
-    case Op::kEqI: out = inverted ? Op::kBrNeImmI : Op::kBrEqImmI; return true;
-    case Op::kNeI: out = inverted ? Op::kBrEqImmI : Op::kBrNeImmI; return true;
-    case Op::kLtI: out = inverted ? Op::kBrGeImmI : Op::kBrLtImmI; return true;
-    case Op::kLeI: out = inverted ? Op::kBrGtImmI : Op::kBrLeImmI; return true;
-    case Op::kGtI: out = inverted ? Op::kBrLeImmI : Op::kBrGtImmI; return true;
-    case Op::kGeI: out = inverted ? Op::kBrLtImmI : Op::kBrGeImmI; return true;
-    default: return false;
-  }
 }
 
 bool FitsInt32(std::int64_t v) {
@@ -133,10 +66,12 @@ std::size_t FuseFunction(FunctionCode& fn, FuseStats& stats) {
     // constant and the target both fit the packed operand.
     if (i + 2 < fn.code.size() && !targets[i + 2] && a.op == Op::kConstInt && FitsInt32(a.operand)) {
       const Insn& c = fn.code[i + 2];
-      Op fused_op;
+      // kJmpIfFalse branches on the negated comparison. The imm forms exist
+      // only for the signed-integer comparisons.
+      const Op cmp = c.op == Op::kJmpIfFalse ? NegateCompare(b.op) : b.op;
+      const Op fused_op = FusedBranch(cmp, Operand::kImmTarget);
       if ((c.op == Op::kJmpIfTrue || c.op == Op::kJmpIfFalse) &&
-          c.operand <= std::numeric_limits<std::uint32_t>::max() &&
-          FusedImmCompareBranch(b.op, c.op == Op::kJmpIfFalse, fused_op)) {
+          c.operand <= std::numeric_limits<std::uint32_t>::max() && fused_op != Op::kNop) {
         fn.code[i + 2] = {fused_op, PackImmBranch(static_cast<std::int32_t>(a.operand),
                                                   static_cast<std::uint32_t>(c.operand))};
         keep[i] = false;
@@ -151,8 +86,8 @@ std::size_t FuseFunction(FunctionCode& fn, FuseStats& stats) {
     // Pair: [cmp][JmpIfX t] -> fused compare-and-branch (sense-inverted for
     // JmpIfFalse so six opcodes cover both polarities).
     if (b.op == Op::kJmpIfTrue || b.op == Op::kJmpIfFalse) {
-      Op fused_op;
-      if (FusedCompareBranch(a.op, b.op == Op::kJmpIfFalse, fused_op)) {
+      const Op cmp = b.op == Op::kJmpIfFalse ? NegateCompare(a.op) : a.op;
+      if (const Op fused_op = FusedBranch(cmp, Operand::kTarget); fused_op != Op::kNop) {
         fn.code[i + 1] = {fused_op, b.operand};
         keep[i] = false;
         ++fused;

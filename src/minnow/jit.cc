@@ -376,174 +376,8 @@ constexpr Reg GLB = RBX;
 constexpr Reg FUEL = R15;
 constexpr std::uint64_t kFuelUnlimitedBias = 0x7fffffffffffffffull;
 
-struct Eff {
-  int pops = 0;
-  int pushes = 0;
-  bool branch = false;
-  bool terminal = false;
-  std::size_t target = 0;
-};
-
-// Stack effect + control shape per opcode — mirrors verifier.cc's table (the
-// verifier already accepted this code; disagreement here means bail out).
-bool EffectOf(const Program& program, const Insn& insn, Eff& e) {
-  switch (insn.op) {
-    case Op::kNop:
-    case Op::kConstStore:
-    case Op::kMoveLocal:
-      break;
-    case Op::kConstInt:
-    case Op::kConstNull:
-    case Op::kLoadLocal:
-    case Op::kLoadGlobal:
-    case Op::kNewStruct:
-      e.pushes = 1;
-      break;
-    case Op::kStoreLocal:
-    case Op::kStoreGlobal:
-    case Op::kPop:
-      e.pops = 1;
-      break;
-    case Op::kDup:
-      e.pops = 1;
-      e.pushes = 2;
-      break;
-    case Op::kNegI:
-    case Op::kNotI:
-    case Op::kNotU:
-    case Op::kNotB:
-    case Op::kCastU32:
-    case Op::kCastByte:
-    case Op::kArrayLen:
-    case Op::kArrayLenNC:
-    case Op::kNewArray:
-    case Op::kLoadField:
-    case Op::kLoadFieldNC:
-    case Op::kLoadAddI:
-    case Op::kAddConstI:
-    case Op::kStoreLoad:
-      e.pops = 1;
-      e.pushes = 1;
-      break;
-    case Op::kAddI:
-    case Op::kSubI:
-    case Op::kMulI:
-    case Op::kDivI:
-    case Op::kModI:
-    case Op::kAndI:
-    case Op::kOrI:
-    case Op::kXorI:
-    case Op::kShlI:
-    case Op::kShrI:
-    case Op::kAddU:
-    case Op::kSubU:
-    case Op::kMulU:
-    case Op::kDivU:
-    case Op::kModU:
-    case Op::kShlU:
-    case Op::kShrU:
-    case Op::kEqI:
-    case Op::kNeI:
-    case Op::kLtI:
-    case Op::kLeI:
-    case Op::kGtI:
-    case Op::kGeI:
-    case Op::kLtU:
-    case Op::kLeU:
-    case Op::kGtU:
-    case Op::kGeU:
-    case Op::kEqRef:
-    case Op::kNeRef:
-    case Op::kLoadElem:
-    case Op::kLoadElemNC:
-    case Op::kDivNZ:
-    case Op::kModNZ:
-      e.pops = 2;
-      e.pushes = 1;
-      break;
-    case Op::kStoreField:
-    case Op::kStoreFieldNC:
-      e.pops = 2;
-      break;
-    case Op::kStoreElem:
-    case Op::kStoreElemNC:
-      e.pops = 3;
-      break;
-    case Op::kJmp:
-      e.branch = true;
-      e.terminal = true;
-      e.target = static_cast<std::size_t>(insn.operand);
-      break;
-    case Op::kJmpIfFalse:
-    case Op::kJmpIfTrue:
-      e.pops = 1;
-      e.branch = true;
-      e.target = static_cast<std::size_t>(insn.operand);
-      break;
-    case Op::kBrEqI:
-    case Op::kBrNeI:
-    case Op::kBrLtI:
-    case Op::kBrLeI:
-    case Op::kBrGtI:
-    case Op::kBrGeI:
-    case Op::kBrEqRef:
-    case Op::kBrNeRef:
-      e.pops = 2;
-      e.branch = true;
-      e.target = static_cast<std::size_t>(insn.operand);
-      break;
-    case Op::kBrEqImmI:
-    case Op::kBrNeImmI:
-    case Op::kBrLtImmI:
-    case Op::kBrLeImmI:
-    case Op::kBrGtImmI:
-    case Op::kBrGeImmI:
-      e.pops = 1;
-      e.branch = true;
-      e.target = static_cast<std::size_t>(ImmBranchTarget(insn.operand));
-      break;
-    case Op::kCall: {
-      if (insn.operand < 0 ||
-          static_cast<std::size_t>(insn.operand) >= program.functions.size()) {
-        return false;
-      }
-      const auto& callee = program.functions[static_cast<std::size_t>(insn.operand)];
-      e.pops = callee.num_params;
-      e.pushes = callee.returns_value ? 1 : 0;
-      break;
-    }
-    case Op::kCallHost: {
-      if (insn.operand < 0 ||
-          static_cast<std::size_t>(insn.operand) >= program.host_imports.size()) {
-        return false;
-      }
-      const auto& host = program.host_imports[static_cast<std::size_t>(insn.operand)];
-      e.pops = host.arity;
-      e.pushes = host.returns_value ? 1 : 0;
-      break;
-    }
-    case Op::kRet:
-      e.pops = 1;
-      e.terminal = true;
-      break;
-    case Op::kRetVoid:
-    case Op::kTrap:
-      e.terminal = true;
-      break;
-    case Op::kLoadLocal2:
-    case Op::kLoadConstI:
-    case Op::kLoadGlobalLocal:
-      e.pushes = 2;
-      break;
-    default:
-      return false;
-  }
-  return true;
-}
-
-bool IsBlockEnder(const Eff& e, Op op) {
-  return e.branch || e.terminal || op == Op::kCall || op == Op::kCallHost;
-}
+// A branch target as a pc (the verifier proved it in range).
+std::size_t TargetOf(const Insn& insn) { return static_cast<std::size_t>(BranchTarget(insn)); }
 
 // Where a not-yet-stored operand's value lives while its block compiles.
 // kMem names a 64-bit cell [base + disp]: the entry's own operand slot, or
@@ -1028,25 +862,23 @@ struct Compiler {
       const Insn& insn = f.code[pc];
       if (splice && !InlinableOp(insn.op)) return false;
       if (splice && opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) return false;
-      Eff e;
-      if (!EffectOf(program, insn, e)) return false;
-      if (splice && e.terminal && !e.branch && insn.op != Op::kRet && insn.op != Op::kRetVoid)
-        return false;
+      StackShape e;
+      if (!ResolveShape(program, insn, e)) return false;
+      if (splice && InfoOf(insn.op).control == Control::kTrap) return false;
       const int d = fl.depth[pc];
       if (d < e.pops) return false;
       const int d2 = d - e.pops + e.pushes;
       if (d2 > f.max_stack || d2 > kMaxStack) return false;
-      if (e.branch && !propagate(e.target, d - e.pops)) return false;
-      if (!e.terminal && !propagate(pc + 1, d2)) return false;
+      if (HasTarget(insn.op) && !propagate(TargetOf(insn), d - e.pops)) return false;
+      if (FallsThrough(insn.op) && !propagate(pc + 1, d2)) return false;
     }
     // Leaders: entry, branch targets, and the instruction after any ender.
     fl.leader[0] = 1;
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (fl.depth[pc] < 0) continue;
-      Eff e;
-      EffectOf(program, f.code[pc], e);
-      if (IsBlockEnder(e, f.code[pc].op) && pc + 1 < n) fl.leader[pc + 1] = 1;
-      if (e.branch) fl.leader[e.target] = fl.target[e.target] = 1;
+      const Insn& insn = f.code[pc];
+      if (EndsBlock(insn.op) && pc + 1 < n) fl.leader[pc + 1] = 1;
+      if (HasTarget(insn.op)) fl.leader[TargetOf(insn)] = fl.target[TargetOf(insn)] = 1;
     }
     // Blocks: from each leader to its first ender (or the next leader, when
     // control falls through into one).
@@ -1062,9 +894,7 @@ struct Compiler {
       if (lp < 0) return false;  // reachable code without a leader: impossible
       fl.blk_leader[pc] = lp;
       fl.blk_len[lp] = static_cast<int>(pc) - lp + 1;
-      Eff e;
-      EffectOf(program, f.code[pc], e);
-      if (IsBlockEnder(e, f.code[pc].op)) lp = -1;
+      if (EndsBlock(f.code[pc].op)) lp = -1;
     }
     return true;
   }
@@ -1140,8 +970,8 @@ struct Compiler {
   // node's weight to the slot's rank.
   void SlotEffects(Node& nd, const Insn& insn, int d, int lbase, int obase, std::uint64_t w,
                    std::vector<std::uint64_t>& weight) const {
-    Eff e;
-    EffectOf(program, insn, e);
+    StackShape e;
+    ResolveShape(program, insn, e);
     const auto local = [&](std::vector<std::int32_t>& to, std::int64_t s) {
       const auto k = static_cast<std::size_t>(lbase + s);
       to.push_back(static_cast<std::int32_t>(k));
@@ -1195,9 +1025,9 @@ struct Compiler {
   std::vector<int> LoopNest(const FunctionCode& f, const Flow& fl) const {
     std::vector<int> nest(f.code.size() + 1, 0);
     for (std::size_t pc = 0; pc < f.code.size(); ++pc) {
-      Eff e;
-      if (fl.depth[pc] >= 0 && EffectOf(program, f.code[pc], e) && e.branch && e.target <= pc) {
-        ++nest[e.target];
+      const Insn& insn = f.code[pc];
+      if (fl.depth[pc] >= 0 && HasTarget(insn.op) && TargetOf(insn) <= pc) {
+        ++nest[TargetOf(insn)];
         --nest[pc + 1];
       }
     }
@@ -1235,12 +1065,10 @@ struct Compiler {
       const Insn& insn = fn.code[pc];
       nd.join = flow.target[pc] != 0;
       nd.nest = nest[pc];
-      Eff e;
-      EffectOf(program, insn, e);
       if (!splice_site_[pc]) {
         SlotEffects(nd, insn, d, 0, nl, weight_of(nd.nest), weight);
-        if (!e.terminal) nd.succ.push_back(pc_node_[pc + 1]);
-        if (e.branch) nd.succ.push_back(pc_node_[e.target]);
+        if (FallsThrough(insn.op)) nd.succ.push_back(pc_node_[pc + 1]);
+        if (HasTarget(insn.op)) nd.succ.push_back(pc_node_[TargetOf(insn)]);
         continue;
       }
       // Splice site: the args become the callee's params in place, its other
@@ -1262,15 +1090,13 @@ struct Compiler {
         cn.join = cf.target[cpc] != 0;
         cn.nest = nd.nest + cnest[cpc];
         SlotEffects(cn, ci, cd, nl + lb, nl + lb + callee.num_locals, weight_of(cn.nest), weight);
-        Eff ce;
-        EffectOf(program, ci, ce);
         if (ci.op == Op::kRet || ci.op == Op::kRetVoid) {
           if (ci.op == Op::kRet) cn.def.push_back(nl + lb);  // the caller's result slot
           cn.succ.push_back(pc_node_[pc + 1]);
           continue;
         }
-        if (!ce.terminal) cn.succ.push_back(entry + 1 + static_cast<int>(cpc) + 1);
-        if (ce.branch) cn.succ.push_back(entry + 1 + static_cast<int>(ce.target));
+        if (FallsThrough(ci.op)) cn.succ.push_back(entry + 1 + static_cast<int>(cpc) + 1);
+        if (HasTarget(ci.op)) cn.succ.push_back(entry + 1 + static_cast<int>(TargetOf(ci)));
       }
     }
 
@@ -2008,38 +1834,6 @@ std::uint64_t Jit::HelpPushFrame(JitCtx*, std::uint64_t) { return 1; }
 // by index for determinism.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-bool JumpTargetOf(const Insn& insn, std::size_t& target) {
-  switch (insn.op) {
-    case Op::kJmp:
-    case Op::kJmpIfFalse:
-    case Op::kJmpIfTrue:
-    case Op::kBrEqI:
-    case Op::kBrNeI:
-    case Op::kBrLtI:
-    case Op::kBrLeI:
-    case Op::kBrGtI:
-    case Op::kBrGeI:
-    case Op::kBrEqRef:
-    case Op::kBrNeRef:
-      target = static_cast<std::size_t>(insn.operand);
-      return true;
-    case Op::kBrEqImmI:
-    case Op::kBrNeImmI:
-    case Op::kBrLtImmI:
-    case Op::kBrLeImmI:
-    case Op::kBrGtImmI:
-    case Op::kBrGeImmI:
-      target = ImmBranchTarget(insn.operand);
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 std::vector<int> Jit::CompilationOrder(const Program& program) {
   struct Rank {
     std::uint64_t back_edges;
@@ -2051,8 +1845,7 @@ std::vector<int> Jit::CompilationOrder(const Program& program) {
     const auto& fn = program.functions[i];
     Rank r{0, static_cast<int>(i)};
     for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
-      std::size_t target = 0;
-      if (JumpTargetOf(fn.code[pc], target) && target <= pc) {
+      if (HasTarget(fn.code[pc].op) && static_cast<std::size_t>(BranchTarget(fn.code[pc])) <= pc) {
         ++r.back_edges;
       }
     }

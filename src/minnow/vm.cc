@@ -388,7 +388,7 @@ Value VM::RunSwitch(std::size_t entry_frames) {
   // One label per opcode, generated from the same X-macro as the enum, so
   // the table cannot drift out of order.
   static const void* const kLabels[] = {
-#define GRAFTLAB_MINNOW_LABEL_ENTRY(name) &&Lbl_##name,
+#define GRAFTLAB_MINNOW_LABEL_ENTRY(op, ...) &&Lbl_##op,
       GRAFTLAB_MINNOW_OPS(GRAFTLAB_MINNOW_LABEL_ENTRY)
 #undef GRAFTLAB_MINNOW_LABEL_ENTRY
   };

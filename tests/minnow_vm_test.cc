@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/minnow/compiler.h"
 #include "src/minnow/diag.h"
+#include "src/minnow/elide.h"
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
 
@@ -15,6 +17,8 @@ namespace {
 
 using minnow::Compile;
 using minnow::HostDecl;
+using minnow::Insn;
+using minnow::Op;
 using minnow::Program;
 using minnow::Trap;
 using minnow::Type;
@@ -423,12 +427,226 @@ TEST(Verifier, RejectsBadFieldAndStructIndices) {
   EXPECT_FALSE(minnow::VerifyProgram(broken2).ok);
 }
 
+// --- Verifier: hostile bytecode across the whole opcode set ---
+//
+// The expectations below are written from the opcode semantics in
+// bytecode.h's header comment, not read from its opcode table, so a wrong
+// table row fails here.
+
+// A program whose pools make every operand below valid: struct 0 has two
+// fields, global 0 exists, host import 0 and function 0 each take two
+// arguments and return a value. `code` becomes function 1, with two locals.
+// Unchecked opcodes get a matching elision certificate, so only the
+// function's own shape decides the verdict.
+minnow::VerifyReport VerifyHostile(std::vector<Insn> code) {
+  Program program;
+  program.structs.push_back({"S", 2, {false, false}});
+  program.globals.push_back({"g", false});
+  program.host_imports.push_back({"h", 2, true});
+  minnow::FunctionCode callee;
+  callee.name = "callee";
+  callee.num_params = 2;
+  callee.num_locals = 2;
+  callee.returns_value = true;
+  callee.code = {{Op::kLoadLocal, 0}, {Op::kRet, 0}};
+  program.functions.push_back(callee);
+  minnow::FunctionCode evil;
+  evil.name = "evil";
+  evil.num_locals = 2;
+  evil.code = std::move(code);
+  program.functions.push_back(evil);
+  for (const Insn& insn : program.functions[1].code) {
+    if (minnow::IsUncheckedOp(insn.op)) {
+      program.elision.attached = true;
+      program.elision.code_hash = minnow::ElisionCodeHash(program);
+    }
+  }
+  return minnow::VerifyProgram(program);
+}
+
+constexpr auto kIntKind = static_cast<std::int64_t>(minnow::TypeKind::kInt);
+
+TEST(Verifier, RejectsEveryPoppingOpcodeAtDepthZero) {
+  // Every opcode that pops, with an operand that is otherwise valid. Each is
+  // first in its function, so the stack is empty.
+  const std::vector<Insn> pops = {
+      {Op::kStoreLocal, 0}, {Op::kStoreGlobal, 0}, {Op::kPop, 0}, {Op::kDup, 0},
+      {Op::kAddI, 0}, {Op::kSubI, 0}, {Op::kMulI, 0}, {Op::kDivI, 0}, {Op::kModI, 0},
+      {Op::kNegI, 0}, {Op::kAndI, 0}, {Op::kOrI, 0}, {Op::kXorI, 0}, {Op::kShlI, 0},
+      {Op::kShrI, 0}, {Op::kNotI, 0}, {Op::kAddU, 0}, {Op::kSubU, 0}, {Op::kMulU, 0},
+      {Op::kDivU, 0}, {Op::kModU, 0}, {Op::kShlU, 0}, {Op::kShrU, 0}, {Op::kNotU, 0},
+      {Op::kEqI, 0}, {Op::kNeI, 0}, {Op::kLtI, 0}, {Op::kLeI, 0}, {Op::kGtI, 0},
+      {Op::kGeI, 0}, {Op::kLtU, 0}, {Op::kLeU, 0}, {Op::kGtU, 0}, {Op::kGeU, 0},
+      {Op::kEqRef, 0}, {Op::kNeRef, 0}, {Op::kNotB, 0}, {Op::kCastU32, 0},
+      {Op::kCastByte, 0}, {Op::kJmpIfFalse, 1}, {Op::kJmpIfTrue, 1}, {Op::kCall, 0},
+      {Op::kCallHost, 0}, {Op::kRet, 0}, {Op::kNewArray, kIntKind}, {Op::kLoadField, 0},
+      {Op::kStoreField, 0}, {Op::kLoadElem, kIntKind}, {Op::kStoreElem, kIntKind},
+      {Op::kArrayLen, 0}, {Op::kLoadAddI, 0}, {Op::kAddConstI, 5}, {Op::kBrEqI, 1},
+      {Op::kBrNeI, 1}, {Op::kBrLtI, 1}, {Op::kBrLeI, 1}, {Op::kBrGtI, 1}, {Op::kBrGeI, 1},
+      {Op::kBrEqRef, 1}, {Op::kBrNeRef, 1}, {Op::kBrEqImmI, minnow::PackImmBranch(7, 1)},
+      {Op::kBrNeImmI, minnow::PackImmBranch(7, 1)}, {Op::kBrLtImmI, minnow::PackImmBranch(7, 1)},
+      {Op::kBrLeImmI, minnow::PackImmBranch(7, 1)}, {Op::kBrGtImmI, minnow::PackImmBranch(7, 1)},
+      {Op::kBrGeImmI, minnow::PackImmBranch(7, 1)}, {Op::kStoreLoad, minnow::PackSlotPair(0, 1)},
+      {Op::kLoadElemNC, kIntKind}, {Op::kStoreElemNC, kIntKind}, {Op::kLoadFieldNC, 0},
+      {Op::kStoreFieldNC, 0}, {Op::kDivNZ, 0}, {Op::kModNZ, 0}, {Op::kArrayLenNC, 0},
+  };
+  // Every opcode that does not pop: accepted at depth zero.
+  const std::vector<Insn> no_pops = {
+      {Op::kNop, 0}, {Op::kConstInt, 3}, {Op::kConstNull, 0}, {Op::kLoadLocal, 1},
+      {Op::kLoadGlobal, 0}, {Op::kJmp, 1}, {Op::kRetVoid, 0}, {Op::kNewStruct, 0},
+      {Op::kTrap, 0}, {Op::kConstStore, minnow::PackConstStore(-7, 1)},
+      {Op::kLoadLocal2, minnow::PackSlotPair(1, 0)},
+      {Op::kLoadConstI, minnow::PackConstStore(-7, 1)},
+      {Op::kMoveLocal, minnow::PackSlotPair(0, 1)},
+      {Op::kLoadGlobalLocal, minnow::PackSlotPair(0, 1)},
+  };
+  std::set<Op> seen;
+  for (const Insn& insn : pops) {
+    seen.insert(insn.op);
+    const auto report = VerifyHostile({insn, {Op::kRetVoid, 0}});
+    EXPECT_FALSE(report.ok) << minnow::OpName(insn.op);
+    EXPECT_EQ(report.message, "fn 'evil': stack underflow") << minnow::OpName(insn.op);
+    EXPECT_EQ(report.function, 1);
+    EXPECT_EQ(report.pc, 0u);
+  }
+  for (const Insn& insn : no_pops) {
+    seen.insert(insn.op);
+    const auto report = VerifyHostile({insn, {Op::kRetVoid, 0}});
+    EXPECT_TRUE(report.ok) << minnow::OpName(insn.op) << ": " << report.message;
+  }
+  // The two lists name every opcode once, so a new opcode must join one.
+  EXPECT_EQ(seen.size(), pops.size() + no_pops.size());
+  EXPECT_EQ(seen.size(), minnow::kNumOps);
+}
+
+TEST(Verifier, RejectsEveryBranchFormWithATargetOutOfRange) {
+  // Each branch form with the operands it pops already pushed, at pc `depth`
+  // of a function of `depth` + 2 instructions.
+  struct Form {
+    Op op;
+    int depth;
+  };
+  const std::vector<Form> raw = {
+      {Op::kJmp, 0},    {Op::kJmpIfFalse, 1}, {Op::kJmpIfTrue, 1}, {Op::kBrEqI, 2},
+      {Op::kBrNeI, 2},  {Op::kBrLtI, 2},      {Op::kBrLeI, 2},     {Op::kBrGtI, 2},
+      {Op::kBrGeI, 2},  {Op::kBrEqRef, 2},    {Op::kBrNeRef, 2},
+  };
+  const std::vector<Op> imm = {Op::kBrEqImmI, Op::kBrNeImmI, Op::kBrLtImmI,
+                               Op::kBrLeImmI, Op::kBrGtImmI, Op::kBrGeImmI};
+  const auto branch_at = [](const Form& form, std::int64_t operand) {
+    std::vector<Insn> code(static_cast<std::size_t>(form.depth), Insn{Op::kConstInt, 1});
+    code.push_back({form.op, operand});
+    code.push_back({Op::kRetVoid, 0});
+    return code;
+  };
+  const auto expect_out_of_range = [](const Form& form, const minnow::VerifyReport& report) {
+    EXPECT_FALSE(report.ok) << minnow::OpName(form.op);
+    EXPECT_EQ(report.message, "fn 'evil': branch target out of range") << minnow::OpName(form.op);
+    EXPECT_EQ(report.pc, static_cast<std::size_t>(form.depth));
+  };
+  for (const Form& form : raw) {
+    const auto size = static_cast<std::int64_t>(form.depth) + 2;
+    EXPECT_TRUE(VerifyHostile(branch_at(form, size - 1)).ok) << minnow::OpName(form.op);
+    expect_out_of_range(form, VerifyHostile(branch_at(form, size)));
+    expect_out_of_range(form, VerifyHostile(branch_at(form, -1)));
+    expect_out_of_range(form, VerifyHostile(branch_at(form, std::int64_t{1} << 40)));
+  }
+  // The imm forms branch to the low 32 bits of the operand; the high 32 hold
+  // the immediate and are no target.
+  for (const Op op : imm) {
+    const Form form{op, 1};
+    EXPECT_TRUE(VerifyHostile(branch_at(form, minnow::PackImmBranch(-9, 2))).ok)
+        << minnow::OpName(op);
+    expect_out_of_range(form, VerifyHostile(branch_at(form, minnow::PackImmBranch(-9, 3))));
+    expect_out_of_range(form,
+                        VerifyHostile(branch_at(form, minnow::PackImmBranch(0, 0xFFFFFFFFu))));
+  }
+}
+
+TEST(Verifier, RejectsPackedSlotsOutOfRange) {
+  // Each packed-slot superinstruction at pc 1 of a function with two locals
+  // and one global, after one pushed operand (kStoreLoad pops it).
+  struct Case {
+    Op op;
+    std::int64_t operand;
+    bool ok;
+  };
+  using minnow::PackConstStore;
+  using minnow::PackSlotPair;
+  const std::vector<Case> cases = {
+      {Op::kConstStore, PackConstStore(5, 1), true},
+      {Op::kConstStore, PackConstStore(5, 2), false},
+      {Op::kConstStore, PackConstStore(-1, 0xFFFFFFFFu), false},
+      {Op::kLoadConstI, PackConstStore(5, 1), true},
+      {Op::kLoadConstI, PackConstStore(5, 2), false},
+      {Op::kLoadLocal2, PackSlotPair(1, 1), true},
+      {Op::kLoadLocal2, PackSlotPair(2, 0), false},
+      {Op::kLoadLocal2, PackSlotPair(0, 2), false},
+      {Op::kMoveLocal, PackSlotPair(1, 0), true},
+      {Op::kMoveLocal, PackSlotPair(2, 0), false},
+      {Op::kMoveLocal, PackSlotPair(0, 2), false},
+      {Op::kStoreLoad, PackSlotPair(0, 1), true},
+      {Op::kStoreLoad, PackSlotPair(2, 1), false},
+      {Op::kStoreLoad, PackSlotPair(1, 2), false},
+      {Op::kLoadGlobalLocal, PackSlotPair(0, 1), true},
+      {Op::kLoadGlobalLocal, PackSlotPair(1, 1), false},
+      {Op::kLoadGlobalLocal, PackSlotPair(0, 2), false},
+  };
+  for (const Case& c : cases) {
+    const auto report =
+        VerifyHostile({{Op::kConstInt, 4}, {c.op, c.operand}, {Op::kRetVoid, 0}});
+    EXPECT_EQ(report.ok, c.ok) << minnow::OpName(c.op) << " " << c.operand << ": "
+                               << report.message;
+    if (!c.ok) {
+      EXPECT_NE(report.message.find("out of range"), std::string::npos) << report.message;
+      EXPECT_EQ(report.pc, 1u);
+    }
+  }
+}
+
 TEST(Disassembler, ProducesReadableOutput) {
   const Program program = CompiledProbe();
   const std::string text = minnow::Disassemble(program.functions[0]);
   EXPECT_NE(text.find("fn f"), std::string::npos);
   EXPECT_NE(text.find("add.i"), std::string::npos);
   EXPECT_NE(text.find("ret"), std::string::npos);
+
+  // OpName is total and injective over the opcode set.
+  std::set<std::string> names;
+  for (std::size_t op = 0; op < minnow::kNumOps; ++op) {
+    const std::string name = minnow::OpName(static_cast<Op>(op));
+    EXPECT_NE(name, "?") << "opcode " << op;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  EXPECT_STREQ(minnow::OpName(static_cast<Op>(minnow::kNumOps)), "?");
+
+  // Packed operands print unpacked.
+  minnow::FunctionCode fn;
+  fn.name = "packed";
+  const std::int64_t imm_branch = minnow::PackImmBranch(-7, 3);
+  const std::int64_t slot_pair = minnow::PackSlotPair(4, 9);
+  const std::int64_t const_slot = minnow::PackConstStore(-7, 3);
+  fn.code = {
+      {Op::kBrEqImmI, imm_branch},     {Op::kBrNeImmI, imm_branch},  {Op::kBrLtImmI, imm_branch},
+      {Op::kBrLeImmI, imm_branch},     {Op::kBrGtImmI, imm_branch},  {Op::kBrGeImmI, imm_branch},
+      {Op::kLoadLocal2, slot_pair},    {Op::kMoveLocal, slot_pair},  {Op::kStoreLoad, slot_pair},
+      {Op::kLoadGlobalLocal, slot_pair}, {Op::kConstStore, const_slot},
+      {Op::kLoadConstI, const_slot},
+  };
+  EXPECT_EQ(minnow::Disassemble(fn),
+            "fn packed params=0 locals=0 max_stack=0\n"
+            "  0: br.eq.imm.i -7 -> 3\n"
+            "  1: br.ne.imm.i -7 -> 3\n"
+            "  2: br.lt.imm.i -7 -> 3\n"
+            "  3: br.le.imm.i -7 -> 3\n"
+            "  4: br.gt.imm.i -7 -> 3\n"
+            "  5: br.ge.imm.i -7 -> 3\n"
+            "  6: load.local2 4, 9\n"
+            "  7: move.local 4, 9\n"
+            "  8: store+load 4, 9\n"
+            "  9: load.global+local 4, 9\n"
+            "  10: const+store -7 -> local 3\n"
+            "  11: load+const.i local 3, -7\n");
 }
 
 }  // namespace
