@@ -11,9 +11,10 @@
 //   A1a  interpreter vs compiled Java (the JIT) vs native C (all three
 //        grafts)
 //   A1c  the interpreter's own axes: switch vs threaded dispatch, with and
-//        without superinstruction fusion — the gate is >= 1.5x on the
+//        without superinstruction fusion — the gates are >= 1.5x on the
 //        MD5-stream graft for (threaded + fused) over the plain switch loop,
-//        with identical digests
+//        and >= kMinThreadedOverSwitch for (threaded + fused) over
+//        (switch + fused), with identical digests
 //   A1d  the template JIT with the check-elision certificate vs the
 //        threaded + fused interpreter — the gate is >= 5x on the MD5-stream
 //        graft — plus its normalized cost against SFI on all three grafts
@@ -64,6 +65,13 @@ constexpr int kHotList = 64;                  // the paper's average hot-list le
 constexpr std::size_t kEvictionCalls = 2048;  // ChooseVictim calls per pass
 
 constexpr Graft kPaperGrafts[] = {Graft::kMd5, Graft::kEviction, Graft::kLdisk};
+
+// A1c's dispatch-lever bound: median per-round md5 pass time of
+// switch+fusion over threaded+fusion. 24 runs of working code on one 4-core
+// box read 1.11-1.40 (median 1.20, robust sd 0.029), so 1.08 sits 4 robust
+// sd below the median; 13 runs of a build without threaded dispatch read
+// 0.93-1.07.
+constexpr double kMinThreadedOverSwitch = 1.08;
 
 double MedianPassUs(const MatrixResult& matrix, Graft graft, Row row) {
   return Median(matrix.pass_ns[static_cast<std::size_t>(graft)][static_cast<std::size_t>(row)]) /
@@ -197,6 +205,7 @@ int main(int argc, char** argv) {
   // Per configuration: the per-round speedup over switch/raw and the pass
   // times, for md5 and eviction.
   std::array<std::vector<double>, kConfigs> md5_speedup, evict_speedup, md5_ns, evict_ns;
+  std::vector<double> threaded_over_switch;  // md5, both fused: switch pass / threaded pass
   std::array<std::uint64_t, kConfigs> md5_checksum{};
   bool digests_ok = true;
   // Round 0 warms up and is not measured: the first passes ran cold (the
@@ -223,6 +232,8 @@ int main(int argc, char** argv) {
       md5_ns[i].push_back(static_cast<double>(md5_pass[i]));
       evict_ns[i].push_back(static_cast<double>(evict_pass[i]) / kEvictionCalls);
     }
+    threaded_over_switch.push_back(static_cast<double>(md5_pass[1]) /
+                                   static_cast<double>(md5_pass[3]));
   }
   std::printf("%zu rounds; median pass times and median per-round speedup over switch/raw\n",
               rounds);
@@ -240,14 +251,20 @@ int main(int argc, char** argv) {
   // 1.72, IQR 0.13, min 1.51, so 1.5 sits ~2.4 robust standard deviations
   // below the median, and losing fusion (threaded/raw, 1.11-1.29x) fails it.
   // Losing threaded dispatch (switch+fusion, 1.32-1.56x) it cannot reliably
-  // catch (EXPERIMENTS.md, "A1c bound").
-  const bool dispatch_ok = dispatch_speedup >= 1.5 && digests_ok;
+  // catch; the second gate isolates that lever: with fusion on both sides, a
+  // build without threaded dispatch runs the switch loop twice and reads
+  // ~1.0 (EXPERIMENTS.md, "A1c bound").
+  const double threaded_speedup = Median(threaded_over_switch);
+  const bool threaded_ok = threaded_speedup >= kMinThreadedOverSwitch;
+  const bool dispatch_ok = dispatch_speedup >= 1.5 && threaded_ok && digests_ok;
   std::printf("\ndigests identical to md5::Sum in every configuration: %s\n",
               digests_ok ? "yes" : "NO (BUG)");
   std::printf("threaded+fusion vs switch baseline: md5 %.2fx, eviction %.2fx -> %s "
               "(target >= 1.5x on md5)\n",
               dispatch_speedup, Median(evict_speedup[kConfigs - 1]),
               dispatch_speedup >= 1.5 ? "PASS" : "FAIL");
+  std::printf("threaded+fusion vs switch+fusion: md5 %.3fx -> %s (target >= %.2fx)\n",
+              threaded_speedup, threaded_ok ? "PASS" : "FAIL", kMinThreadedOverSwitch);
 
   // --- A1d: the load-time template JIT vs the threaded + fused interpreter ---
   bench::PrintSection("A1d: verify-then-compile template JIT");

@@ -205,9 +205,10 @@ BENCHMARK(BM_TcletLoop1000);
 // --- upcall round trip ---
 
 void BM_UpcallRoundTrip(benchmark::State& state) {
-  upcall::UpcallEngine engine([](std::uint64_t arg) { return arg; });
+  upcall::UpcallEngine engine(
+      [] { return [](const upcall::Request& request) { return request.args[0]; }; });
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Upcall(1));
+    benchmark::DoNotOptimize(engine.Upcall(0, 1));
   }
 }
 BENCHMARK(BM_UpcallRoundTrip);

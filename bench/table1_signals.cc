@@ -6,16 +6,14 @@
 // divided by the number of signals to give a per-signal handling time."
 //
 // The paper also reports a hand-built upcall at ~60% of signal time
-// (BSD/OS: 63.1us signal, 37.2us upcall); our thread-handoff upcall engine
-// plays that role here.
+// (BSD/OS: 63.1us signal, 37.2us upcall); the upcall engine (a forked
+// server reached through a shared-page mailbox) plays that role here, in
+// the same run as the signal figure.
 
 #include <cstdio>
 
-#include <stdexcept>
-
 #include "bench/bench_util.h"
 #include "src/stats/harness.h"
-#include "src/upcall/process_upcall.h"
 #include "src/upcall/signal_bench.h"
 #include "src/upcall/upcall_engine.h"
 
@@ -52,31 +50,15 @@ int main(int argc, char** argv) {
     std::printf("Host signal handling time : UNAVAILABLE (fork/signals restricted)\n");
   }
 
-  upcall::UpcallEngine engine([](std::uint64_t arg) { return arg; });
+  upcall::UpcallEngine engine(
+      [] { return [](const upcall::Request& request) { return request.args[0]; }; });
   const auto round_trip = engine.MeasureRoundTrip(runs, options.full ? 5000 : 2000);
-  std::printf("Thread-handoff upcall     : %s round trip\n",
-              stats::FormatTimeUs(round_trip.mean_us, round_trip.stddev_pct).c_str());
-  report.AddUs("upcall_thread_roundtrip", runs, round_trip.mean_us, 0);
-
-  // The honest hardware-protection crossing: a separate server process,
-  // two kernel crossings per upcall over a socketpair.
-  try {
-    upcall::ProcessUpcallEngine process_engine([](std::uint64_t arg) { return arg; });
-    const auto process_rt =
-        process_engine.MeasureRoundTrip(runs, options.full ? 2000 : 1000);
-    std::printf("Process (socketpair) upcall: %s round trip\n",
-                stats::FormatTimeUs(process_rt.mean_us, process_rt.stddev_pct).c_str());
-    report.AddUs("upcall_process_roundtrip", runs, process_rt.mean_us, 0);
-    if (signal_result.ok && signal_result.per_signal_us > 0.0) {
-      std::printf("  process upcall / signal : %.2f (paper's BSD/OS upcall was 0.59x)\n",
-                  process_rt.mean_us / signal_result.per_signal_us);
-    }
-  } catch (const std::exception&) {
-    std::printf("Process (socketpair) upcall: UNAVAILABLE\n");
-  }
+  std::printf("Process upcall (mailbox)  : %s round trip\n",
+              stats::FormatTimeUs(round_trip.mean_us(), round_trip.stddev_pct()).c_str());
+  report.AddUs("upcall_roundtrip", runs, round_trip.mean_us(), 0);
   if (signal_result.ok && signal_result.per_signal_us > 0.0) {
-    std::printf("  thread upcall / signal  : %.2f\n",
-                round_trip.mean_us / signal_result.per_signal_us);
+    std::printf("  upcall / signal         : %.2f (paper's BSD/OS upcall was 0.59x)\n",
+                round_trip.mean_us() / signal_result.per_signal_us);
   }
   std::printf("\nThe paper argues a tuned upcall could reach ~1/4 of signal time; the Figure 1\n");
   std::printf("bench sweeps upcall cost explicitly, so this estimate is an input, not a gate.\n");

@@ -5,6 +5,7 @@
 #include "src/envs/safe_env.h"
 #include "src/envs/sfi_env.h"
 #include "src/minnow/compiler.h"
+#include "src/upcall/upcall_engine.h"
 
 namespace grafts {
 
@@ -167,6 +168,44 @@ TcletAclGraft::TcletAclGraft() {
 }
 
 namespace {
+
+// The C table in a forked server; user, file and access cross as scalars.
+class UpcallAclGraft : public core::AccessControlGraft {
+ public:
+  UpcallAclGraft(std::size_t capacity, envs::PreemptToken* preempt)
+      : engine_(upcall::Serving<EnvAclGraft<envs::UnsafeEnv>>(
+                    [](auto& graft, const upcall::Request& request) -> std::uint64_t {
+                      const auto [user, file, access] = request.args;
+                      const auto mode = static_cast<core::Access>(access);
+                      if (request.op == kCheck) {
+                        return graft.Check(user, file, mode) ? 1 : 0;
+                      }
+                      if (request.op == kGrant) {
+                        return graft.Grant(user, file, mode) ? 1 : 0;
+                      }
+                      graft.Revoke(user, file, mode);
+                      return 0;
+                    },
+                    capacity),
+                preempt) {}
+
+  bool Check(core::UserId user, core::FileId file, core::Access access) override {
+    return engine_.Upcall(kCheck, user, file, access) != 0;
+  }
+  bool Grant(core::UserId user, core::FileId file, core::Access access) override {
+    return engine_.Upcall(kGrant, user, file, access) != 0;
+  }
+  void Revoke(core::UserId user, core::FileId file, core::Access access) override {
+    engine_.Upcall(kRevoke, user, file, access);
+  }
+  const char* technology() const override { return "Upcall"; }
+
+ private:
+  enum Op : std::uint32_t { kCheck, kGrant, kRevoke };
+
+  upcall::UpcallEngine engine_;
+};
+
 std::int64_t TclCall(tclet::Interp& interp, const std::string& command) {
   if (interp.Eval(command) == tclet::Code::kError) {
     throw std::runtime_error("tclet acl: " + interp.result());
@@ -216,7 +255,7 @@ std::unique_ptr<core::AccessControlGraft> CreateAclGraft(core::Technology techno
     case Technology::kTcl:
       return std::make_unique<TcletAclGraft>();
     case Technology::kUpcall:
-      return std::make_unique<UpcallAclGraft>(capacity);
+      return std::make_unique<UpcallAclGraft>(capacity, preempt);
   }
   throw std::invalid_argument("unknown technology");
 }

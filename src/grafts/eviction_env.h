@@ -80,14 +80,7 @@ class EnvEvictionGraft : public core::PrioritizationGraft {
   const char* technology() const override { return Env::kName; }
   std::size_t hot_list_size() const { return size_; }
 
- private:
-  struct HotNode;
-  using Ref = typename Env::template Ref<HotNode>;
-  struct HotNode {
-    std::int64_t page = 0;
-    Ref next;
-  };
-
+  // The per-candidate search; an upcall server runs it on page ids by value.
   bool IsHot(std::int64_t page) {
     for (Ref cur = head_; !cur.IsNull(); cur = cur.Get(&HotNode::next)) {
       if (cur.Get(&HotNode::page) == page) {
@@ -96,6 +89,14 @@ class EnvEvictionGraft : public core::PrioritizationGraft {
     }
     return false;
   }
+
+ private:
+  struct HotNode;
+  using Ref = typename Env::template Ref<HotNode>;
+  struct HotNode {
+    std::int64_t page = 0;
+    Ref next;
+  };
 
   Env env_;
   Ref head_;

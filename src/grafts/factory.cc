@@ -59,7 +59,7 @@ std::unique_ptr<core::PrioritizationGraft> CreateEvictionGraft(Technology techno
     case Technology::kTcl:
       return std::make_unique<TcletEvictionGraft>();
     case Technology::kUpcall:
-      return std::make_unique<UpcallEvictionGraft>();
+      return std::make_unique<UpcallEvictionGraft>(preempt);
   }
   throw std::invalid_argument("unknown technology");
 }
@@ -84,7 +84,7 @@ std::unique_ptr<core::StreamGraft> CreateMd5Graft(Technology technology,
     case Technology::kTcl:
       return std::make_unique<TcletMd5Graft>();
     case Technology::kUpcall:
-      return std::make_unique<UpcallMd5Graft>();
+      return std::make_unique<UpcallMd5Graft>(preempt);
   }
   throw std::invalid_argument("unknown technology");
 }
@@ -114,7 +114,7 @@ std::unique_ptr<core::BlackBoxGraft> CreateLogicalDiskGraft(Technology technolog
     case Technology::kTcl:
       return std::make_unique<TcletLogicalDiskGraft>(geometry);
     case Technology::kUpcall:
-      return std::make_unique<UpcallLogicalDiskGraft>(geometry);
+      return std::make_unique<UpcallLogicalDiskGraft>(geometry, preempt);
   }
   throw std::invalid_argument("unknown technology");
 }

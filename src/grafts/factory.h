@@ -13,7 +13,7 @@
 namespace grafts {
 
 // Creates the page-eviction (Prioritization) graft for `technology`.
-// `preempt` (optional) is polled by the safe compiled technologies.
+// `preempt` (optional) is polled by the safe compiled technologies and by Upcall's wait.
 std::unique_ptr<core::PrioritizationGraft> CreateEvictionGraft(
     core::Technology technology, envs::PreemptToken* preempt = nullptr);
 

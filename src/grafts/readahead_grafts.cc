@@ -95,20 +95,22 @@ class TcletReadAheadGraft : public vmsim::ReadAheadGraft {
   tclet::Interp interp_;
 };
 
+// The native policy in a forked server; the page crosses as a scalar.
 class UpcallReadAheadGraft : public vmsim::ReadAheadGraft {
  public:
-  UpcallReadAheadGraft()
-      : engine_([this](std::uint64_t arg) {
-          return static_cast<std::uint64_t>(server_.Window(arg));
-        }) {}
+  explicit UpcallReadAheadGraft(envs::PreemptToken* preempt)
+      : engine_(upcall::Serving<vmsim::AdaptiveReadAhead>(
+                    [](auto& policy, const upcall::Request& request) -> std::uint64_t {
+                      return static_cast<std::uint64_t>(policy.Window(request.args[0]));
+                    }),
+                preempt) {}
 
   int Window(vmsim::PageId page) override {
-    return static_cast<int>(engine_.Upcall(page));
+    return static_cast<int>(engine_.Upcall(0, page));
   }
   const char* technology() const override { return "Upcall"; }
 
  private:
-  vmsim::AdaptiveReadAhead server_;
   upcall::UpcallEngine engine_;
 };
 
@@ -138,7 +140,7 @@ std::unique_ptr<vmsim::ReadAheadGraft> CreateReadAheadGraft(core::Technology tec
     case Technology::kTcl:
       return std::make_unique<TcletReadAheadGraft>();
     case Technology::kUpcall:
-      return std::make_unique<UpcallReadAheadGraft>();
+      return std::make_unique<UpcallReadAheadGraft>(preempt);
   }
   throw std::invalid_argument("unknown technology");
 }

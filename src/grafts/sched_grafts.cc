@@ -1,5 +1,6 @@
 #include "src/grafts/sched_grafts.h"
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -187,28 +188,36 @@ class TcletSchedulerGraft : public sched::SchedulerGraft {
   const std::vector<sched::Task>* tasks_ = nullptr;
 };
 
+// The native policy in a forked server. The run queue crosses by value: a
+// Task per task, carrying only the fields ClientServerPolicy reads.
 class UpcallSchedulerGraft : public sched::SchedulerGraft {
  public:
   UpcallSchedulerGraft()
-      : engine_([this](std::uint64_t) {
-          const sched::TaskId id = server_.PickNext(*tasks_);
-          return id == sched::kNoTask ? ~std::uint64_t{0} : id;
-        }) {}
+      : engine_(upcall::Serving<sched::ClientServerPolicy>(
+            [](auto& policy, const upcall::Request& request) -> std::uint64_t {
+              std::vector<sched::Task> tasks(request.payload_len / sizeof(sched::Task));
+              std::memcpy(tasks.data(), request.payload, tasks.size() * sizeof(sched::Task));
+              return policy.PickNext(tasks);
+            })) {}
 
   sched::TaskId PickNext(const std::vector<sched::Task>& tasks) override {
-    tasks_ = &tasks;  // shared-memory model: the server reads the run queue
-    const std::uint64_t reply = engine_.Upcall(0);
-    tasks_ = nullptr;
-    return reply == ~std::uint64_t{0} ? sched::kNoTask
-                                      : static_cast<sched::TaskId>(reply);
+    const std::size_t bytes = tasks.size() * sizeof(sched::Task);
+    if (bytes > upcall::UpcallEngine::kPayloadBytes) {
+      throw std::length_error("upcall scheduler: run queue exceeds the mailbox");
+    }
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const sched::Task& task = tasks[i];
+      const sched::Task wire{.id = task.id, .kind = task.kind, .runnable = task.runnable,
+                             .pending_requests = task.pending_requests};
+      std::memcpy(engine_.payload() + i * sizeof(wire), &wire, sizeof(wire));
+    }
+    return static_cast<sched::TaskId>(engine_.Upcall(0, 0, 0, 0, bytes));
   }
 
   const char* technology() const override { return "Upcall"; }
 
  private:
-  sched::ClientServerPolicy server_;
   upcall::UpcallEngine engine_;
-  const std::vector<sched::Task>* tasks_ = nullptr;
 };
 
 }  // namespace

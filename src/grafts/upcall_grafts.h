@@ -1,20 +1,19 @@
 // Grafts served from a user-level server (core::Technology::kUpcall).
 //
 // The extension logic is plain compiled code (the UnsafeEnv graft), but it
-// lives behind a protection boundary: every kernel->graft interaction is a
-// synchronous upcall through upcall::UpcallEngine (a server thread standing
-// in for a separate protection domain). This is the paper's
-// hardware-protection column: per-invocation cost = upcall round trip +
-// the work itself.
+// is built in, and runs in, a forked server process: every kernel->graft
+// interaction is a synchronous upcall through upcall::UpcallEngine's
+// shared-page mailbox. Arguments cross by value, so the server never reads
+// kernel memory. This is the paper's hardware-protection column:
+// per-invocation cost = upcall round trip + marshaling + the work itself.
 
 #ifndef GRAFTLAB_SRC_GRAFTS_UPCALL_GRAFTS_H_
 #define GRAFTLAB_SRC_GRAFTS_UPCALL_GRAFTS_H_
 
-#include <memory>
+#include <algorithm>
+#include <cstring>
 
 #include "src/core/graft.h"
-#include "src/envs/safe_env.h"
-#include "src/envs/sfi_env.h"
 #include "src/envs/unsafe_env.h"
 #include "src/grafts/eviction_env.h"
 #include "src/grafts/ldisk_env.h"
@@ -25,136 +24,143 @@ namespace grafts {
 
 class UpcallEvictionGraft : public core::PrioritizationGraft {
  public:
-  UpcallEvictionGraft()
-      : server_graft_(),
-        engine_([this](std::uint64_t arg) { return Dispatch(arg); }) {}
+  explicit UpcallEvictionGraft(envs::PreemptToken* preempt = nullptr)
+      : engine_(upcall::Serving<EnvEvictionGraft<envs::UnsafeEnv>>(
+                    [](auto& graft, const upcall::Request& request) -> std::uint64_t {
+                      if (request.op == kChoose) {
+                        // The first page of this chunk that is not hot, or kNone.
+                        for (std::uint64_t i = 0; i < request.payload_len / kIdBytes; ++i) {
+                          std::int64_t page = 0;
+                          std::memcpy(&page, request.payload + i * kIdBytes, kIdBytes);
+                          if (!graft.IsHot(page)) {
+                            return i;
+                          }
+                        }
+                        return kNone;
+                      }
+                      if (request.op == kAdd) {
+                        graft.HotListAdd(request.args[0]);
+                      } else if (request.op == kRemove) {
+                        graft.HotListRemove(request.args[0]);
+                      } else {
+                        graft.HotListClear();
+                      }
+                      return 0;
+                    }),
+                preempt) {}
 
+  // Sends the LRU chain's page ids a mailbox at a time until the server
+  // names a position that is not hot.
   vmsim::Frame* ChooseVictim(vmsim::Frame* lru_head) override {
-    op_ = Op::kChoose;
-    return reinterpret_cast<vmsim::Frame*>(
-        engine_.Upcall(reinterpret_cast<std::uint64_t>(lru_head)));
+    for (vmsim::Frame* chunk = lru_head; chunk != nullptr;) {
+      std::uint64_t n = 0;
+      vmsim::Frame* cursor = chunk;
+      for (; cursor != nullptr && n < kChunk; cursor = cursor->lru_next, ++n) {
+        const auto page = static_cast<std::int64_t>(cursor->page);
+        std::memcpy(engine_.payload() + n * kIdBytes, &page, kIdBytes);
+      }
+      const std::uint64_t position = engine_.Upcall(kChoose, 0, 0, 0, n * kIdBytes);
+      if (position < n) {
+        for (std::uint64_t i = 0; i < position; ++i) {
+          chunk = chunk->lru_next;
+        }
+        return chunk;
+      }
+      chunk = cursor;
+    }
+    return lru_head;  // everything resident is hot: the kernel's default
   }
-  void HotListAdd(vmsim::PageId page) override {
-    op_ = Op::kAdd;
-    engine_.Upcall(page);
-  }
-  void HotListRemove(vmsim::PageId page) override {
-    op_ = Op::kRemove;
-    engine_.Upcall(page);
-  }
-  void HotListClear() override {
-    op_ = Op::kClear;
-    engine_.Upcall(0);
-  }
+  void HotListAdd(vmsim::PageId page) override { engine_.Upcall(kAdd, page); }
+  void HotListRemove(vmsim::PageId page) override { engine_.Upcall(kRemove, page); }
+  void HotListClear() override { engine_.Upcall(kClear); }
   const char* technology() const override { return "Upcall"; }
 
-  std::uint64_t upcalls() const { return engine_.upcalls(); }
-
  private:
-  enum class Op { kChoose, kAdd, kRemove, kClear };
+  enum Op : std::uint32_t { kChoose, kAdd, kRemove, kClear };
+  static constexpr std::size_t kIdBytes = sizeof(std::int64_t);  // one page id
+  static constexpr std::uint64_t kChunk = upcall::UpcallEngine::kPayloadBytes / kIdBytes;
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-  std::uint64_t Dispatch(std::uint64_t arg) {
-    switch (op_) {
-      case Op::kChoose:
-        return reinterpret_cast<std::uint64_t>(
-            server_graft_.ChooseVictim(reinterpret_cast<vmsim::Frame*>(arg)));
-      case Op::kAdd:
-        server_graft_.HotListAdd(arg);
-        return 0;
-      case Op::kRemove:
-        server_graft_.HotListRemove(arg);
-        return 0;
-      case Op::kClear:
-        server_graft_.HotListClear();
-        return 0;
-    }
-    return 0;
-  }
-
-  EnvEvictionGraft<envs::UnsafeEnv> server_graft_;
-  Op op_ = Op::kChoose;
-  upcall::UpcallEngine engine_;  // must construct after op_/server_graft_
+  upcall::UpcallEngine engine_;
 };
 
 class UpcallMd5Graft : public core::StreamGraft {
  public:
-  UpcallMd5Graft()
-      : server_graft_(), engine_([this](std::uint64_t arg) { return Dispatch(arg); }) {}
+  explicit UpcallMd5Graft(envs::PreemptToken* preempt = nullptr)
+      : engine_(upcall::Serving<EnvMd5Graft<envs::UnsafeEnv>>(
+                    [](auto& graft, const upcall::Request& request) -> std::uint64_t {
+                      if (request.op == kConsume) {
+                        graft.Consume(request.payload, request.payload_len);
+                      } else {
+                        const md5::Digest digest = graft.Finish();
+                        std::memcpy(request.payload, digest.data(), digest.size());
+                      }
+                      return 0;
+                    }),
+                preempt) {}
 
-  // One upcall per chunk — the paper assumes one per 64KB disk transfer.
+  // One upcall per block of at most a mailbox payload — the paper assumes
+  // one per 64KB disk transfer.
   void Consume(const std::uint8_t* data, std::size_t len) override {
-    op_ = Op::kConsume;
-    data_ = data;
-    len_ = len;
-    engine_.Upcall(0);
+    while (len > 0) {
+      const std::size_t block = std::min(len, upcall::UpcallEngine::kPayloadBytes);
+      std::memcpy(engine_.payload(), data, block);
+      engine_.Upcall(kConsume, 0, 0, 0, block);
+      data += block;
+      len -= block;
+    }
   }
 
   md5::Digest Finish() override {
-    op_ = Op::kFinish;
-    engine_.Upcall(0);
-    return digest_;
+    engine_.Upcall(kFinish);
+    md5::Digest digest{};
+    std::memcpy(digest.data(), engine_.payload(), digest.size());
+    return digest;
   }
 
   const char* technology() const override { return "Upcall"; }
-  std::uint64_t upcalls() const { return engine_.upcalls(); }
+  pid_t server_pid() const { return engine_.server_pid(); }
 
  private:
-  enum class Op { kConsume, kFinish };
+  enum Op : std::uint32_t { kConsume, kFinish };
 
-  std::uint64_t Dispatch(std::uint64_t) {
-    if (op_ == Op::kConsume) {
-      server_graft_.Consume(data_, len_);
-    } else {
-      digest_ = server_graft_.Finish();
-    }
-    return 0;
-  }
-
-  EnvMd5Graft<envs::UnsafeEnv> server_graft_;
-  Op op_ = Op::kConsume;
-  const std::uint8_t* data_ = nullptr;
-  std::size_t len_ = 0;
-  md5::Digest digest_{};
   upcall::UpcallEngine engine_;
 };
 
 class UpcallLogicalDiskGraft : public core::BlackBoxGraft {
  public:
-  explicit UpcallLogicalDiskGraft(const ldisk::Geometry& geometry)
-      : server_graft_(geometry),
-        engine_([this](std::uint64_t arg) { return Dispatch(arg); }) {}
+  explicit UpcallLogicalDiskGraft(const ldisk::Geometry& geometry,
+                                  envs::PreemptToken* preempt = nullptr)
+      : engine_(upcall::Serving<EnvLogicalDiskGraft<envs::UnsafeEnv>>(
+                    [](auto& graft, const upcall::Request& request) -> std::uint64_t {
+                      if (request.op == kTranslate) {
+                        return graft.Translate(request.args[0]);
+                      }
+                      try {
+                        return graft.OnWrite(request.args[0]);
+                      } catch (const ldisk::DiskFull&) {
+                        return ldisk::kUnmapped;  // marshaled back across the boundary
+                      }
+                    },
+                    geometry),
+                preempt) {}
 
   ldisk::BlockId OnWrite(ldisk::BlockId logical) override {
-    op_ = Op::kWrite;
-    const std::uint64_t reply = engine_.Upcall(logical);
+    const std::uint64_t reply = engine_.Upcall(kWrite, logical);
     if (reply == ldisk::kUnmapped) {
       throw ldisk::DiskFull();
     }
     return reply;
   }
   ldisk::BlockId Translate(ldisk::BlockId logical) override {
-    op_ = Op::kTranslate;
-    return engine_.Upcall(logical);
+    return engine_.Upcall(kTranslate, logical);
   }
   const char* technology() const override { return "Upcall"; }
-  std::uint64_t upcalls() const { return engine_.upcalls(); }
+  pid_t server_pid() const { return engine_.server_pid(); }
 
  private:
-  enum class Op { kWrite, kTranslate };
+  enum Op : std::uint32_t { kWrite, kTranslate };
 
-  std::uint64_t Dispatch(std::uint64_t arg) {
-    if (op_ == Op::kWrite) {
-      try {
-        return server_graft_.OnWrite(arg);
-      } catch (const ldisk::DiskFull&) {
-        return ldisk::kUnmapped;  // marshaled back across the boundary
-      }
-    }
-    return server_graft_.Translate(arg);
-  }
-
-  EnvLogicalDiskGraft<envs::UnsafeEnv> server_graft_;
-  Op op_ = Op::kWrite;
   upcall::UpcallEngine engine_;
 };
 

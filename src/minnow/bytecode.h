@@ -326,9 +326,10 @@ inline constexpr Op FusedBranch(Op cmp, Operand form) {
 
 // True for the unchecked opcode variants only the check-elision pass
 // (elide.h) may emit. The verifier rejects them unless the program's
-// elision certificate is attached and its code hash matches.
+// elision certificate is attached and its code hash matches. Bytes past the
+// opcode table are no opcode at all (the verifier calls them unknown).
 inline constexpr bool IsUncheckedOp(Op op) {
-  return op >= Op::kLoadElemNC;
+  return op >= Op::kLoadElemNC && IsValidOp(op);
 }
 
 // kConstStore packs a 32-bit constant and a local slot into one operand.

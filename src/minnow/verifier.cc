@@ -33,9 +33,10 @@ const char* OperandError(const Program& program, const FunctionCode& fn, const I
                  ? nullptr
                  : "local slot out of range";
     case Operand::kGlobalLocal:
-      return SlotPairA(insn.operand) < program.globals.size() && SlotPairB(insn.operand) < locals
-                 ? nullptr
-                 : "global index out of range";
+      if (SlotPairA(insn.operand) >= program.globals.size()) {
+        return "global index out of range";
+      }
+      return SlotPairB(insn.operand) < locals ? nullptr : "local slot out of range";
     case Operand::kGlobal:
       return InRange(insn.operand, program.globals.size()) ? nullptr : "global index out of range";
     case Operand::kFunction:

@@ -438,7 +438,7 @@ TEST(Verifier, RejectsBadFieldAndStructIndices) {
 // arguments and return a value. `code` becomes function 1, with two locals.
 // Unchecked opcodes get a matching elision certificate, so only the
 // function's own shape decides the verdict.
-minnow::VerifyReport VerifyHostile(std::vector<Insn> code) {
+Program HostileProgram(std::vector<Insn> code) {
   Program program;
   program.structs.push_back({"S", 2, {false, false}});
   program.globals.push_back({"g", false});
@@ -455,10 +455,19 @@ minnow::VerifyReport VerifyHostile(std::vector<Insn> code) {
   evil.num_locals = 2;
   evil.code = std::move(code);
   program.functions.push_back(evil);
+  return program;
+}
+
+void AttachCertificate(Program& program) {
+  program.elision.attached = true;
+  program.elision.code_hash = minnow::ElisionCodeHash(program);
+}
+
+minnow::VerifyReport VerifyHostile(std::vector<Insn> code) {
+  Program program = HostileProgram(std::move(code));
   for (const Insn& insn : program.functions[1].code) {
     if (minnow::IsUncheckedOp(insn.op)) {
-      program.elision.attached = true;
-      program.elision.code_hash = minnow::ElisionCodeHash(program);
+      AttachCertificate(program);
     }
   }
   return minnow::VerifyProgram(program);
@@ -566,40 +575,65 @@ TEST(Verifier, RejectsEveryBranchFormWithATargetOutOfRange) {
 TEST(Verifier, RejectsPackedSlotsOutOfRange) {
   // Each packed-slot superinstruction at pc 1 of a function with two locals
   // and one global, after one pushed operand (kStoreLoad pops it).
+  // `error` names the half that is out of range; nullptr means accepted.
   struct Case {
     Op op;
     std::int64_t operand;
-    bool ok;
+    const char* error;
   };
   using minnow::PackConstStore;
   using minnow::PackSlotPair;
+  constexpr const char* kLocal = "fn 'evil': local slot out of range";
+  constexpr const char* kGlobal = "fn 'evil': global index out of range";
   const std::vector<Case> cases = {
-      {Op::kConstStore, PackConstStore(5, 1), true},
-      {Op::kConstStore, PackConstStore(5, 2), false},
-      {Op::kConstStore, PackConstStore(-1, 0xFFFFFFFFu), false},
-      {Op::kLoadConstI, PackConstStore(5, 1), true},
-      {Op::kLoadConstI, PackConstStore(5, 2), false},
-      {Op::kLoadLocal2, PackSlotPair(1, 1), true},
-      {Op::kLoadLocal2, PackSlotPair(2, 0), false},
-      {Op::kLoadLocal2, PackSlotPair(0, 2), false},
-      {Op::kMoveLocal, PackSlotPair(1, 0), true},
-      {Op::kMoveLocal, PackSlotPair(2, 0), false},
-      {Op::kMoveLocal, PackSlotPair(0, 2), false},
-      {Op::kStoreLoad, PackSlotPair(0, 1), true},
-      {Op::kStoreLoad, PackSlotPair(2, 1), false},
-      {Op::kStoreLoad, PackSlotPair(1, 2), false},
-      {Op::kLoadGlobalLocal, PackSlotPair(0, 1), true},
-      {Op::kLoadGlobalLocal, PackSlotPair(1, 1), false},
-      {Op::kLoadGlobalLocal, PackSlotPair(0, 2), false},
+      {Op::kConstStore, PackConstStore(5, 1), nullptr},
+      {Op::kConstStore, PackConstStore(5, 2), kLocal},
+      {Op::kConstStore, PackConstStore(-1, 0xFFFFFFFFu), kLocal},
+      {Op::kLoadConstI, PackConstStore(5, 1), nullptr},
+      {Op::kLoadConstI, PackConstStore(5, 2), kLocal},
+      {Op::kLoadLocal2, PackSlotPair(1, 1), nullptr},
+      {Op::kLoadLocal2, PackSlotPair(2, 0), kLocal},
+      {Op::kLoadLocal2, PackSlotPair(0, 2), kLocal},
+      {Op::kMoveLocal, PackSlotPair(1, 0), nullptr},
+      {Op::kMoveLocal, PackSlotPair(2, 0), kLocal},
+      {Op::kMoveLocal, PackSlotPair(0, 2), kLocal},
+      {Op::kStoreLoad, PackSlotPair(0, 1), nullptr},
+      {Op::kStoreLoad, PackSlotPair(2, 1), kLocal},
+      {Op::kStoreLoad, PackSlotPair(1, 2), kLocal},
+      {Op::kLoadGlobalLocal, PackSlotPair(0, 1), nullptr},
+      {Op::kLoadGlobalLocal, PackSlotPair(1, 1), kGlobal},
+      {Op::kLoadGlobalLocal, PackSlotPair(0, 2), kLocal},  // the global is fine
   };
   for (const Case& c : cases) {
     const auto report =
         VerifyHostile({{Op::kConstInt, 4}, {c.op, c.operand}, {Op::kRetVoid, 0}});
-    EXPECT_EQ(report.ok, c.ok) << minnow::OpName(c.op) << " " << c.operand << ": "
-                               << report.message;
-    if (!c.ok) {
-      EXPECT_NE(report.message.find("out of range"), std::string::npos) << report.message;
+    EXPECT_EQ(report.ok, c.error == nullptr) << minnow::OpName(c.op) << " " << c.operand << ": "
+                                             << report.message;
+    if (c.error != nullptr) {
+      EXPECT_EQ(report.message, c.error) << minnow::OpName(c.op) << " " << c.operand;
       EXPECT_EQ(report.pc, 1u);
+    }
+  }
+}
+
+TEST(Verifier, ReportsBytesPastTheOpcodeTableAsUnknown) {
+  // The first two bytes past the table (88 and 89) are no opcode: the
+  // verdict names them so whether or not a certificate is attached, and
+  // never calls them unchecked opcodes.
+  for (const std::size_t byte : {minnow::kNumOps, minnow::kNumOps + 1}) {
+    const auto op = static_cast<Op>(byte);
+    EXPECT_FALSE(minnow::IsValidOp(op)) << byte;
+    EXPECT_FALSE(minnow::IsUncheckedOp(op)) << byte;
+    for (const bool certified : {false, true}) {
+      Program program = HostileProgram({{op, 0}, {Op::kRetVoid, 0}});
+      if (certified) {
+        AttachCertificate(program);
+      }
+      const auto report = minnow::VerifyProgram(program);
+      EXPECT_FALSE(report.ok);
+      EXPECT_EQ(report.message, "fn 'evil': unknown opcode") << byte << " " << certified;
+      EXPECT_EQ(report.function, 1);
+      EXPECT_EQ(report.pc, 0u);
     }
   }
 }
