@@ -514,7 +514,6 @@ int main(int argc, char** argv) {
   dispatcher.Drain();
 
   const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
-  std::printf("%s\n", snapshot.ToText().c_str());
   std::printf("wheel: %llu deadlines armed, %llu fired; contained faults across shards: %llu\n\n",
               static_cast<unsigned long long>(dispatcher.deadline_wheel().armed()),
               static_cast<unsigned long long>(dispatcher.deadline_wheel().fired()),

@@ -49,6 +49,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -75,8 +76,13 @@
 #include "src/netfront/server.h"
 #include "src/netfront/wire.h"
 #include "src/obslab/plane.h"
+#include "src/obslab/registry.h"
+#include "src/obslab/snapshot.h"
 
 namespace {
+
+// epoll tag of the pacing timer; connections are tagged by their index.
+constexpr std::uint64_t kPaceTimerTag = ~0ull;
 
 struct Flags {
   std::uint64_t sessions = 102'400;
@@ -201,38 +207,6 @@ bool FlushConn(ClientConn& conn) {
     conn.out_pos = 0;
   }
   return true;
-}
-
-// Sums every series value of one metric in a Prometheus text exposition
-// (all label combinations), for scrape-delta accounting.
-double MetricSum(const std::string& text, const char* name) {
-  const std::size_t name_len = std::strlen(name);
-  double sum = 0.0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
-    }
-    const char* line = text.data() + pos;
-    const std::size_t len = eol - pos;
-    pos = eol + 1;
-    if (len == 0 || line[0] == '#' || len < name_len ||
-        std::memcmp(line, name, name_len) != 0) {
-      continue;
-    }
-    if (len > name_len && line[name_len] != '{' && line[name_len] != ' ') {
-      continue;  // a longer metric name sharing this prefix
-    }
-    std::size_t space = len;
-    while (space > 0 && line[space - 1] != ' ') {
-      --space;
-    }
-    if (space > 0) {
-      sum += std::strtod(std::string(line + space, len - space).c_str(), nullptr);
-    }
-  }
-  return sum;
 }
 
 // One admin scrape with a few attempts: under chaos the scrape connection
@@ -481,13 +455,14 @@ int RunChaos(const Flags& flags) {
   server.Stop();
   snapshot = dispatcher.Snapshot();
   server.FillTelemetry(snapshot.netfront);
-  std::printf("%s\n", snapshot.ToText().c_str());
+  std::printf("%s\n", obslab::SnapshotText(snapshot).c_str());
 
   bench::PrintSection("admin-scrape delta (chaos accounting over the wire)");
   bool scrape_ok = scraped_before && scraped_after;
   if (scrape_ok) {
     auto delta = [&](const char* metric) {
-      return MetricSum(scrape_after, metric) - MetricSum(scrape_before, metric);
+      return obslab::SeriesSum(scrape_after, metric).value_or(0.0) -
+             obslab::SeriesSum(scrape_before, metric).value_or(0.0);
     };
     const double d_injections = delta("graftlab_fault_injections_total");
     const double d_sheds = delta("graftlab_tenant_shed_degraded_total") +
@@ -711,6 +686,21 @@ int main(int argc, char** argv) {
     ev.data.u64 = c;
     epoll_ctl(client_epoll, EPOLL_CTL_ADD, fd, &ev);
   }
+  // The pacing clock: armed to the next scheduled send, so a request
+  // leaves within the timer slack of its instant instead of waiting for
+  // the next millisecond tick of epoll_wait. steady_clock (NowNs) is
+  // CLOCK_MONOTONIC on Linux, so the absolute times line up.
+  const int pace_timer = timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
+  if (pace_timer < 0) {
+    std::fprintf(stderr, "loadgen: timerfd_create failed: %s\n", std::strerror(errno));
+    return 70;
+  }
+  {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kPaceTimerTag;
+    epoll_ctl(client_epoll, EPOLL_CTL_ADD, pace_timer, &ev);
+  }
 
   // Every session must issue at least once for the concurrency claim to
   // mean anything; stretch the run if the rate can't cover them in time.
@@ -736,11 +726,13 @@ int main(int argc, char** argv) {
   std::uint64_t checksum = 0;
 
   const std::uint64_t start = NowNs();
+  // Request k is due at this instant; latency is measured from it.
+  const auto scheduled_ns = [&](std::uint64_t k) {
+    return start + static_cast<std::uint64_t>(static_cast<double>(k) * ns_per_req);
+  };
   // Replies must drain within a grace window after the last send; a stuck
   // server fails the completion gate instead of hanging the bench.
-  const std::uint64_t drain_deadline =
-      start + static_cast<std::uint64_t>(ns_per_req * static_cast<double>(total)) +
-      10'000'000'000ull;
+  const std::uint64_t drain_deadline = scheduled_ns(total) + 10'000'000'000ull;
 
   std::uint8_t rxbuf[64 << 10];
   epoll_event events[64];
@@ -767,10 +759,23 @@ int main(int argc, char** argv) {
       }
     }
 
-    const int timeout_ms = issued < total ? 1 : 20;
-    const int ready = epoll_wait(client_epoll, events, 64, timeout_ms);
+    if (issued < total) {
+      const std::uint64_t next = scheduled_ns(issued);
+      itimerspec when{};
+      when.it_value.tv_sec = static_cast<time_t>(next / 1'000'000'000ull);
+      when.it_value.tv_nsec = static_cast<long>(next % 1'000'000'000ull);
+      timerfd_settime(pace_timer, TFD_TIMER_ABSTIME, &when, nullptr);
+    }
+
+    const int ready = epoll_wait(client_epoll, events, 64, 20);
     const std::uint64_t recv_now = NowNs();
     for (int e = 0; e < ready; ++e) {
+      if (events[e].data.u64 == kPaceTimerTag) {
+        std::uint64_t expirations = 0;
+        [[maybe_unused]] const ssize_t drained =
+            read(pace_timer, &expirations, sizeof(expirations));
+        continue;
+      }
       ClientConn& conn = conns[events[e].data.u64];
       for (;;) {
         const ssize_t got = recv(conn.fd, rxbuf, sizeof(rxbuf), MSG_DONTWAIT);
@@ -791,8 +796,7 @@ int main(int argc, char** argv) {
             } else {
               ++completed_ok;
               checksum += bench::Checksum(frame.payload.data(), frame.payload.size());
-              const std::uint64_t scheduled =
-                  start + static_cast<std::uint64_t>(static_cast<double>(k) * ns_per_req);
+              const std::uint64_t scheduled = scheduled_ns(k);
               latency.Record(recv_now > scheduled ? recv_now - scheduled : 0);
               std::uint8_t& hit = session_hit[k % flags.sessions];
               if (hit == 0) {
@@ -840,13 +844,14 @@ int main(int argc, char** argv) {
   for (ClientConn& conn : conns) {
     close(conn.fd);
   }
+  close(pace_timer);
   close(client_epoll);
   server.Stop();
 
   // --- report ---
   graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
   server.FillTelemetry(snapshot.netfront);
-  std::printf("%s\n", snapshot.ToText().c_str());
+  std::printf("%s\n", obslab::SnapshotText(snapshot).c_str());
 
   const double p50_us = latency.PercentileUs(50);
   const double p99_us = latency.PercentileUs(99);

@@ -12,10 +12,15 @@
 //   enabled   - full recording (flight ring, SLO windows) with the
 //               sampling profiler armed at 97 Hz. Gate: <= 5%.
 //
-// Interleaved min-of-reps keeps the gates robust on noisy single-core CI
-// hosts, and the per-invocation work (256 KiB of MD5) is heavy enough
-// that the fixed per-completion hook cost is well under the gate even
-// with scheduling jitter.
+// The gates use a same-run estimator (the one ablate_minnow_exec's A1c
+// uses): each round runs baseline, disabled and enabled back to back, in
+// an order rotated round by round, and divides each mode's time by that
+// round's baseline; the gates read the median of those per-round ratios.
+// A slow stretch of the host then moves all three modes of a round
+// together instead of landing on one mode's best rep. One unmeasured
+// warm-up round runs first. The per-invocation work (256 KiB of MD5) is
+// heavy enough that the fixed per-completion hook cost is well under the
+// gate even with scheduling jitter.
 //
 // The second half scrapes the plane concurrently with a live dispatch
 // load and checks the exposition invariant the registry promises:
@@ -29,24 +34,26 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "graftbench/common.h"
 #include "src/core/technology.h"
 #include "src/graftd/dispatcher.h"
 #include "src/grafts/factory.h"
 #include "src/obslab/plane.h"
+#include "src/obslab/registry.h"
 #include "src/stats/harness.h"
 
 namespace {
 
 using core::Technology;
+using graftbench::Median;
 
 constexpr std::size_t kChunk = 64u << 10;
 constexpr std::size_t kPayload = 256u << 10;
@@ -108,33 +115,6 @@ double RunRep(ObsMode mode, const std::vector<std::uint8_t>& data, std::size_t i
   return us;
 }
 
-// Sums every series value of one metric in a Prometheus text exposition
-// (all label combinations). Lines are `name{labels} value` or
-// `name value`; comments start with '#'.
-double MetricSum(const std::string& text, std::string_view name) {
-  double sum = 0.0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
-    }
-    const std::string_view line(text.data() + pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#' || line.substr(0, name.size()) != name) {
-      continue;
-    }
-    if (line.size() > name.size() && line[name.size()] != '{' && line[name.size()] != ' ') {
-      continue;  // a longer metric name sharing this prefix
-    }
-    const std::size_t space = line.rfind(' ');
-    if (space != std::string_view::npos) {
-      sum += std::strtod(std::string(line.substr(space + 1)).c_str(), nullptr);
-    }
-  }
-  return sum;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -149,38 +129,50 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t invocations = options.full ? 128 : 48;
-  const std::size_t reps = options.full ? 9 : 7;
+  const std::size_t rounds = options.full ? 31 : 21;
 
   // --- Overhead gate ---
-  bench::PrintSection("Overhead: 1-worker MD5/C dispatch, interleaved min-of-reps");
-  double min_us[3] = {1e300, 1e300, 1e300};
+  bench::PrintSection("Overhead: 1-worker MD5/C dispatch, median of per-round ratios");
+  constexpr ObsMode kModes[] = {ObsMode::kBaseline, ObsMode::kDisabled, ObsMode::kEnabled};
+  constexpr std::size_t kNumModes = std::size(kModes);
+  std::vector<double> pass_us[kNumModes];
+  std::vector<double> ratio[kNumModes];
   std::uint64_t profiler_samples = 0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (const ObsMode mode : {ObsMode::kBaseline, ObsMode::kDisabled, ObsMode::kEnabled}) {
-      const double us = RunRep(mode, data, invocations, &profiler_samples);
-      double& slot = min_us[static_cast<int>(mode)];
-      slot = us < slot ? us : slot;
+  for (std::size_t round = 0; round <= rounds; ++round) {
+    double us[kNumModes];
+    for (std::size_t j = 0; j < kNumModes; ++j) {
+      const std::size_t i = (round + j) % kNumModes;
+      us[i] = RunRep(kModes[i], data, invocations, &profiler_samples);
+    }
+    if (round == 0) {
+      continue;  // warm-up
+    }
+    for (std::size_t i = 0; i < kNumModes; ++i) {
+      pass_us[i].push_back(us[i]);
+      ratio[i].push_back(us[i] / us[0]);
     }
   }
-  const double base = min_us[0];
-  const double disabled_pct = (min_us[1] - base) / base * 100.0;
-  const double enabled_pct = (min_us[2] - base) / base * 100.0;
+  const double base = Median(pass_us[0]);
+  const double disabled_pct = (Median(ratio[1]) - 1.0) * 100.0;
+  const double enabled_pct = (Median(ratio[2]) - 1.0) * 100.0;
   const bool disabled_ok = disabled_pct <= 1.0;
   const bool enabled_ok = enabled_pct <= 5.0;
+  std::printf("  %zu rounds; median pass time and median per-round overhead over baseline\n",
+              rounds);
   std::printf("  baseline (no plane)        %9.1f us\n", base);
-  std::printf("  attached, disabled         %9.1f us  %+6.2f%%  (gate <= 1%%) %s\n", min_us[1],
-              disabled_pct, disabled_ok ? "PASS" : "FAIL");
-  std::printf("  enabled + profiler @ 97Hz  %9.1f us  %+6.2f%%  (gate <= 5%%) %s\n", min_us[2],
-              enabled_pct, enabled_ok ? "PASS" : "FAIL");
-  std::printf("  profiler samples across enabled reps: %llu\n\n",
+  std::printf("  attached, disabled         %9.1f us  %+6.2f%%  (gate <= 1%%) %s\n",
+              Median(pass_us[1]), disabled_pct, disabled_ok ? "PASS" : "FAIL");
+  std::printf("  enabled + profiler @ 97Hz  %9.1f us  %+6.2f%%  (gate <= 5%%) %s\n",
+              Median(pass_us[2]), enabled_pct, enabled_ok ? "PASS" : "FAIL");
+  std::printf("  profiler samples across enabled rounds: %llu\n\n",
               static_cast<unsigned long long>(profiler_samples));
 
   bench::JsonReport report("obs");
-  report.AddUs("obs_overhead/baseline", invocations, base / static_cast<double>(invocations), 0);
-  report.AddUs("obs_overhead/disabled", invocations, min_us[1] / static_cast<double>(invocations),
-               0);
-  report.AddUs("obs_overhead/enabled", invocations, min_us[2] / static_cast<double>(invocations),
-               0);
+  const char* const slugs[kNumModes] = {"obs_overhead/baseline", "obs_overhead/disabled",
+                                        "obs_overhead/enabled"};
+  for (std::size_t i = 0; i < kNumModes; ++i) {
+    report.AddUs(slugs[i], invocations, Median(pass_us[i]) / static_cast<double>(invocations), 0);
+  }
 
   // --- Scrape under load: counters must be monotonic ---
   bench::PrintSection("Scrape under load: concurrent scrapes see monotonic counters");
@@ -201,7 +193,7 @@ int main(int argc, char** argv) {
     std::thread scraper([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string text = plane.Exposition(obslab::kFormatPrometheus);
-        seen.push_back(MetricSum(text, "graftlab_graft_invocations_total"));
+        seen.push_back(obslab::SeriesSum(text, "graftlab_graft_invocations_total").value_or(0.0));
       }
     });
     for (std::size_t i = 0; i < load; ++i) {
@@ -210,8 +202,9 @@ int main(int argc, char** argv) {
     dispatcher.Drain();
     stop.store(true, std::memory_order_relaxed);
     scraper.join();
-    seen.push_back(MetricSum(plane.Exposition(obslab::kFormatPrometheus),
-                             "graftlab_graft_invocations_total"));
+    seen.push_back(obslab::SeriesSum(plane.Exposition(obslab::kFormatPrometheus),
+                                     "graftlab_graft_invocations_total")
+                       .value_or(0.0));
     monotonic = std::is_sorted(seen.begin(), seen.end());
     final_invocations = seen.back();
     scrape_count = seen.size();

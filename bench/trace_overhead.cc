@@ -32,6 +32,7 @@
 #include "src/diskmod/disk_model.h"
 #include "src/graftd/dispatcher.h"
 #include "src/grafts/factory.h"
+#include "src/obslab/snapshot.h"
 #include "src/stats/break_even.h"
 #include "src/stats/harness.h"
 #include "src/tracelab/export.h"
@@ -220,7 +221,7 @@ int main(int argc, char** argv) {
   const bool wrote = tracelab::WriteChromeTrace(dump, trace_path);
   std::printf("trace: %zu events (%llu dropped) -> %s\n", dump.event_count(),
               static_cast<unsigned long long>(dump.dropped()), trace_path.c_str());
-  std::printf("%s\n", snapshot.ToText().c_str());
+  std::printf("%s\n", obslab::SnapshotText(snapshot).c_str());
   report.Write();
 
   const bool pass = disabled_ok && enabled_ok && evict_ok && md5_ok && wrote;

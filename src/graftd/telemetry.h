@@ -2,9 +2,9 @@
 //
 // Workers keep graft counters worker-locally (one short mutex per update so
 // a snapshot can read mid-run without tearing) and Dispatcher::Snapshot()
-// merges the shards. ToText renders the human-readable tables through
-// src/stats/ Table; the obslab registry renders the same snapshot as JSON
-// and Prometheus text.
+// merges the shards. The snapshot is plain data: every view of it, text or
+// JSON, is the obslab registry's (AppendSnapshotSamples in
+// src/obslab/snapshot.h).
 
 #ifndef GRAFTLAB_SRC_GRAFTD_TELEMETRY_H_
 #define GRAFTLAB_SRC_GRAFTD_TELEMETRY_H_
@@ -234,14 +234,6 @@ struct TelemetrySnapshot {
   // Network front-end section, filled by netfront::Server::FillTelemetry
   // when a server fronts this dispatcher.
   NetfrontSection netfront;
-
-  // Column-aligned table (src/stats/table.h) with one row per graft:
-  // state, invocation outcomes, quarantine history, latency summary —
-  // followed by the injection-site table when an injector is attached, and
-  // the per-stage timing table plus live break-even panel when traced.
-  // The machine-readable form is the obslab registry's (AppendSnapshotSamples
-  // in src/obslab/snapshot.h).
-  std::string ToText() const;
 };
 
 }  // namespace graftd

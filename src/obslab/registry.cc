@@ -1,6 +1,8 @@
 #include "src/obslab/registry.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/tracelab/json_util.h"
 
@@ -338,6 +340,28 @@ std::string MetricsRegistry::Json() const {
   }
   out += "\n]}\n";
   return out;
+}
+
+std::optional<double> SeriesSum(std::string_view exposition, std::string_view selector) {
+  // A series ends at ' ' (its value follows) or, after a bare name, at '{'.
+  const bool bare = selector.find('{') == std::string_view::npos;
+  std::optional<double> sum;
+  while (!exposition.empty()) {
+    const std::size_t eol = std::min(exposition.find('\n'), exposition.size());
+    const std::string_view line = exposition.substr(0, eol);
+    exposition.remove_prefix(std::min(eol + 1, exposition.size()));
+    if (line.size() <= selector.size() || line.substr(0, selector.size()) != selector) {
+      continue;
+    }
+    const char next = line[selector.size()];
+    if (next != ' ' && !(bare && next == '{')) {
+      continue;
+    }
+    // Label values may hold spaces, but the value is the last field.
+    const std::string value(line.substr(line.rfind(' ') + 1));
+    sum = sum.value_or(0.0) + std::strtod(value.c_str(), nullptr);
+  }
+  return sum;
 }
 
 }  // namespace obslab

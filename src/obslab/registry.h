@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -178,6 +179,14 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Instrument>> instruments_;
   std::vector<Collector> collectors_;
 };
+
+// Reads one series back out of a Prometheus text exposition: the sum of the
+// values of every sample line that `selector` matches, nullopt when none
+// does. A bare metric name matches that name under any labels, but not a
+// longer name that shares its prefix (`x` never matches `x_total` or
+// `x_bucket`). `name{labels}` matches that one series exactly, labels
+// written as the exposition writes them. Comment lines never match.
+std::optional<double> SeriesSum(std::string_view exposition, std::string_view selector);
 
 }  // namespace obslab
 

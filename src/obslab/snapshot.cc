@@ -200,11 +200,24 @@ void AppendSnapshotSamples(const graftd::TelemetrySnapshot& snapshot, std::vecto
   }
 }
 
-std::string SnapshotJson(const graftd::TelemetrySnapshot& snapshot) {
+namespace {
+
+std::string RenderSnapshot(const graftd::TelemetrySnapshot& snapshot,
+                           std::string (MetricsRegistry::*view)() const) {
   MetricsRegistry registry;
   registry.AddCollector(
       [&snapshot](std::vector<Sample>& out) { AppendSnapshotSamples(snapshot, out); });
-  return registry.Json();
+  return (registry.*view)();
+}
+
+}  // namespace
+
+std::string SnapshotJson(const graftd::TelemetrySnapshot& snapshot) {
+  return RenderSnapshot(snapshot, &MetricsRegistry::Json);
+}
+
+std::string SnapshotText(const graftd::TelemetrySnapshot& snapshot) {
+  return RenderSnapshot(snapshot, &MetricsRegistry::PrometheusText);
 }
 
 }  // namespace obslab

@@ -1,11 +1,11 @@
 // The telemetry schema: one function that turns a graftd::TelemetrySnapshot
 // into obslab registry samples.
 //
-// Every machine-readable view of the snapshot — a live kAdminMetrics scrape
-// (Plane::Attach, Plane::AddNetfrontCollector), the JSON graftd_throughput
-// prints, the tests — renders through AppendSnapshotSamples and then the
-// registry's Prometheus or JSON exposition. TelemetrySnapshot::ToText stays
-// the human-readable table. Series (EXPERIMENTS.md "obslab metric names"):
+// Every view of the snapshot — a live kAdminMetrics scrape (Plane::Attach,
+// Plane::AddNetfrontCollector), the text and JSON the benches print, the
+// tests — renders through AppendSnapshotSamples and then the registry's
+// Prometheus or JSON exposition; there is no second renderer. Series
+// (EXPERIMENTS.md "obslab metric names"):
 //
 //   grafts     graftlab_graft_* and graftlab_breaker_* {graft}, the service
 //              latency histogram graftlab_graft_latency_ns with its
@@ -36,8 +36,10 @@ namespace obslab {
 
 void AppendSnapshotSamples(const graftd::TelemetrySnapshot& snapshot, std::vector<Sample>& out);
 
-// The registry JSON of one snapshot (a one-collector MetricsRegistry).
+// The registry JSON and Prometheus text of one snapshot (a one-collector
+// MetricsRegistry).
 std::string SnapshotJson(const graftd::TelemetrySnapshot& snapshot);
+std::string SnapshotText(const graftd::TelemetrySnapshot& snapshot);
 
 }  // namespace obslab
 

@@ -18,6 +18,8 @@
 #include "src/graftd/supervisor.h"
 #include "src/graftd/telemetry.h"
 #include "src/grafts/factory.h"
+#include "src/obslab/registry.h"
+#include "src/obslab/snapshot.h"
 
 namespace {
 
@@ -66,9 +68,9 @@ TEST(LatencyHistogram, SummaryMentionsPercentiles) {
   row.name = "g";
   row.counters.latency.Record(5000);
   snapshot.grafts.push_back(row);
-  const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("p50<=5.0us"), std::string::npos) << text;
-  EXPECT_NE(text.find("p99<=5.0us"), std::string::npos) << text;
+  const std::string text = obslab::SnapshotText(snapshot);
+  EXPECT_EQ(obslab::SeriesSum(text, R"(graftlab_graft_latency_p50_us{graft="g"})"), 5.0) << text;
+  EXPECT_EQ(obslab::SeriesSum(text, R"(graftlab_graft_latency_p99_us{graft="g"})"), 5.0) << text;
 }
 
 // --- BoundedMpscQueue ---

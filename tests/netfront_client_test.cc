@@ -30,6 +30,7 @@
 #include "src/netfront/client.h"
 #include "src/netfront/server.h"
 #include "src/netfront/wire.h"
+#include "src/obslab/registry.h"
 #include "src/obslab/snapshot.h"
 
 namespace {
@@ -364,7 +365,8 @@ TEST(NetfrontClient, BreakerOpensShedsAtAdmissionThenProbesClosed) {
   const std::string closed =
       R"("graftlab_breaker_state","type":"gauge","labels":{"graft":"md5","state":"closed"})";
   EXPECT_NE(obslab::SnapshotJson(snapshot).find(closed), std::string::npos);
-  EXPECT_NE(snapshot.ToText().find("brk-open"), std::string::npos);
+  EXPECT_GE(obslab::SeriesSum(obslab::SnapshotText(snapshot), "graftlab_tenant_breaker_open_total"),
+            3.0);
 }
 
 TEST(NetfrontClient, WireDeadlineShedsQueuedWorkBeforeTheBodyRuns) {
@@ -500,7 +502,9 @@ TEST(NetfrontClient, IoThreadCrashIsAdoptedAndCallsKeepSucceeding) {
   EXPECT_EQ(snapshot.netfront.tenants[0].accepted,
             snapshot.netfront.tenants[0].completed_ok +
                 snapshot.netfront.tenants[0].completed_error);
-  EXPECT_NE(snapshot.ToText().find("netfront chaos:"), std::string::npos);
+  EXPECT_GE(
+      obslab::SeriesSum(obslab::SnapshotText(snapshot), "graftlab_net_io_thread_crashes_total"),
+      1.0);
 }
 
 TEST(NetfrontClient, FivePercentConnKillsSustainTripleNineSuccess) {

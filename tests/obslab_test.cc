@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -37,6 +38,7 @@ using obslab::FlightRecorder;
 using obslab::MetricsRegistry;
 using obslab::Plane;
 using obslab::Profiler;
+using obslab::SeriesSum;
 using obslab::SloWatchdog;
 
 // Structural JSON validity: quote/escape-aware brace and bracket balance,
@@ -84,30 +86,6 @@ bool JsonBalanced(const std::string& s) {
     }
   }
   return !in_string && stack.empty();
-}
-
-// First value of the named series in a Prometheus text exposition.
-double MetricValue(const std::string& text, const std::string& name) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
-    }
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#' || line.compare(0, name.size(), name) != 0) {
-      continue;
-    }
-    if (line.size() > name.size() && line[name.size()] != '{' && line[name.size()] != ' ') {
-      continue;
-    }
-    const std::size_t space = line.rfind(' ');
-    if (space != std::string::npos) {
-      return std::strtod(line.c_str() + space + 1, nullptr);
-    }
-  }
-  return -1.0;
 }
 
 // --- registry ---
@@ -185,8 +163,8 @@ TEST(Registry, HistogramCountAgreesWithBucketsUnderConcurrentRecord) {
     const auto [count, cumulative] = JsonHistogramCounts(registry.Json());
     EXPECT_EQ(count, cumulative);
     const std::string text = registry.PrometheusText();
-    EXPECT_GE(MetricValue(text, "lat_ns_count"), 1.0);
-    EXPECT_EQ(MetricValue(text, "lat_ns_count"), MetricValue(text, "lat_ns_bucket{le=\"+Inf\"}"));
+    EXPECT_GE(SeriesSum(text, "lat_ns_count"), 1.0);
+    EXPECT_EQ(SeriesSum(text, "lat_ns_count"), SeriesSum(text, "lat_ns_bucket{le=\"+Inf\"}"));
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
@@ -202,6 +180,40 @@ TEST(Registry, ReRegistrationSharesTheCell) {
   EXPECT_EQ(b.value(), 5u);
 }
 
+TEST(Registry, SeriesSumReadsExactlyTheSelectedSeries) {
+  const std::string text =
+      "# HELP x counts things 100\n"
+      "# TYPE x counter\n"
+      "x 1\n"
+      "x{a=\"b\"} 2\n"
+      "x{a=\"b\",c=\"d\"} 4\n"
+      "x_total 8\n"
+      "x_bucket{le=\"1\"} 16\n"
+      "x_bucket{le=\"+Inf\"} 32";  // no trailing newline
+  // A bare name sums every label set of that name and no longer name.
+  EXPECT_EQ(SeriesSum(text, "x"), 7.0);
+  EXPECT_EQ(SeriesSum(text, "x_total"), 8.0);
+  EXPECT_EQ(SeriesSum(text, "x_bucket"), 48.0);
+  // A full selector reads one series: not a superset of its labels.
+  EXPECT_EQ(SeriesSum(text, "x{a=\"b\"}"), 2.0);
+  EXPECT_EQ(SeriesSum(text, "x_bucket{le=\"+Inf\"}"), 32.0);
+  // Missing series, including a selector that is a prefix of real names.
+  EXPECT_EQ(SeriesSum(text, "x{a=\"c\"}"), std::nullopt);
+  EXPECT_EQ(SeriesSum(text, "x_"), std::nullopt);
+  EXPECT_EQ(SeriesSum(text, "y"), std::nullopt);
+  EXPECT_EQ(SeriesSum("", "x"), std::nullopt);
+
+  // Label values with spaces, '}' and escaped quotes, as the registry
+  // renders them.
+  MetricsRegistry registry;
+  registry.RegisterCounter("odd_total", {{"path", "a b} c"}}).Add(3);
+  registry.RegisterCounter("odd_total", {{"path", "q\"} 9"}}).Add(5);
+  const std::string odd = registry.PrometheusText();
+  EXPECT_EQ(SeriesSum(odd, "odd_total"), 8.0) << odd;
+  EXPECT_EQ(SeriesSum(odd, "odd_total{path=\"a b} c\"}"), 3.0) << odd;
+  EXPECT_EQ(SeriesSum(odd, "odd_total{path=\"q\\\"} 9\"}"), 5.0) << odd;
+}
+
 TEST(Registry, CountersMonotonicUnderConcurrentScrape) {
   MetricsRegistry registry;
   obslab::Counter counter = registry.RegisterCounter("spin_total");
@@ -213,13 +225,13 @@ TEST(Registry, CountersMonotonicUnderConcurrentScrape) {
   });
   double last = -1.0;
   for (int i = 0; i < 200; ++i) {
-    const double v = MetricValue(registry.PrometheusText(), "spin_total");
+    const double v = SeriesSum(registry.PrometheusText(), "spin_total").value_or(-1.0);
     EXPECT_GE(v, last) << "counter went backwards across scrapes";
     last = v;
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  EXPECT_GE(MetricValue(registry.PrometheusText(), "spin_total"), last);
+  EXPECT_GE(SeriesSum(registry.PrometheusText(), "spin_total"), last);
 }
 
 // --- flight recorder ---
@@ -353,7 +365,7 @@ TEST(SloWatchdog, ExportsBurnGaugeThroughRegistry) {
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("graftlab_slo_burn{tenant=\"alpha\"} 1"), std::string::npos) << text;
   EXPECT_NE(text.find("graftlab_slo_target_p99_us{tenant=\"alpha\"} 10"), std::string::npos);
-  EXPECT_GT(MetricValue(text, "graftlab_slo_p99_us"), 10.0);
+  EXPECT_GT(SeriesSum(text, "graftlab_slo_p99_us"), 10.0);
 }
 
 // --- profiler ---
@@ -445,8 +457,10 @@ TEST(Plane, MidDispatchSnapshotsAndScrapesAreValid) {
 
   EXPECT_EQ(plane.recorder().outcomes_recorded(), 200u);
   const std::string text = plane.Exposition(obslab::kFormatPrometheus);
-  EXPECT_EQ(MetricValue(text, "graftlab_graft_invocations_total"), 200.0) << text;
-  EXPECT_EQ(MetricValue(text, "graftlab_obs_enabled"), 1.0);
+  EXPECT_EQ(SeriesSum(text, R"(graftlab_graft_invocations_total{graft="md5",registration="0"})"),
+            200.0)
+      << text;
+  EXPECT_EQ(SeriesSum(text, "graftlab_obs_enabled"), 1.0);
   // No (name, labels) pair twice in one scrape.
   std::set<std::string> series;
   for (std::size_t pos = 0, eol; pos < text.size(); pos = eol + 1) {
@@ -474,8 +488,7 @@ TEST(Plane, MidDispatchSnapshotsAndScrapesAreValid) {
   }
   dispatcher.Drain();
   EXPECT_EQ(plane.recorder().outcomes_recorded(), 200u);
-  EXPECT_EQ(MetricValue(plane.Exposition(obslab::kFormatPrometheus), "graftlab_obs_enabled"),
-            0.0);
+  EXPECT_EQ(SeriesSum(plane.Exposition(obslab::kFormatPrometheus), "graftlab_obs_enabled"), 0.0);
 }
 
 // --- kAdminMetrics over the wire ---
@@ -512,7 +525,7 @@ TEST(AdminScrape, ServesAdminTenantAndDeniesOthers) {
   ASSERT_TRUE(admin.AdminScrape(obslab::kFormatPrometheus, text));
   EXPECT_NE(text.find("graftlab_graft_invocations_total"), std::string::npos) << text;
   EXPECT_NE(text.find("graftlab_tenant_accepted_total{tenant=\"admin\"}"), std::string::npos);
-  EXPECT_EQ(MetricValue(text, "graftlab_net_connections_active"), 1.0);
+  EXPECT_EQ(SeriesSum(text, "graftlab_net_connections_active"), 1.0);
 
   std::string json;
   ASSERT_TRUE(admin.AdminScrape(obslab::kFormatJson, json));
@@ -522,8 +535,8 @@ TEST(AdminScrape, ServesAdminTenantAndDeniesOthers) {
   // Scrapes count scrapes: the second one sees the first.
   std::string again;
   ASSERT_TRUE(admin.AdminScrape(obslab::kFormatPrometheus, again));
-  EXPECT_GT(MetricValue(again, "graftlab_scrapes_total"),
-            MetricValue(text, "graftlab_scrapes_total") - 1.0);
+  EXPECT_GT(SeriesSum(again, "graftlab_scrapes_total"),
+            SeriesSum(text, "graftlab_scrapes_total").value_or(0.0) - 1.0);
 
   // A non-admin tenant gets kAdminDenied.
   netfront::ClientOptions plain_opts;

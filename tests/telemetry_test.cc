@@ -1,6 +1,6 @@
 // Telemetry rendering and counter-merge edge cases: every snapshot section
-// in the registry JSON (hostile names included), the sorted opcode merge,
-// and the one histogram against exact sorted samples.
+// in the registry's JSON and Prometheus text (hostile names included), the
+// sorted opcode merge, and the one histogram against exact sorted samples.
 
 #include <algorithm>
 #include <cmath>
@@ -15,6 +15,7 @@
 
 #include "src/graftd/histogram.h"
 #include "src/graftd/telemetry.h"
+#include "src/obslab/registry.h"
 #include "src/obslab/snapshot.h"
 
 namespace {
@@ -23,25 +24,32 @@ using graftd::GraftCounters;
 using graftd::Histogram;
 using graftd::TelemetrySnapshot;
 
-// Expects the registry JSON to hold each sample of `specs`: whitespace-
-// separated `series value` pairs in the Prometheus text form without the
-// `graftlab_` prefix or quotes, `name{key=value,...} value`, with
-// `count/sum` as the value of a histogram.
-void ExpectSamples(const std::string& json, const std::string& specs) {
+// Expects both registry views of `snapshot`, the JSON and the Prometheus
+// text, to hold each sample of `specs`: whitespace-separated `series value`
+// pairs in the Prometheus text form without the `graftlab_` prefix or
+// quotes, `name{key=value,...} value`, with `count/sum` as the value of a
+// histogram.
+void ExpectSamples(const TelemetrySnapshot& snapshot, const std::string& specs) {
+  const std::string json = obslab::SnapshotJson(snapshot);
+  const std::string text = obslab::SnapshotText(snapshot);
   std::istringstream in(specs);
   std::string series, value;
   while (in >> series >> value) {
     const std::size_t open = series.find('{');
-    std::string labels;
+    std::string labels, text_labels;
     for (std::size_t at = open + 1; at + 1 < series.size();) {
       const std::size_t eq = series.find('=', at);
       const std::size_t end = std::min(series.find(',', eq), series.size() - 1);
-      labels += (labels.empty() ? "\"" : ",\"") + series.substr(at, eq - at) + "\":\"" +
-                series.substr(eq + 1, end - eq - 1) + "\"";
+      const std::string key = series.substr(at, eq - at);
+      const std::string label = series.substr(eq + 1, end - eq - 1);
+      labels += (labels.empty() ? "\"" : ",\"") + key + "\":\"" + label + "\"";
+      text_labels += (text_labels.empty() ? "{" : ",") + key + "=\"" + label + "\"";
       at = end + 1;
     }
+    text_labels += text_labels.empty() ? "" : "}";
+    const std::string name = "graftlab_" + series.substr(0, open);
     const std::size_t slash = value.find('/');
-    const std::string head = "{\"name\":\"graftlab_" + series.substr(0, open) + "\",\"type\":\"";
+    const std::string head = "{\"name\":\"" + name + "\",\"type\":\"";
     const std::string tail =
         "\"labels\":{" + labels + "}," +
         (slash == std::string::npos
@@ -53,6 +61,17 @@ void ExpectSamples(const std::string& json, const std::string& specs) {
       found = json.substr(line, json.find('\n', line) - line).find(tail) != std::string::npos;
     }
     EXPECT_TRUE(found) << "no " << series << " " << value << " in\n" << json;
+    if (slash == std::string::npos) {
+      EXPECT_EQ(obslab::SeriesSum(text, name + text_labels), std::stod(value)) << series << "\n"
+                                                                              << text;
+    } else {
+      EXPECT_EQ(obslab::SeriesSum(text, name + "_count" + text_labels),
+                std::stod(value.substr(0, slash)))
+          << series << "\n" << text;
+      EXPECT_EQ(obslab::SeriesSum(text, name + "_sum" + text_labels),
+                std::stod(value.substr(slash + 1)))
+          << series << "\n" << text;
+    }
   }
 }
 
@@ -123,6 +142,12 @@ TEST(TelemetryJson, EscapesHostileNamesEverywhere) {
   EXPECT_EQ(json.find("op\"quote"), std::string::npos);
   EXPECT_EQ(json.find("name\nwith"), std::string::npos);
   EXPECT_EQ(json.find('\x02'), std::string::npos);
+  // The text exposition escapes the label value and keeps the control byte:
+  // the sample stays on one line.
+  EXPECT_EQ(obslab::SeriesSum(obslab::SnapshotText(snapshot),
+                              "graftlab_graft_invocations_total{graft=\"evil\\\"graft\\\\name"
+                              "\\nwith\x02" "ctrl\"}"),
+            1.0);
 }
 
 TEST(TelemetryJson, LatencyCarriesPercentileKeys) {
@@ -137,7 +162,8 @@ TEST(TelemetryJson, LatencyCarriesPercentileKeys) {
   EXPECT_NE(json.find("\"graftlab_graft_latency_p50_us\""), std::string::npos);
   EXPECT_NE(json.find("\"graftlab_graft_latency_p90_us\""), std::string::npos);
   EXPECT_NE(json.find("\"graftlab_graft_latency_p99_us\""), std::string::npos);
-  ExpectSamples(json, "graft_latency_max_us{graft=g} 100  graft_latency_ns{graft=g} 100/5050000");
+  ExpectSamples(snapshot,
+                "graft_latency_max_us{graft=g} 100  graft_latency_ns{graft=g} 100/5050000");
 }
 
 TEST(LatencyHistogram, ZeroNsLandsInFirstBucketAndCounts) {
@@ -337,8 +363,7 @@ TEST(LatencyHistogram, SummaryAndJsonCarryP999) {
     row.counters.latency.Record(i * 1000);
   }
   snapshot.grafts.push_back(row);
-  EXPECT_NE(snapshot.ToText().find("p999<="), std::string::npos);
-  ExpectSamples(obslab::SnapshotJson(snapshot), "graft_latency_p999_us{graft=g} 100");
+  ExpectSamples(snapshot, "graft_latency_p999_us{graft=g} 100");
 }
 
 TEST(TelemetryJson, ChaosCountersRenderInTextAndJson) {
@@ -368,15 +393,7 @@ TEST(TelemetryJson, ChaosCountersRenderInTextAndJson) {
   snapshot.netfront.conns_adopted = 3;
   snapshot.netfront.crash_orphans = 2;
 
-  const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("expired"), std::string::npos);
-  EXPECT_NE(text.find("deadline shed: 2 expired before the body ran"), std::string::npos);
-  EXPECT_NE(text.find("brk-open"), std::string::npos);
-  EXPECT_NE(text.find("deduped"), std::string::npos);
-  EXPECT_NE(text.find("netfront chaos: 1 io-thread crashes, 3 conns adopted, 2 staged orphans"),
-            std::string::npos);
-
-  ExpectSamples(obslab::SnapshotJson(snapshot), R"(
+  ExpectSamples(snapshot, R"(
       graft_outcomes_total{graft=g,outcome=expired} 2  dispatch_shed_expired_total{} 2
       breaker_state{graft=g,state=open} 1  breaker_opens_total{graft=g} 1
       tenant_breaker_open_total{tenant=t} 4  tenant_retries_deduped_total{tenant=t} 6
@@ -406,13 +423,7 @@ TEST(Telemetry, TextAndJsonCarryTheCounters) {
   row.counters.vm_opcodes = {{"add", 7}};
   snapshot.grafts.push_back(row);
 
-  const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("md5/C"), std::string::npos);
-  EXPECT_NE(text.find("41"), std::string::npos);
-  EXPECT_NE(text.find("healthy"), std::string::npos);
-
-  const std::string json = obslab::SnapshotJson(snapshot);
-  ExpectSamples(json, R"(
+  ExpectSamples(snapshot, R"(
       graft_invocations_total{graft=md5/C} 41  graft_outcomes_total{graft=md5/C,outcome=ok} 30
       graft_outcomes_total{graft=md5/C,outcome=fault} 1
       graft_outcomes_total{graft=md5/C,outcome=preempt} 2
@@ -425,6 +436,7 @@ TEST(Telemetry, TextAndJsonCarryTheCounters) {
       graft_latency_p99_us{graft=md5/C} 50  graft_latency_p999_us{graft=md5/C} 50
       graft_latency_max_us{graft=md5/C} 50  vm_opcode_total{graft=md5/C,opcode=add} 7)");
   // Sections the snapshot does not carry render nothing.
+  const std::string json = obslab::SnapshotJson(snapshot);
   for (const char* absent : {"graftlab_dispatch_", "graftlab_net_", "graftlab_fault_",
                              "graftlab_trace_"}) {
     EXPECT_EQ(json.find(absent), std::string::npos) << absent;
@@ -446,12 +458,7 @@ TEST(Telemetry, DegradationAndInjectionCountersRender) {
   snapshot.grafts.push_back(row);
   snapshot.injections.push_back({"disk.write", 120, 4});
 
-  const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("degraded"), std::string::npos);
-  EXPECT_NE(text.find("disk.write"), std::string::npos);
-  EXPECT_NE(text.find("120"), std::string::npos);
-
-  ExpectSamples(obslab::SnapshotJson(snapshot), R"(
+  ExpectSamples(snapshot, R"(
       graft_outcomes_total{graft=ldisk/C,outcome=disk_fault} 4
       graft_outcomes_total{graft=ldisk/C,outcome=rejected_degraded} 3
       graft_state{graft=ldisk/C,state=degraded} 1  graft_degradations_total{graft=ldisk/C} 2
@@ -474,17 +481,22 @@ TEST(TelemetryJson, DispatchSectionCarriesEveryWorker) {
   row.notifies_skipped = 40;
   row.producer_waits = 50;
   snapshot.dispatch.workers.push_back(row);
-  EXPECT_NE(snapshot.ToText().find("p50<=9 p90<=9 p99<=9 p999<=9 max=9"), std::string::npos);
-
-  const std::string json = obslab::SnapshotJson(snapshot);
-  ExpectSamples(json, R"(
+  ExpectSamples(snapshot, R"(
       dispatch_inline_hits_total{} 5  dispatch_inline_misses_total{} 2  dispatch_workers{} 1
       dispatch_batches_total{worker=1} 3  dispatch_dequeued_total{worker=1} 10
       dispatch_parks_total{worker=1} 20  dispatch_notifies_sent_total{worker=1} 30
       dispatch_notifies_skipped_total{worker=1} 40  dispatch_producer_waits_total{worker=1} 50
       dispatch_batch_size{worker=1} 2/10)");
-  // Batch sizes below 16 are exact buckets.
-  EXPECT_NE(json.find(R"("buckets":[{"le":1,"count":1},{"le":9,"count":2}])"), std::string::npos);
+  // Batch sizes below 16 are exact buckets, so every percentile of the two
+  // batches is <= 9; the text lists the same cumulative buckets.
+  EXPECT_NE(obslab::SnapshotJson(snapshot).find(
+                R"("buckets":[{"le":1,"count":1},{"le":9,"count":2}])"),
+            std::string::npos);
+  const std::string text = obslab::SnapshotText(snapshot);
+  EXPECT_EQ(obslab::SeriesSum(text, R"(graftlab_dispatch_batch_size_bucket{worker="1",le="1"})"),
+            1.0);
+  EXPECT_EQ(obslab::SeriesSum(text, R"(graftlab_dispatch_batch_size_bucket{worker="1",le="9"})"),
+            2.0);
 }
 
 TEST(TelemetryJson, NetfrontSectionCarriesTenantsAndIoThreads) {
@@ -503,9 +515,7 @@ TEST(TelemetryJson, NetfrontSectionCarriesTenantsAndIoThreads) {
   n.io_threads.push_back({1, 95, 12, {}, 13});
   n.io_threads[0].submit_sizes.Record(8);
   n.io_threads[0].submit_sizes.Record(100);
-  EXPECT_NE(snapshot.ToText().find("netfront tenant"), std::string::npos);
-
-  ExpectSamples(obslab::SnapshotJson(snapshot), R"(
+  ExpectSamples(snapshot, R"(
       tenant_weight{tenant=t} 4  tenant_accepted_total{tenant=t} 90
       tenant_completed_ok_total{tenant=t} 80  tenant_completed_error_total{tenant=t} 5
       tenant_shed_degraded_total{tenant=t} 6  tenant_shed_overload_total{tenant=t} 7
@@ -524,9 +534,7 @@ TEST(TelemetryJson, TracelabSectionCarriesStagesAndBreakEven) {
   snapshot.trace_dropped = 3;
   snapshot.stages.push_back({"e", {4, 2.0}, {4, 10.0}, {4, 1.0}, {4, 6.0}, {2, 3000.0}, 2048});
   snapshot.break_even.push_back({"e", "m", 0.5, 1500.0, 3000.0});
-  EXPECT_NE(snapshot.ToText().find("break-even (live)"), std::string::npos);
-
-  ExpectSamples(obslab::SnapshotJson(snapshot), R"(
+  ExpectSamples(snapshot, R"(
       trace_events_total{} 640  trace_events_dropped_total{} 3  trace_ops_total{graft=e} 2048
       trace_stage_spans_total{graft=e,stage=queue} 4  trace_stage_us_total{graft=e,stage=queue} 2
       trace_stage_us_total{graft=e,stage=dispatch} 10  trace_stage_us_total{graft=e,stage=body} 6

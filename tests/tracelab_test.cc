@@ -15,6 +15,7 @@
 #include "src/graftd/clock.h"
 #include "src/graftd/dispatcher.h"
 #include "src/grafts/factory.h"
+#include "src/obslab/registry.h"
 #include "src/obslab/snapshot.h"
 #include "src/tracelab/export.h"
 #include "src/tracelab/json_util.h"
@@ -404,10 +405,11 @@ TEST(TracedDispatch, MixedRunProducesStageRowsInstantsAndBreakEven) {
   const tracelab::StageSummary summary = tracelab::Aggregate(dump);
   EXPECT_GE(summary.Instants(SiteIdFor(dump, "supervisor/quarantine")), 1u);
 
-  // Rendered forms carry the tracelab section.
-  const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("trace stage"), std::string::npos);
-  EXPECT_NE(text.find("break-even (live)"), std::string::npos);
+  // Rendered forms carry the tracelab section: stage spans and the live
+  // break-even panel.
+  const std::string text = obslab::SnapshotText(snapshot);
+  EXPECT_GT(obslab::SeriesSum(text, "graftlab_trace_stage_spans_total"), 0.0) << text;
+  EXPECT_TRUE(obslab::SeriesSum(text, "graftlab_break_even").has_value()) << text;
   const std::string json = obslab::SnapshotJson(snapshot);
   EXPECT_NE(json.find("\"graftlab_trace_stage_spans_total\""), std::string::npos);
   EXPECT_NE(json.find("\"eviction_break_even\""), std::string::npos);
