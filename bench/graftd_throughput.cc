@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/core/deadline_wheel.h"
 #include "src/core/technology.h"
 #include "src/diskmod/disk_model.h"
 #include "src/envs/fault.h"
@@ -192,7 +193,7 @@ CrossingResult DriveCrossing(const CrossingVariant& variant,
   std::atomic<std::uint64_t> checksum{0};
   std::atomic<std::uint64_t> ok{0};
   const auto on_result = [&checksum, &ok](const core::GraftHost::StreamRunResult& run) {
-    if (!run.ok) {
+    if (!run.ok()) {
       return;
     }
     ok.fetch_add(1, std::memory_order_relaxed);
@@ -466,6 +467,10 @@ int main(int argc, char** argv) {
                                        disk.PageFaultUs(1)));
   const auto ldisk_io = io_us;
 
+  // The deadline wheel is process-wide: report this run's share as deltas.
+  const core::DeadlineWheel& wheel = core::DeadlineWheel::Shared();
+  const std::uint64_t armed_before = wheel.armed();
+  const std::uint64_t fired_before = wheel.fired();
   const std::size_t per_tech = options.full ? 32 : 12;
   for (std::size_t t = 0; t < technologies.size(); ++t) {
     for (std::size_t i = 0; i < per_tech; ++i) {
@@ -515,8 +520,8 @@ int main(int argc, char** argv) {
 
   const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
   std::printf("wheel: %llu deadlines armed, %llu fired; contained faults across shards: %llu\n\n",
-              static_cast<unsigned long long>(dispatcher.deadline_wheel().armed()),
-              static_cast<unsigned long long>(dispatcher.deadline_wheel().fired()),
+              static_cast<unsigned long long>(wheel.armed() - armed_before),
+              static_cast<unsigned long long>(wheel.fired() - fired_before),
               static_cast<unsigned long long>(dispatcher.contained_faults()));
 
   bench::PrintSection("Telemetry snapshot (obslab registry JSON)");

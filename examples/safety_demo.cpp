@@ -6,7 +6,7 @@
 // Four incidents, staged deliberately:
 //   1. an out-of-bounds Minnow graft (caught by the VM, kernel survives);
 //   2. a wild SFI store (silently redirected into the sandbox);
-//   3. a runaway graft (preempted: fuel in the VM, watchdog for compiled);
+//   3. a runaway graft (preempted: fuel in the VM, deadline wheel for compiled);
 //   4. hostile bytecode (rejected by the load-time verifier, never runs).
 
 #include <cstdio>
@@ -78,7 +78,7 @@ int main() {
         env.Poll();  // compiled safe-language back edge
       }
     });
-    std::printf("    compiled graft: %s (watchdog via back-edge polls)\n\n",
+    std::printf("    compiled graft: %s (deadline wheel via back-edge polls)\n\n",
                 completed ? "UNEXPECTEDLY finished" : "preempted");
   }
 

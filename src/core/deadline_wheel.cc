@@ -1,14 +1,19 @@
-#include "src/graftd/deadline_wheel.h"
+#include "src/core/deadline_wheel.h"
 
 #include <algorithm>
 
-namespace graftd {
+namespace core {
 
 DeadlineWheel::DeadlineWheel() : DeadlineWheel(Options{}) {}
 
 DeadlineWheel::DeadlineWheel(Options options)
     : options_(options), slots_(std::max<std::size_t>(2, options.slots)) {
   thread_ = std::thread([this] { Run(); });
+}
+
+DeadlineWheel& DeadlineWheel::Shared() {
+  static DeadlineWheel wheel;
+  return wheel;
 }
 
 DeadlineWheel::~DeadlineWheel() {
@@ -20,8 +25,8 @@ DeadlineWheel::~DeadlineWheel() {
   thread_.join();
 }
 
-envs::DeadlineTimer::Ticket DeadlineWheel::Arm(envs::PreemptToken& token,
-                                               std::chrono::microseconds deadline) {
+DeadlineWheel::Ticket DeadlineWheel::Arm(envs::PreemptToken& token,
+                                         std::chrono::microseconds deadline) {
   // Round up: never fire before the budget has truly elapsed.
   const std::int64_t tick_us = options_.tick.count();
   const std::int64_t deadline_us = std::max<std::int64_t>(1, deadline.count());
@@ -90,4 +95,4 @@ void DeadlineWheel::Run() {
   }
 }
 
-}  // namespace graftd
+}  // namespace core

@@ -1,146 +1,95 @@
 #include "src/core/graft_host.h"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
-#include <string_view>
 
+#include "src/core/deadline_wheel.h"
 #include "src/envs/fault.h"
 #include "src/faultlab/fault.h"
 #include "src/minnow/diag.h"
 
 namespace core {
 
-namespace {
-
-// Interpreted technologies surface an exhausted fuel budget as a script
-// error whose message says "preempted" (minnow: "fuel exhausted: graft
-// preempted"; tclet: "command budget exhausted: script preempted"). The
-// host classifies those as preemptions, not faults, so the supervisor sees
-// one consistent preemption signal across compiled and interpreted grafts.
-bool IsFuelPreemption(std::string_view what) {
-  return what.find("preempted") != std::string_view::npos;
-}
-
-}  // namespace
-
 GraftHost::GraftHost(const GraftHostOptions& options)
     : options_(options), page_cache_(options.page_frames) {}
 
-bool GraftHost::RunStream(streamk::Bytes data, std::size_t chunk, streamk::Chain& chain,
-                          streamk::Sink& sink) {
-  try {
-    streamk::Pump(data, chunk, chain, sink);
-    return true;
-  } catch (const envs::EnvFault&) {
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  } catch (const minnow::Trap&) {
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  } catch (const faultlab::FaultError&) {
-    throw;  // injected infrastructure failure, not an extension fault
-  } catch (const ldisk::DiskFull&) {
-    throw;  // device state, not extension misbehavior
-  } catch (const ldisk::DiskHardError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    // Tclet and other script-level failures surface as runtime_error.
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
+template <typename Body>
+void GraftHost::Contain(std::chrono::microseconds budget, const tracelab::StageTrace* trace,
+                        bool contain, RunResult& result, Body&& body) {
+  const tracelab::StageTrace stage = trace != nullptr ? *trace : tracelab::StageTrace{};
+  tracelab::Span crossing(stage.tracer, stage.crossing, stage.trace_id);
+  preempt_token_.Reset();
+  // Reset on every exit path; destroyed after the deadline below, so the
+  // order on unwind is disarm-then-reset and a late trip cannot leak.
+  envs::TokenResetGuard reset_guard(preempt_token_);
+  std::optional<ArmGuard> deadline;
+  if (budget.count() > 0) {
+    deadline.emplace(DeadlineWheel::Shared(), preempt_token_, budget);
   }
-  return false;
+  crossing.End();
+  // Called from inside a handler, so `throw;` rethrows the fault in flight.
+  const auto settle = [&](FaultClass fault_class, const std::exception& error) {
+    if (!contain && fault_class != FaultClass::kPreempt) {
+      throw;
+    }
+    const bool device = fault_class == FaultClass::kDiskFull || fault_class == FaultClass::kDisk;
+    (device ? disk_faults_ : contained_faults_).fetch_add(1, std::memory_order_relaxed);
+    result.fault_class = fault_class;
+    result.fault_message = error.what();
+  };
+  // Most-derived handlers first: every class below derives from
+  // runtime_error, which is the extension-fault catch-all.
+  try {
+    tracelab::Span body_span(stage.tracer, stage.body, stage.trace_id);
+    body();
+  } catch (const envs::PreemptFault& error) {
+    settle(FaultClass::kPreempt, error);
+  } catch (const minnow::FuelExhausted& error) {
+    settle(FaultClass::kPreempt, error);
+  } catch (const ldisk::DiskFull& error) {
+    settle(FaultClass::kDiskFull, error);
+  } catch (const ldisk::DiskHardError& error) {
+    settle(FaultClass::kDisk, error);
+  } catch (const faultlab::FaultError& error) {
+    settle(FaultClass::kDisk, error);
+  } catch (const std::runtime_error& error) {
+    settle(FaultClass::kExtension, error);
+  }
 }
 
-GraftHost::BlackBoxResult GraftHost::RunLogicalDisk(BlackBoxGraft& graft,
-                                                    std::uint64_t num_writes, bool validate,
-                                                    const tracelab::StageTrace* trace) {
-  const tracelab::StageTrace stage = trace != nullptr ? *trace : tracelab::StageTrace{};
-  BlackBoxResult result;
-  const auto record = [&result](FaultClass fault_class, const char* what) {
-    result.faulted = true;
-    result.fault_class = fault_class;
-    result.fault_message = what;
-  };
-  // Most-derived handlers first: DiskFull/DiskHardError/faultlab derive
-  // from runtime_error but are device failures, not extension faults.
-  // Anything that is not a runtime_error (logic errors, allocation
-  // failures) is a host bug and propagates.
-  try {
-    tracelab::Span body(stage.tracer, stage.body, stage.trace_id);
-    result.replay =
-        ldisk::ReplayWorkload(graft, options_.disk_geometry, num_writes, /*seed=*/80204, validate);
-  } catch (const ldisk::DiskFull& error) {
-    disk_faults_.fetch_add(1, std::memory_order_relaxed);
-    record(FaultClass::kDiskFull, error.what());
-  } catch (const ldisk::DiskHardError& error) {
-    disk_faults_.fetch_add(1, std::memory_order_relaxed);
-    record(FaultClass::kDisk, error.what());
-  } catch (const faultlab::FaultError& error) {
-    disk_faults_.fetch_add(1, std::memory_order_relaxed);
-    record(FaultClass::kDisk, error.what());
-  } catch (const envs::EnvFault& error) {
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-    record(FaultClass::kExtension, error.what());
-  } catch (const minnow::Trap& error) {
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-    record(FaultClass::kExtension, error.what());
-  } catch (const std::runtime_error& error) {
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-    record(FaultClass::kExtension, error.what());
-  }
-  return result;
+bool GraftHost::RunStream(streamk::Bytes data, std::size_t chunk, streamk::Chain& chain,
+                          streamk::Sink& sink) {
+  RunResult result;
+  Contain(std::chrono::microseconds{0}, nullptr, true, result,
+          [&] { streamk::Pump(data, chunk, chain, sink); });
+  return result.ok();
 }
 
 GraftHost::StreamRunResult GraftHost::RunStreamGraft(StreamGraft& graft, streamk::Bytes data,
                                                      std::size_t chunk,
                                                      std::chrono::microseconds budget,
                                                      const tracelab::StageTrace* trace) {
-  const tracelab::StageTrace stage = trace != nullptr ? *trace : tracelab::StageTrace{};
   StreamRunResult result;
-  // The crossing span covers the host->technology entry machinery: token
-  // reset, deadline arm, fuel metering setup done by the caller's policy.
-  tracelab::Span crossing(stage.tracer, stage.crossing, stage.trace_id);
-  preempt_token_.Reset();
-  // Reset on every exit path; destroyed after the deadline guards below, so
-  // the order on unwind is disarm-then-reset and a late trip cannot leak.
-  envs::TokenResetGuard reset_guard(preempt_token_);
-  std::optional<envs::ArmGuard> shared_deadline;
-  std::optional<envs::Watchdog> watchdog;
-  if (budget.count() > 0) {
-    if (deadline_timer_ != nullptr) {
-      shared_deadline.emplace(*deadline_timer_, preempt_token_, budget);
-    } else {
-      watchdog.emplace(preempt_token_, budget);
-    }
-  }
-  crossing.End();
-  try {
-    tracelab::Span body(stage.tracer, stage.body, stage.trace_id);
+  Contain(budget, trace, true, result, [&] {
     const std::size_t step = chunk == 0 ? data.size() : chunk;
     for (std::size_t off = 0; off < data.size(); off += step) {
       graft.Consume(data.data() + off, std::min(step, data.size() - off));
     }
     result.digest = graft.Finish();
-    result.ok = true;
-  } catch (const envs::PreemptFault&) {
-    result.preempted = true;
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  } catch (const minnow::Trap& trap) {
-    result.preempted = IsFuelPreemption(trap.what());
-    if (!result.preempted) {
-      result.fault_message = trap.what();
-    }
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  } catch (const faultlab::FaultError&) {
-    throw;  // injected infrastructure failure, not an extension fault
-  } catch (const ldisk::DiskFull&) {
-    throw;  // device state, not extension misbehavior
-  } catch (const ldisk::DiskHardError&) {
-    throw;
-  } catch (const std::runtime_error& error) {
-    result.preempted = IsFuelPreemption(error.what());
-    if (!result.preempted) {
-      result.fault_message = error.what();
-    }
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  }
+  });
+  return result;
+}
+
+GraftHost::BlackBoxResult GraftHost::RunLogicalDisk(BlackBoxGraft& graft,
+                                                    std::uint64_t num_writes, bool validate,
+                                                    std::chrono::microseconds budget,
+                                                    const tracelab::StageTrace* trace) {
+  BlackBoxResult result;
+  Contain(budget, trace, true, result, [&] {
+    result.replay =
+        ldisk::ReplayWorkload(graft, options_.disk_geometry, num_writes, /*seed=*/80204, validate);
+  });
   return result;
 }
 
@@ -149,75 +98,22 @@ GraftHost::EvictionRunResult GraftHost::RunEvictionGraft(PrioritizationGraft& gr
                                                          std::uint64_t lookups,
                                                          std::chrono::microseconds budget,
                                                          const tracelab::StageTrace* trace) {
-  const tracelab::StageTrace stage = trace != nullptr ? *trace : tracelab::StageTrace{};
   EvictionRunResult result;
-  tracelab::Span crossing(stage.tracer, stage.crossing, stage.trace_id);
-  preempt_token_.Reset();
-  envs::TokenResetGuard reset_guard(preempt_token_);
-  std::optional<envs::ArmGuard> shared_deadline;
-  std::optional<envs::Watchdog> watchdog;
-  if (budget.count() > 0) {
-    if (deadline_timer_ != nullptr) {
-      shared_deadline.emplace(*deadline_timer_, preempt_token_, budget);
-    } else {
-      watchdog.emplace(preempt_token_, budget);
-    }
-  }
-  crossing.End();
-  try {
-    tracelab::Span body(stage.tracer, stage.body, stage.trace_id);
+  Contain(budget, trace, true, result, [&] {
     for (std::uint64_t i = 0; i < lookups; ++i) {
       vmsim::Frame* victim = graft.ChooseVictim(lru_head);
       result.last_victim_page = victim != nullptr ? victim->page : 0;
       ++result.lookups;
     }
-    result.ok = true;
-  } catch (const envs::PreemptFault&) {
-    result.preempted = true;
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  } catch (const minnow::Trap& trap) {
-    result.preempted = IsFuelPreemption(trap.what());
-    if (!result.preempted) {
-      result.fault_message = trap.what();
-    }
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  } catch (const faultlab::FaultError&) {
-    throw;  // injected infrastructure failure, not an extension fault
-  } catch (const std::runtime_error& error) {
-    result.preempted = IsFuelPreemption(error.what());
-    if (!result.preempted) {
-      result.fault_message = error.what();
-    }
-    contained_faults_.fetch_add(1, std::memory_order_relaxed);
-  }
+  });
   return result;
 }
 
 bool GraftHost::RunWithBudget(std::chrono::microseconds budget,
                               const std::function<void()>& body) {
-  preempt_token_.Reset();
-  envs::TokenResetGuard reset_guard(preempt_token_);
-  bool preempted = false;
-  {
-    std::optional<envs::ArmGuard> shared_deadline;
-    std::optional<envs::Watchdog> watchdog;
-    if (deadline_timer_ != nullptr) {
-      shared_deadline.emplace(*deadline_timer_, preempt_token_, budget);
-    } else {
-      watchdog.emplace(preempt_token_, budget);
-    }
-    try {
-      body();
-    } catch (const envs::PreemptFault&) {
-      preempted = true;
-      contained_faults_.fetch_add(1, std::memory_order_relaxed);
-    } catch (const minnow::Trap&) {
-      // VM fuel exhaustion or trap inside the budgeted region.
-      preempted = true;
-      contained_faults_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return !preempted;
+  RunResult result;
+  Contain(budget, nullptr, false, result, body);
+  return result.ok();
 }
 
 }  // namespace core

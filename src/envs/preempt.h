@@ -5,23 +5,20 @@
 // long." Interpreted technologies use a fuel counter inside the VM; compiled
 // safe technologies poll a shared flag at loop back-edges (one relaxed
 // atomic load per iteration — the cost shows up in the ablation benches).
-// Unsafe C polls nothing: it is unsafe, which is the point.
+// Unsafe C polls nothing: it is unsafe, which is the point. The flag is
+// tripped by the one process-wide timer, core::DeadlineWheel, which
+// core::GraftHost arms for every budgeted invocation.
 
 #ifndef GRAFTLAB_SRC_ENVS_PREEMPT_H_
 #define GRAFTLAB_SRC_ENVS_PREEMPT_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "src/envs/fault.h"
 
 namespace envs {
 
-// Shared abort flag between the kernel (or its watchdog) and a graft.
+// Shared abort flag between the kernel (or its deadline wheel) and a graft.
 class PreemptToken {
  public:
   void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
@@ -51,73 +48,6 @@ class TokenResetGuard {
 
  private:
   PreemptToken& token_;
-};
-
-// Deadline service: arms "trip this token after `deadline`" without
-// prescribing the mechanism. The kernel's default is a thread-per-call
-// Watchdog (below); graftd installs a shared deadline wheel so N concurrent
-// budgeted invocations cost one timer thread total instead of N.
-class DeadlineTimer {
- public:
-  using Ticket = std::uint64_t;
-
-  virtual ~DeadlineTimer() = default;
-
-  // Arms a deadline on `token`; the token outlives the ticket or is
-  // cancelled first. Returns a ticket for Cancel().
-  virtual Ticket Arm(PreemptToken& token, std::chrono::microseconds deadline) = 0;
-
-  // Disarms. After Cancel returns the timer will not touch the token again
-  // (it may already have tripped it; pair with TokenResetGuard).
-  virtual void Cancel(Ticket ticket) = 0;
-};
-
-// RAII arm/cancel over a DeadlineTimer.
-class ArmGuard {
- public:
-  ArmGuard(DeadlineTimer& timer, PreemptToken& token, std::chrono::microseconds deadline)
-      : timer_(timer), ticket_(timer.Arm(token, deadline)) {}
-  ArmGuard(const ArmGuard&) = delete;
-  ArmGuard& operator=(const ArmGuard&) = delete;
-  ~ArmGuard() { timer_.Cancel(ticket_); }
-
- private:
-  DeadlineTimer& timer_;
-  DeadlineTimer::Ticket ticket_;
-};
-
-// Arms a deadline on construction; if the guarded scope is still running
-// when the deadline passes, the token is tripped and the next Poll() in the
-// graft throws PreemptFault. Disarms (joins) on destruction.
-class Watchdog {
- public:
-  Watchdog(PreemptToken& token, std::chrono::microseconds deadline) : token_(token) {
-    thread_ = std::thread([this, deadline] {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!cv_.wait_for(lock, deadline, [this] { return cancelled_; })) {
-        token_.RequestStop();
-      }
-    });
-  }
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      cancelled_ = true;
-    }
-    cv_.notify_one();
-    thread_.join();
-  }
-
- private:
-  PreemptToken& token_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool cancelled_ = false;
-  std::thread thread_;
 };
 
 }  // namespace envs

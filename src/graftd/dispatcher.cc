@@ -64,13 +64,11 @@ thread_local std::uint64_t t_next_shard =
 Dispatcher::Dispatcher(DispatcherOptions options, const Clock* clock)
     : options_(options),
       clock_(clock),
-      supervisor_(options.policy, clock),
-      wheel_(DeadlineWheel::Options{options.wheel_tick, 256}) {
+      supervisor_(options.policy, clock) {
   const std::size_t workers = std::max<std::size_t>(1, options_.workers);
   shards_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     shards_.push_back(std::make_unique<WorkerShard>(options_));
-    shards_.back()->host.set_deadline_timer(&wheel_);
   }
   for (auto& shard : shards_) {
     shard->thread = std::thread([this, raw = shard.get()] { WorkerLoop(*raw); });
@@ -505,7 +503,7 @@ void Dispatcher::RunOne(WorkerShard& shard, const Invocation& invocation) {
   const std::chrono::microseconds budget =
       invocation.budget.count() > 0 ? invocation.budget : policy.default_budget;
 
-  Outcome outcome = Outcome::kOk;
+  core::GraftHost::FaultClass fault_class = core::GraftHost::FaultClass::kNone;
   std::uint64_t fuel_used = 0;
   std::uint64_t ops = 0;
   md5::Digest completion_digest{};
@@ -529,40 +527,37 @@ void Dispatcher::RunOne(WorkerShard& shard, const Invocation& invocation) {
         }
         graft.SetFuel(-1);  // do not meter the graft outside supervised runs
       }
-      outcome =
-          result.ok ? Outcome::kOk : (result.preempted ? Outcome::kPreempt : Outcome::kFault);
-      if (result.ok) {
-        completion_digest = result.digest;
-      }
+      fault_class = result.fault_class;
+      completion_digest = result.digest;
       if (invocation.on_stream_result) {
         invocation.on_stream_result(result);
       }
       break;
     }
     case GraftShape::kBlackBox: {
-      const core::GraftHost::BlackBoxResult result =
-          shard.host.RunLogicalDisk(*blackbox, invocation.ldisk_writes, /*validate=*/false,
-                                    &stage_trace);
+      const core::GraftHost::BlackBoxResult result = shard.host.RunLogicalDisk(
+          *blackbox, invocation.ldisk_writes, /*validate=*/false, budget, &stage_trace);
+      fault_class = result.fault_class;
       ops = result.replay.writes;
-      if (!result.faulted) {
-        outcome = Outcome::kOk;
-      } else if (result.fault_class == core::GraftHost::FaultClass::kExtension) {
-        outcome = Outcome::kFault;
-      } else {
-        // DiskFull, hard I/O failure, or an injected device fault: score it
-        // against the device track so the supervisor degrades, not detaches.
-        outcome = Outcome::kDiskFault;
-      }
       break;
     }
     case GraftShape::kEviction: {
       const core::GraftHost::EvictionRunResult result = shard.host.RunEvictionGraft(
           *rig->graft, rig->queue.head(), invocation.eviction_lookups, budget, &stage_trace);
+      fault_class = result.fault_class;
       ops = result.lookups;
-      outcome =
-          result.ok ? Outcome::kOk : (result.preempted ? Outcome::kPreempt : Outcome::kFault);
       break;
     }
+  }
+  Outcome outcome = Outcome::kOk;
+  switch (fault_class) {
+    case core::GraftHost::FaultClass::kNone: outcome = Outcome::kOk; break;
+    case core::GraftHost::FaultClass::kExtension: outcome = Outcome::kFault; break;
+    case core::GraftHost::FaultClass::kPreempt: outcome = Outcome::kPreempt; break;
+    // DiskFull, hard I/O failure, or an injected device fault: score it
+    // against the device track so the supervisor degrades, not detaches.
+    case core::GraftHost::FaultClass::kDiskFull:
+    case core::GraftHost::FaultClass::kDisk: outcome = Outcome::kDiskFault; break;
   }
   const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(timer.ElapsedNs());
   CompletionStatus completion_status = CompletionStatus::kOk;

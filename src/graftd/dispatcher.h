@@ -38,10 +38,11 @@
 // that serializes inline runs against worker batches). No graft keeps
 // thread-affine state, so serializing the callers is all it takes.
 //
-// Budget enforcement: one shared DeadlineWheel serves every worker, so the
-// per-invocation cost of a wall-clock budget is an O(1) Arm/Cancel instead
-// of the historical thread spawn/join. Interpreted grafts additionally get
-// the policy's fuel budget set before each invocation.
+// Budget enforcement: every shard's host arms the process-wide
+// core::DeadlineWheel, so the per-invocation cost of a wall-clock budget is
+// an O(1) Arm/Cancel, and every shape (stream, eviction, black box) gets the
+// same budget. Interpreted grafts additionally get the policy's fuel budget
+// set before each invocation.
 
 #ifndef GRAFTLAB_SRC_GRAFTD_DISPATCHER_H_
 #define GRAFTLAB_SRC_GRAFTD_DISPATCHER_H_
@@ -60,7 +61,6 @@
 #include "src/core/graft.h"
 #include "src/core/graft_host.h"
 #include "src/faultlab/injector.h"
-#include "src/graftd/deadline_wheel.h"
 #include "src/graftd/queue.h"
 #include "src/graftd/supervisor.h"
 #include "src/graftd/telemetry.h"
@@ -155,7 +155,6 @@ struct DispatcherOptions {
   bool inline_fast_path = true;
   SupervisorPolicy policy{};
   core::GraftHostOptions host_options{};
-  std::chrono::microseconds wheel_tick{500};
 };
 
 class Dispatcher {
@@ -213,7 +212,6 @@ class Dispatcher {
   TelemetrySnapshot Snapshot() const;
 
   Supervisor& supervisor() { return supervisor_; }
-  DeadlineWheel& deadline_wheel() { return wheel_; }
   std::size_t workers() const { return shards_.size(); }
 
   // The dispatcher clock as absolute nanoseconds — the timebase
@@ -337,7 +335,6 @@ class Dispatcher {
   const DispatcherOptions options_;
   const Clock* clock_;  // deadline expiry checks in RunOne
   Supervisor supervisor_;
-  DeadlineWheel wheel_;
   const faultlab::Injector* injector_ = nullptr;
   tracelab::Tracer* tracer_ = nullptr;
   std::function<void(GraftId, CompletionStatus, std::uint64_t)> outcome_hook_;

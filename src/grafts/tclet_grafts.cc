@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/envs/fault.h"
+
 namespace grafts {
 
 namespace {
@@ -175,8 +177,13 @@ std::int64_t ResultInt(Interp& interp) {
   return value;
 }
 
+// An exhausted command budget is a preemption, raised as the same
+// PreemptFault a compiled graft's token poll raises.
 void EvalOrThrow(Interp& interp, const std::string& script) {
   if (interp.Eval(script) == Code::kError) {
+    if (interp.fuel() == 0) {
+      throw envs::PreemptFault();
+    }
     throw std::runtime_error("tclet graft error: " + interp.result());
   }
 }

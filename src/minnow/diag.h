@@ -38,6 +38,12 @@ class Trap : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// The fuel budget ran out: a preemption, not a fault of the graft's code.
+class FuelExhausted : public Trap {
+ public:
+  FuelExhausted() : Trap("fuel exhausted: graft preempted") {}
+};
+
 }  // namespace minnow
 
 #endif  // GRAFTLAB_SRC_MINNOW_DIAG_H_

@@ -347,7 +347,7 @@ Value VM::RunJit(int fn_index, std::size_t entry_frames) {
   do {                                                                 \
     ++instructions_retired_;                                           \
     if (fuel_ >= 0 && fuel_-- == 0) {                                  \
-      throw Trap("fuel exhausted: graft preempted");                   \
+      throw FuelExhausted();                                           \
     }                                                                  \
     if (op_counts_ != nullptr) {                                       \
       const auto cur = static_cast<std::size_t>(ip->op);               \

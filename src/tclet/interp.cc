@@ -354,7 +354,9 @@ std::string Interp::EvalOrThrow(std::string_view script) {
 
 Code Interp::RunCommand(const std::vector<std::string>& words) {
   ++commands_executed_;
-  if (fuel_ >= 0 && fuel_-- == 0) {
+  if (fuel_ > 0) {
+    --fuel_;
+  } else if (fuel_ == 0) {
     return Error("command budget exhausted: script preempted");
   }
 

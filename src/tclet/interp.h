@@ -63,7 +63,9 @@ class Interp {
   bool GetGlobalVar(const std::string& name, std::string& out) const;
 
   // Command budget: each command evaluation costs one unit; exhausting the
-  // budget aborts the script with an error. -1 = unlimited.
+  // budget aborts the script with an error. -1 = unlimited. Exhaustion is
+  // sticky: fuel stays at 0 and every later command fails the same way
+  // (`catch` cannot buy the script more time) until SetFuel refuels.
   void SetFuel(std::int64_t fuel) { fuel_ = fuel; }
   std::int64_t fuel() const { return fuel_; }
 

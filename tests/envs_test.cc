@@ -8,6 +8,7 @@
 #include <random>
 #include <thread>
 
+#include "src/core/deadline_wheel.h"
 #include "src/envs/arena.h"
 #include "src/envs/env_concept.h"
 #include "src/envs/fault.h"
@@ -202,7 +203,7 @@ TEST(Preempt, WatchdogTripsLongRunningGraft) {
   envs::SafeLangEnv env(&token);
   bool preempted = false;
   {
-    envs::Watchdog watchdog(token, std::chrono::microseconds(2000));
+    core::ArmGuard deadline(core::DeadlineWheel::Shared(), token, std::chrono::microseconds(2000));
     try {
       for (;;) {
         env.Poll();
@@ -226,7 +227,7 @@ TEST(Preempt, BackToBackBudgetedRunsDoNotLeakTrip) {
   bool first_preempted = false;
   {
     envs::TokenResetGuard reset(token);
-    envs::Watchdog watchdog(token, std::chrono::microseconds(1000));
+    core::ArmGuard deadline(core::DeadlineWheel::Shared(), token, std::chrono::microseconds(1000));
     try {
       for (;;) {
         env.Poll();
@@ -243,7 +244,7 @@ TEST(Preempt, BackToBackBudgetedRunsDoNotLeakTrip) {
   // must run to completion without a spurious PreemptFault.
   {
     envs::TokenResetGuard reset(token);
-    envs::Watchdog watchdog(token, std::chrono::seconds(30));
+    core::ArmGuard deadline(core::DeadlineWheel::Shared(), token, std::chrono::seconds(30));
     for (int i = 0; i < 1000; ++i) {
       ASSERT_NO_THROW(env.Poll());
     }
@@ -264,7 +265,7 @@ TEST(Preempt, TokenResetGuardResetsOnExceptionPath) {
 TEST(Preempt, WatchdogCancelsCleanly) {
   envs::PreemptToken token;
   {
-    envs::Watchdog watchdog(token, std::chrono::seconds(30));
+    core::ArmGuard deadline(core::DeadlineWheel::Shared(), token, std::chrono::seconds(30));
   }  // destructor must not wait 30s (test would time out if it did)
   EXPECT_FALSE(token.stop_requested());
 }

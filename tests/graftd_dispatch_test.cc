@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/deadline_wheel.h"
 #include "src/envs/fault.h"
 #include "src/graftd/dispatcher.h"
 #include "src/grafts/factory.h"
@@ -64,6 +65,26 @@ class RunawayGraft : public core::StreamGraft {
   envs::PreemptToken* token_;
 };
 
+// A black-box graft whose write hook spins polling its token. It gives up
+// after 5s, so an unenforced budget fails the test instead of hanging it.
+class RunawayDiskGraft : public core::BlackBoxGraft {
+ public:
+  explicit RunawayDiskGraft(envs::PreemptToken* token) : token_(token) {}
+  ldisk::BlockId OnWrite(ldisk::BlockId) override {
+    const auto give_up = std::chrono::steady_clock::now() + 5s;
+    while (std::chrono::steady_clock::now() < give_up) {
+      token_->Poll();
+      std::this_thread::sleep_for(20us);
+    }
+    return 0;
+  }
+  ldisk::BlockId Translate(ldisk::BlockId) override { return ldisk::kUnmapped; }
+  const char* technology() const override { return "runaway-disk"; }
+
+ private:
+  envs::PreemptToken* token_;
+};
+
 TEST(Dispatcher, MultiProducerDispatchAccountsEveryInvocation) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 32;
@@ -89,7 +110,7 @@ TEST(Dispatcher, MultiProducerDispatchAccountsEveryInvocation) {
         invocation.data = streamk::Bytes(data.data(), data.size());
         invocation.chunk = 4u << 10;
         invocation.on_stream_result = [&](const core::GraftHost::StreamRunResult& result) {
-          if (result.ok && result.digest == expected) {
+          if (result.ok() && result.digest == expected) {
             digests_ok.fetch_add(1, std::memory_order_relaxed);
           }
         };
@@ -154,8 +175,8 @@ TEST(Dispatcher, RunawayGraftIsPreemptedByTheSharedWheel) {
   options.workers = 2;
   options.policy.default_budget = 2ms;
   options.policy.fault_threshold = 100;  // keep it admitted; we test preemption
-  options.wheel_tick = 200us;
   graftd::Dispatcher dispatcher(options);
+  const std::uint64_t fired_before = core::DeadlineWheel::Shared().fired();
   const graftd::GraftId runaway = dispatcher.RegisterStreamGraft(
       "runaway", [](envs::PreemptToken* token) { return std::make_unique<RunawayGraft>(token); });
 
@@ -170,7 +191,29 @@ TEST(Dispatcher, RunawayGraftIsPreemptedByTheSharedWheel) {
 
   const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
   EXPECT_EQ(snapshot.grafts[runaway].counters.preempts, 4u);
-  EXPECT_GE(dispatcher.deadline_wheel().fired(), 4u);
+  EXPECT_GE(core::DeadlineWheel::Shared().fired() - fired_before, 4u);
+}
+
+TEST(Dispatcher, BlackBoxGraftHonorsTheDefaultBudget) {
+  graftd::DispatcherOptions options;
+  options.workers = 1;
+  options.policy.default_budget = 2ms;
+  options.policy.fault_threshold = 100;
+  graftd::Dispatcher dispatcher(options);
+  const graftd::GraftId runaway = dispatcher.RegisterBlackBoxGraft(
+      "runaway-disk", [](const ldisk::Geometry&, envs::PreemptToken* token) {
+        return std::make_unique<RunawayDiskGraft>(token);
+      });
+
+  graftd::Invocation invocation;
+  invocation.graft = runaway;
+  invocation.ldisk_writes = 1;
+  ASSERT_TRUE(dispatcher.Submit(std::move(invocation)));
+  dispatcher.Drain();
+
+  const graftd::TelemetrySnapshot snapshot = dispatcher.Snapshot();
+  EXPECT_EQ(snapshot.grafts[runaway].counters.preempts, 1u);
+  EXPECT_EQ(snapshot.grafts[runaway].counters.ok, 0u);
 }
 
 TEST(Dispatcher, InterpretedGraftFuelIsMeteredAndExhaustionPreempts) {
@@ -259,7 +302,7 @@ void DriveSubmitBatch(QueueShape shape) {
           invocation.graft = id;
           invocation.data = streamk::Bytes(data.data(), data.size());
           invocation.on_stream_result = [&](const core::GraftHost::StreamRunResult& result) {
-            if (result.ok && result.digest == expected) {
+            if (result.ok() && result.digest == expected) {
               digests_ok.fetch_add(1, std::memory_order_relaxed);
             }
           };
@@ -410,7 +453,7 @@ TEST(Dispatcher, InlineFastPathRunsOnTheSubmittingThread) {
     invocation.graft = id;
     invocation.data = streamk::Bytes(data.data(), data.size());
     invocation.on_stream_result = [&](const core::GraftHost::StreamRunResult& result) {
-      if (std::this_thread::get_id() == submitter && result.ok && result.digest == expected) {
+      if (std::this_thread::get_id() == submitter && result.ok() && result.digest == expected) {
         ++ran_on_submitter;
       }
     };

@@ -9,11 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/deadline_wheel.h"
 #include "src/core/graft_host.h"
 #include "src/envs/fault.h"
 #include "src/envs/safe_env.h"
 #include "src/graftd/clock.h"
-#include "src/graftd/deadline_wheel.h"
 #include "src/graftd/queue.h"
 #include "src/graftd/supervisor.h"
 #include "src/graftd/telemetry.h"
@@ -322,7 +322,7 @@ TEST(Supervisor, DiskFaultStreakDoesNotMixWithExtensionFaults) {
 // --- DeadlineWheel ---
 
 TEST(DeadlineWheel, TripsTokenAfterDeadline) {
-  graftd::DeadlineWheel wheel(graftd::DeadlineWheel::Options{200us, 64});
+  core::DeadlineWheel wheel(core::DeadlineWheel::Options{200us, 64});
   envs::PreemptToken token;
   envs::SafeLangEnv env(&token);
   bool preempted = false;
@@ -343,7 +343,7 @@ TEST(DeadlineWheel, TripsTokenAfterDeadline) {
 }
 
 TEST(DeadlineWheel, CancelPreventsFiring) {
-  graftd::DeadlineWheel wheel(graftd::DeadlineWheel::Options{200us, 64});
+  core::DeadlineWheel wheel(core::DeadlineWheel::Options{200us, 64});
   envs::PreemptToken token;
   const auto ticket = wheel.Arm(token, 2ms);
   wheel.Cancel(ticket);
@@ -353,7 +353,7 @@ TEST(DeadlineWheel, CancelPreventsFiring) {
 }
 
 TEST(DeadlineWheel, ManyConcurrentDeadlinesAllFire) {
-  graftd::DeadlineWheel wheel(graftd::DeadlineWheel::Options{200us, 16});
+  core::DeadlineWheel wheel(core::DeadlineWheel::Options{200us, 16});
   // More deadlines than slots, spread over several rounds.
   std::vector<envs::PreemptToken> tokens(64);
   for (std::size_t i = 0; i < tokens.size(); ++i) {
@@ -409,9 +409,7 @@ TEST(BudgetLifecycle, TokenResetEvenWhenBodyThrowsThroughBudget) {
 }
 
 TEST(BudgetLifecycle, SharedWheelBackToBackRuns) {
-  graftd::DeadlineWheel wheel(graftd::DeadlineWheel::Options{200us, 64});
   core::GraftHost host;
-  host.set_deadline_timer(&wheel);
   envs::SafeLangEnv env(&host.preempt_token());
 
   for (int round = 0; round < 3; ++round) {
@@ -429,9 +427,7 @@ TEST(BudgetLifecycle, SharedWheelBackToBackRuns) {
 }
 
 TEST(BudgetLifecycle, RunStreamGraftHonorsBudgetViaWheel) {
-  graftd::DeadlineWheel wheel(graftd::DeadlineWheel::Options{200us, 64});
   core::GraftHost host;
-  host.set_deadline_timer(&wheel);
 
   // Modula-3 polls the token at loop back edges, so a tiny budget preempts
   // a large fingerprint; the next small one succeeds on the same instance.
@@ -439,15 +435,15 @@ TEST(BudgetLifecycle, RunStreamGraftHonorsBudgetViaWheel) {
   std::vector<std::uint8_t> big(8u << 20, 0xAB);
   const auto slow =
       host.RunStreamGraft(*graft, streamk::Bytes(big.data(), big.size()), 64u << 10, 500us);
-  EXPECT_FALSE(slow.ok);
-  EXPECT_TRUE(slow.preempted);
+  EXPECT_FALSE(slow.ok());
+  EXPECT_TRUE(slow.preempted());
 
   std::vector<std::uint8_t> small(1024, 0xCD);
   auto fresh = grafts::CreateMd5Graft(core::Technology::kModula3, &host.preempt_token());
   const auto quick =
       host.RunStreamGraft(*fresh, streamk::Bytes(small.data(), small.size()), 1024, 10s);
-  EXPECT_TRUE(quick.ok);
-  EXPECT_FALSE(quick.preempted);
+  EXPECT_TRUE(quick.ok());
+  EXPECT_FALSE(quick.preempted());
 }
 
 }  // namespace

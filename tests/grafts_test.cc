@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "src/core/graft.h"
@@ -289,7 +290,7 @@ TEST(GraftHostIntegration, LogicalDiskGraftThroughHost) {
   core::GraftHost host(options);
   auto graft = grafts::CreateLogicalDiskGraft(Technology::kModula3, options.disk_geometry);
   const auto result = host.RunLogicalDisk(*graft, options.disk_geometry.num_blocks);
-  EXPECT_FALSE(result.faulted);
+  EXPECT_TRUE(result.ok());
   EXPECT_TRUE(result.replay.answers_correct);
 }
 
@@ -300,7 +301,7 @@ TEST(GraftHostIntegration, DiskFullIsADeviceFaultNotAnExtensionFault) {
   auto graft = grafts::CreateLogicalDiskGraft(Technology::kC, options.disk_geometry);
   const auto result =
       host.RunLogicalDisk(*graft, options.disk_geometry.num_blocks * 2);  // overflows
-  EXPECT_TRUE(result.faulted);
+  EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.fault_class, core::GraftHost::FaultClass::kDiskFull);
   EXPECT_GT(host.disk_faults(), 0u);
   // The device filling up is not the extension's misbehavior.
@@ -319,7 +320,7 @@ TEST_P(LdiskDiskFullClassification, EveryTechnologyReportsDiskFull) {
   auto graft = grafts::CreateLogicalDiskGraft(GetParam(), options.disk_geometry);
   const auto result =
       host.RunLogicalDisk(*graft, options.disk_geometry.num_blocks * 4);  // overflows
-  ASSERT_TRUE(result.faulted);
+  ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.fault_class, core::GraftHost::FaultClass::kDiskFull);
   EXPECT_GT(host.disk_faults(), 0u);
   EXPECT_EQ(host.contained_faults(), 0u);
@@ -347,6 +348,28 @@ TEST(GraftHostIntegration, WatchdogPreemptsSpinningCompiledGraft) {
   });
   EXPECT_FALSE(completed);
   EXPECT_GT(host.contained_faults(), 0u);
+}
+
+// Preemption is recognised by exception type, never by message text.
+class NotPreemptedGraft : public core::StreamGraft {
+ public:
+  void Consume(const std::uint8_t*, std::size_t) override {
+    throw std::runtime_error("not preempted");
+  }
+  md5::Digest Finish() override { return md5::Digest{}; }
+  const char* technology() const override { return "not-preempted"; }
+};
+
+TEST(GraftHostIntegration, RuntimeErrorSayingPreemptedIsAFault) {
+  core::GraftHost host;
+  NotPreemptedGraft graft;
+  const std::vector<std::uint8_t> data(64, 0x11);
+  const auto result = host.RunStreamGraft(graft, {data.data(), data.size()}, 64);
+  EXPECT_FALSE(result.ok());
+  EXPECT_FALSE(result.preempted());
+  EXPECT_EQ(result.fault_class, core::GraftHost::FaultClass::kExtension);
+  EXPECT_EQ(result.fault_message, "not preempted");
+  EXPECT_EQ(host.contained_faults(), 1u);
 }
 
 TEST(GraftHostIntegration, BudgetedWorkCompletesWhenFast) {

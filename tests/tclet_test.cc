@@ -269,6 +269,18 @@ TEST(Interp, FuelPreemptsRunawayScript) {
   EXPECT_EQ(interp.EvalOrThrow("expr {1 + 1}"), "2");
 }
 
+TEST(Interp, FuelExhaustionIsStickyThroughCatch) {
+  Interp interp;
+  interp.SetFuel(1000);
+  // `catch` swallows the exhaustion error, but every later command must
+  // fail the same way: the script cannot run on unmetered.
+  EXPECT_EQ(interp.Eval("set n 0; catch { while 1 { incr n } }; set m 0; "
+                        "while {$m < 200000} { incr m }; set m"),
+            Code::kError);
+  EXPECT_NE(interp.result().find("preempted"), std::string::npos);
+  EXPECT_EQ(interp.fuel(), 0);
+}
+
 TEST(Interp, EvalDepthLimit) {
   Interp interp;
   // Infinite recursion through command substitution must error, not crash.

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/core/deadline_wheel.h"
 #include "src/core/graft_host.h"
 #include "src/core/technology.h"
 #include "src/envs/fault.h"
@@ -205,7 +206,7 @@ TEST(ProcessUpcall, HungServerIsPreemptedByItsToken) {
                       &token);
   EXPECT_EQ(engine.Upcall(0), 0u);
   {
-    envs::Watchdog watchdog(token, std::chrono::milliseconds(20));
+    core::ArmGuard deadline(core::DeadlineWheel::Shared(), token, std::chrono::milliseconds(20));
     EXPECT_THROW(engine.Upcall(1), envs::PreemptFault);
   }
   EXPECT_EQ(engine.server_pid(), -1);  // killed and reaped
@@ -231,13 +232,13 @@ TEST(UpcallGraft, KilledStreamServerIsAContainedFault) {
   grafts::UpcallMd5Graft graft;
   const std::vector<std::uint8_t> data(1000, 0x5A);
   const auto good = host.RunStreamGraft(graft, {data.data(), data.size()}, 256);
-  ASSERT_TRUE(good.ok);
+  ASSERT_TRUE(good.ok());
   EXPECT_EQ(good.digest, md5::Sum({data.data(), data.size()}));
 
   ASSERT_EQ(::kill(graft.server_pid(), SIGKILL), 0);
   const auto dead = host.RunStreamGraft(graft, {data.data(), data.size()}, 256);
-  EXPECT_FALSE(dead.ok);
-  EXPECT_FALSE(dead.preempted);
+  EXPECT_FALSE(dead.ok());
+  EXPECT_FALSE(dead.preempted());
   EXPECT_EQ(dead.fault_message, "upcall server died");
   EXPECT_EQ(host.contained_faults(), 1u);
 }
@@ -250,7 +251,7 @@ TEST(UpcallGraft, KilledLogicalDiskServerIsAnExtensionFault) {
   grafts::UpcallLogicalDiskGraft graft(options.disk_geometry);
   ASSERT_EQ(::kill(graft.server_pid(), SIGKILL), 0);
   const auto result = host.RunLogicalDisk(graft, 64);
-  EXPECT_TRUE(result.faulted);
+  EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.fault_class, core::GraftHost::FaultClass::kExtension);
   EXPECT_EQ(host.contained_faults(), 1u);
   EXPECT_EQ(host.disk_faults(), 0u);
