@@ -7,6 +7,7 @@
 #include <string>
 #include <stdexcept>
 
+#include "src/minnow/jit_alloc.h"
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
 
@@ -376,9 +377,6 @@ constexpr Reg GLB = RBX;
 constexpr Reg FUEL = R15;
 constexpr std::uint64_t kFuelUnlimitedBias = 0x7fffffffffffffffull;
 
-// A branch target as a pc (the verifier proved it in range).
-std::size_t TargetOf(const Insn& insn) { return static_cast<std::size_t>(BranchTarget(insn)); }
-
 // Where a not-yet-stored operand's value lives while its block compiles.
 // kMem names a 64-bit cell [base + disp]: the entry's own operand slot, or
 // a local, spliced-callee local, or global the value was read from and
@@ -461,13 +459,7 @@ struct Compiler {
   Asm a{};
   // Per-pc control-flow facts, for the function being compiled and (while
   // splicing) for the spliced callee.
-  struct Flow {
-    std::vector<int> depth;      // verifier-proven operand depth; -1 = unreachable
-    std::vector<char> leader;    // starts a fuel-accounting block
-    std::vector<char> target;    // some branch jumps here: operands arrive stored
-    std::vector<int> blk_leader; // pc -> its block's leader pc
-    std::vector<int> blk_len;    // leader pc -> instruction count
-  };
+  using Flow = jitplan::Flow;
   Flow flow{};
   std::vector<std::int64_t> pc_off{};  // pc -> native offset (-1 = not emitted)
 
@@ -780,11 +772,6 @@ struct Compiler {
   int inl_op_bias_ = 0;
   std::int32_t inl_kk_ = 0;
   std::int32_t inl_ret_pc_ = 0;
-  static constexpr std::size_t kInlineMaxInsns = 48;
-  // Splice sites found before emission, so the prologue can fold their
-  // limit checks into one flag, and the lowest frame->base limit among them.
-  std::vector<char> splice_site_{};
-  std::int64_t splice_base_limit_ = INT32_MAX;
   // A splice site's out-of-line limit checks, emitted after the epilogue
   // with the operand stack as it stood at the site.
   struct ColdCheck {
@@ -797,393 +784,28 @@ struct Compiler {
   };
   std::vector<ColdCheck> colds_{};
 
-  // Ops the splicer accepts: templates that touch only locals, globals, and
-  // the operand stack, plus intra-function control flow and kRet/kRetVoid.
-  // Exit-raising ops (division) are fine — their stubs materialize the
-  // frame. Helper calls (allocation, calls, hosts) and object accesses stay
-  // out.
-  static bool InlinableOp(Op op) {
-    switch (op) {
-      case Op::kNop: case Op::kPop: case Op::kConstInt: case Op::kConstNull:
-      case Op::kLoadLocal: case Op::kStoreLocal: case Op::kLoadGlobal:
-      case Op::kStoreGlobal: case Op::kDup:
-      case Op::kAddI: case Op::kSubI: case Op::kMulI: case Op::kAndI:
-      case Op::kOrI: case Op::kXorI: case Op::kShlI: case Op::kShrI:
-      case Op::kNegI: case Op::kNotI:
-      case Op::kDivI: case Op::kModI: case Op::kDivNZ: case Op::kModNZ:
-      case Op::kAddU: case Op::kSubU: case Op::kMulU: case Op::kShlU:
-      case Op::kShrU: case Op::kNotU: case Op::kNotB:
-      case Op::kDivU: case Op::kModU:
-      case Op::kCastU32: case Op::kCastByte:
-      case Op::kEqI: case Op::kNeI: case Op::kLtI: case Op::kLeI:
-      case Op::kGtI: case Op::kGeI: case Op::kLtU: case Op::kLeU:
-      case Op::kGtU: case Op::kGeU: case Op::kEqRef: case Op::kNeRef:
-      case Op::kJmp: case Op::kJmpIfFalse: case Op::kJmpIfTrue:
-      case Op::kBrEqI: case Op::kBrNeI: case Op::kBrLtI: case Op::kBrLeI:
-      case Op::kBrGtI: case Op::kBrGeI: case Op::kBrEqRef: case Op::kBrNeRef:
-      case Op::kBrEqImmI: case Op::kBrNeImmI: case Op::kBrLtImmI:
-      case Op::kBrLeImmI: case Op::kBrGtImmI: case Op::kBrGeImmI:
-      case Op::kRet: case Op::kRetVoid:
-      case Op::kLoadAddI: case Op::kAddConstI: case Op::kConstStore:
-      case Op::kLoadLocal2: case Op::kLoadConstI: case Op::kMoveLocal:
-      case Op::kStoreLoad: case Op::kLoadGlobalLocal:
-        return true;
-      default:
-        return false;
-    }
+  // --- the plan ------------------------------------------------------------
+  // Block graph, splice sites, liveness and homes come from jit_alloc; the
+  // emitter maps each home index onto kHomeRegs.
+  jitplan::PlanInputs PlanIn() const {
+    return {&program, &fn, opts.jit_compile_filter, frame_capacity, stack_slots,
+            opts.max_call_depth, static_cast<int>(std::size(kHomeRegs))};
   }
-
-  // --- analysis ------------------------------------------------------------
-  // Depths, leaders, jump targets, and blocks of `f`. With `splice` set it
-  // also enforces the splice whitelist: every reachable insn inlinable (and
-  // not denied by the fuzzer's compile filter — those must keep their
-  // forced-deopt seam) and kRet/kRetVoid the only terminals.
   bool BuildFlow(const FunctionCode& f, Flow& fl, bool splice) const {
-    const std::size_t n = f.code.size();
-    if (n == 0 || (splice && n > kInlineMaxInsns)) return false;
-    fl.depth.assign(n, -1);
-    fl.leader.assign(n, 0);
-    fl.target.assign(n, 0);
-    std::vector<std::size_t> work;
-    fl.depth[0] = 0;
-    work.push_back(0);
-    const auto propagate = [&](std::size_t q, int dq) {
-      if (q >= n) return false;
-      if (fl.depth[q] == -1) {
-        fl.depth[q] = dq;
-        work.push_back(q);
-        return true;
-      }
-      return fl.depth[q] == dq;
-    };
-    while (!work.empty()) {
-      const std::size_t pc = work.back();
-      work.pop_back();
-      const Insn& insn = f.code[pc];
-      if (splice && !InlinableOp(insn.op)) return false;
-      if (splice && opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) return false;
-      StackShape e;
-      if (!ResolveShape(program, insn, e)) return false;
-      if (splice && InfoOf(insn.op).control == Control::kTrap) return false;
-      const int d = fl.depth[pc];
-      if (d < e.pops) return false;
-      const int d2 = d - e.pops + e.pushes;
-      if (d2 > f.max_stack || d2 > kMaxStack) return false;
-      if (HasTarget(insn.op) && !propagate(TargetOf(insn), d - e.pops)) return false;
-      if (FallsThrough(insn.op) && !propagate(pc + 1, d2)) return false;
-    }
-    // Leaders: entry, branch targets, and the instruction after any ender.
-    fl.leader[0] = 1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (fl.depth[pc] < 0) continue;
-      const Insn& insn = f.code[pc];
-      if (EndsBlock(insn.op) && pc + 1 < n) fl.leader[pc + 1] = 1;
-      if (HasTarget(insn.op)) fl.leader[TargetOf(insn)] = fl.target[TargetOf(insn)] = 1;
-    }
-    // Blocks: from each leader to its first ender (or the next leader, when
-    // control falls through into one).
-    fl.blk_leader.assign(n, -1);
-    fl.blk_len.assign(n, 0);
-    int lp = -1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (fl.depth[pc] < 0) {
-        lp = -1;
-        continue;
-      }
-      if (fl.leader[pc]) lp = static_cast<int>(pc);
-      if (lp < 0) return false;  // reachable code without a leader: impossible
-      fl.blk_leader[pc] = lp;
-      fl.blk_len[lp] = static_cast<int>(pc) - lp + 1;
-      if (EndsBlock(f.code[pc].op)) lp = -1;
-    }
-    return true;
+    return jitplan::BuildFlow(program, f, opts.jit_compile_filter, splice, fl);
   }
-
-  // kCall at caller depth `d`: the callee frame's offset from ours, and the
-  // largest caller frame->base for which PushFrame's stack check passes.
-  // False when a capacity does not fold into an imm32 compare.
   bool CallGeometry(const FunctionCode& callee, int d, std::int64_t& kk,
                     std::int64_t& base_limit) const {
-    kk = static_cast<std::int64_t>(fn.num_locals) + d - callee.num_params;
-    base_limit = static_cast<std::int64_t>(stack_slots) -
-                 (static_cast<std::int64_t>(callee.num_locals) + callee.max_stack) - kk;
-    return base_limit >= 0 && base_limit <= INT32_MAX && frame_capacity <= INT32_MAX &&
-           opts.max_call_depth <= INT32_MAX;
+    return jitplan::CallGeometry(PlanIn(), callee, d, kk, base_limit);
   }
 
-  // Marks the kCall sites that will be spliced and the strictest base limit
-  // among them, before any code is emitted.
-  void PlanSplices() {
-    splice_site_.assign(fn.code.size(), 0);
-    for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
-      const Insn& insn = fn.code[pc];
-      if (flow.depth[pc] < 0 || insn.op != Op::kCall) continue;
-      if (opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) continue;
-      const auto& callee = program.functions[static_cast<std::size_t>(insn.operand)];
-      std::int64_t kk = 0;
-      std::int64_t limit = 0;
-      Flow scratch;
-      if (CallGeometry(callee, flow.depth[pc], kk, limit) && BuildFlow(callee, scratch, true)) {
-        splice_site_[pc] = 1;
-        splice_base_limit_ = std::min(splice_base_limit_, limit);
-      }
-    }
-  }
-
-  // --- register homes --------------------------------------------------------
-  //
-  // Slot k is the frame slot at [r13 + 8k]: locals, then operand slots (a
-  // spliced callee's locals and operands are caller operand slots too). The
-  // hottest slots get a home register for the whole function, so the join
-  // invariant is "every homed slot is in its home, every other slot is in
-  // memory", and every incoming edge agrees by construction. The analysis
-  // runs over one node per instruction in emission order — the caller's
-  // pcs, a splice site's node followed by one node per callee pc — with
-  // the block graph's edges.
-  struct Node {
-    std::vector<std::int32_t> use, def;  // slots read / written
-    std::vector<int> succ;
-    bool join = false;  // a jump target: operands arrive in their canonical places
-    int nest = 0;       // static loop depth
-  };
-  std::vector<int> pc_node_{};  // caller pc -> node (a splice site's entry node)
-  std::size_t words_ = 0;       // bitset words per node
-  std::vector<std::uint64_t> live_in_{};
-  std::vector<std::uint64_t> live_out_{};
+  jitplan::Plan plan_{};
   std::vector<std::int8_t> home_{};  // slot -> home register, -1 = memory
   std::uint32_t home_mask_ = 0;
   int cur_node_ = 0;  // the node being emitted
 
-  static constexpr std::size_t kMaxHomedSlots = 1024;  // larger frames stay in memory
-
-  bool LiveIn(int node, std::size_t k) const {
-    return k < 64 * words_ &&
-           ((live_in_[static_cast<std::size_t>(node) * words_ + k / 64] >> (k % 64)) & 1) != 0;
-  }
-  bool LiveOut(int node, std::size_t k) const {
-    return k < 64 * words_ &&
-           ((live_out_[static_cast<std::size_t>(node) * words_ + k / 64] >> (k % 64)) & 1) != 0;
-  }
-
-  // The slots `insn` reads and writes at operand depth `d`, with local s at
-  // slot lbase + s and operand j at slot obase + j. Local accesses add the
-  // node's weight to the slot's rank.
-  void SlotEffects(Node& nd, const Insn& insn, int d, int lbase, int obase, std::uint64_t w,
-                   std::vector<std::uint64_t>& weight) const {
-    StackShape e;
-    ResolveShape(program, insn, e);
-    const auto local = [&](std::vector<std::int32_t>& to, std::int64_t s) {
-      const auto k = static_cast<std::size_t>(lbase + s);
-      to.push_back(static_cast<std::int32_t>(k));
-      if (weight.size() <= k) weight.resize(k + 1, 0);
-      weight[k] += w;
-    };
-    for (int j = d - e.pops; j < d; ++j) nd.use.push_back(obase + j);
-    switch (insn.op) {
-      case Op::kLoadLocal:
-      case Op::kLoadAddI:
-        local(nd.use, insn.operand);
-        break;
-      case Op::kStoreLocal:
-        local(nd.def, insn.operand);
-        break;
-      case Op::kConstStore:
-        local(nd.def, ConstStoreSlot(insn.operand));
-        break;
-      case Op::kLoadConstI:
-        local(nd.use, ConstStoreSlot(insn.operand));
-        break;
-      case Op::kLoadLocal2:
-        local(nd.use, SlotPairA(insn.operand));
-        local(nd.use, SlotPairB(insn.operand));
-        break;
-      case Op::kMoveLocal:
-        local(nd.use, SlotPairA(insn.operand));
-        local(nd.def, SlotPairB(insn.operand));
-        break;
-      case Op::kStoreLoad:  // store a, then load b: b == a reads the stored value
-        local(nd.def, SlotPairA(insn.operand));
-        if (SlotPairB(insn.operand) != SlotPairA(insn.operand)) {
-          local(nd.use, SlotPairB(insn.operand));
-        }
-        break;
-      case Op::kLoadGlobalLocal:
-        local(nd.use, SlotPairB(insn.operand));
-        break;
-      default:
-        break;
-    }
-    for (int j = d - e.pops; j < d - e.pops + e.pushes; ++j) nd.def.push_back(obase + j);
-    // Operands left below a return are dead, but they still sit in vs_ and
-    // a flush may write them: keep them live to the end.
-    if (insn.op == Op::kRet || insn.op == Op::kRetVoid || insn.op == Op::kTrap) {
-      for (int j = 0; j < d - e.pops; ++j) nd.use.push_back(obase + j);
-    }
-  }
-
-  // Static loop depth per pc: one level per back edge spanning it.
-  std::vector<int> LoopNest(const FunctionCode& f, const Flow& fl) const {
-    std::vector<int> nest(f.code.size() + 1, 0);
-    for (std::size_t pc = 0; pc < f.code.size(); ++pc) {
-      const Insn& insn = f.code[pc];
-      if (fl.depth[pc] >= 0 && HasTarget(insn.op) && TargetOf(insn) <= pc) {
-        ++nest[TargetOf(insn)];
-        --nest[pc + 1];
-      }
-    }
-    for (std::size_t pc = 1; pc < nest.size(); ++pc) nest[pc] += nest[pc - 1];
-    return nest;
-  }
-
-  // Builds the node graph, runs live-variable analysis, then gives homes
-  // by rank. Loop-carried slots come first: without a home they are loaded
-  // and stored in every block of every iteration. Within each tier the rank
-  // is the use count weighted 8x per loop level, plus, for operand slots,
-  // twice the weighted joins the slot is live into (a store and a reload
-  // each). Each slot in rank order takes the first home register none of
-  // whose slots is live at any node it is live at — so non-overlapping
-  // ranges share a register, and a range is never split.
-  void PlanHomes() {
-    const std::size_t n = fn.code.size();
-    const int nl = fn.num_locals;
-    pc_node_.assign(n, -1);
-    std::size_t count = 0;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      pc_node_[pc] = static_cast<int>(count++);
-      if (splice_site_[pc]) {
-        count += program.functions[static_cast<std::size_t>(fn.code[pc].operand)].code.size();
-      }
-    }
-    std::vector<Node> nodes(count);
-    std::vector<std::uint64_t> weight(static_cast<std::size_t>(nl), 0);
-    const auto weight_of = [](int nest) { return std::uint64_t{1} << (3 * std::min(nest, 6)); };
-    const std::vector<int> nest = LoopNest(fn, flow);
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      const int d = flow.depth[pc];
-      if (d < 0) continue;
-      Node& nd = nodes[static_cast<std::size_t>(pc_node_[pc])];
-      const Insn& insn = fn.code[pc];
-      nd.join = flow.target[pc] != 0;
-      nd.nest = nest[pc];
-      if (!splice_site_[pc]) {
-        SlotEffects(nd, insn, d, 0, nl, weight_of(nd.nest), weight);
-        if (FallsThrough(insn.op)) nd.succ.push_back(pc_node_[pc + 1]);
-        if (HasTarget(insn.op)) nd.succ.push_back(pc_node_[TargetOf(insn)]);
-        continue;
-      }
-      // Splice site: the args become the callee's params in place, its other
-      // locals are nulled, and its returns continue at pc + 1.
-      const FunctionCode& callee = program.functions[static_cast<std::size_t>(insn.operand)];
-      Flow cf;
-      BuildFlow(callee, cf, true);
-      const int entry = pc_node_[pc];
-      const int lb = d - callee.num_params;
-      for (int j = lb; j < d; ++j) nd.use.push_back(nl + j);
-      for (int j = d; j < lb + callee.num_locals; ++j) nd.def.push_back(nl + j);
-      nd.succ.push_back(entry + 1);
-      const std::vector<int> cnest = LoopNest(callee, cf);
-      for (std::size_t cpc = 0; cpc < callee.code.size(); ++cpc) {
-        const int cd = cf.depth[cpc];
-        if (cd < 0) continue;
-        Node& cn = nodes[static_cast<std::size_t>(entry + 1) + cpc];
-        const Insn& ci = callee.code[cpc];
-        cn.join = cf.target[cpc] != 0;
-        cn.nest = nd.nest + cnest[cpc];
-        SlotEffects(cn, ci, cd, nl + lb, nl + lb + callee.num_locals, weight_of(cn.nest), weight);
-        if (ci.op == Op::kRet || ci.op == Op::kRetVoid) {
-          if (ci.op == Op::kRet) cn.def.push_back(nl + lb);  // the caller's result slot
-          cn.succ.push_back(pc_node_[pc + 1]);
-          continue;
-        }
-        if (FallsThrough(ci.op)) cn.succ.push_back(entry + 1 + static_cast<int>(cpc) + 1);
-        if (HasTarget(ci.op)) cn.succ.push_back(entry + 1 + static_cast<int>(TargetOf(ci)));
-      }
-    }
-
-    // Live-variable analysis over per-node slot bitsets.
-    std::size_t nslots = weight.size();
-    for (const Node& nd : nodes) {
-      for (const std::int32_t k : nd.use) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
-      for (const std::int32_t k : nd.def) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
-    }
-    home_.assign(nslots, -1);
-    if (nslots == 0 || nslots > kMaxHomedSlots) return;
-    words_ = (nslots + 63) / 64;
-    const std::size_t w = words_;
-    std::vector<std::uint64_t> use(count * w, 0);
-    std::vector<std::uint64_t> def(count * w, 0);
-    const auto set = [](std::uint64_t* bits, std::size_t k) { bits[k / 64] |= std::uint64_t{1} << (k % 64); };
-    for (std::size_t i = 0; i < count; ++i) {
-      for (const std::int32_t k : nodes[i].use) set(&use[i * w], static_cast<std::size_t>(k));
-      for (const std::int32_t k : nodes[i].def) set(&def[i * w], static_cast<std::size_t>(k));
-    }
-    live_in_.assign(count * w, 0);
-    live_out_.assign(count * w, 0);
-    for (bool changed = true; changed;) {
-      changed = false;
-      for (std::size_t i = count; i-- > 0;) {
-        for (std::size_t x = 0; x < w; ++x) {
-          std::uint64_t out = 0;
-          for (const int s : nodes[i].succ) out |= live_in_[static_cast<std::size_t>(s) * w + x];
-          const std::uint64_t in = use[i * w + x] | (out & ~def[i * w + x]);
-          if (in != live_in_[i * w + x]) changed = true;
-          live_out_[i * w + x] = out;
-          live_in_[i * w + x] = in;
-        }
-      }
-    }
-
-    // Ranges: the nodes where a slot is live, read, or written.
-    weight.resize(nslots, 0);
-    const std::size_t rw = (count + 63) / 64;
-    std::vector<std::uint64_t> range(nslots * rw, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t x = 0; x < w; ++x) {
-        std::uint64_t bits = live_in_[i * w + x] | live_out_[i * w + x] | use[i * w + x] | def[i * w + x];
-        while (bits != 0) {
-          const std::size_t k = 64 * x + static_cast<std::size_t>(__builtin_ctzll(bits));
-          bits &= bits - 1;
-          set(&range[k * rw], i);
-        }
-      }
-      if (nodes[i].join) {
-        for (std::size_t k = static_cast<std::size_t>(nl); k < nslots; ++k) {
-          if (LiveIn(static_cast<int>(i), k)) weight[k] += 2 * weight_of(nodes[i].nest);
-        }
-      }
-    }
-
-    std::vector<std::size_t> order;
-    for (std::size_t k = 0; k < nslots; ++k) {
-      if (weight[k] > 0) order.push_back(k);
-    }
-    // Loop-carried slots: live into the target of a back edge.
-    std::vector<std::uint64_t> carried(w, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      for (const int t : nodes[i].succ) {
-        if (static_cast<std::size_t>(t) > i) continue;
-        for (std::size_t x = 0; x < w; ++x) carried[x] |= live_in_[static_cast<std::size_t>(t) * w + x];
-      }
-    }
-    const auto tier = [&](std::size_t k) { return ((carried[k / 64] >> (k % 64)) & 1) != 0 ? 0 : 1; };
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-      return tier(x) != tier(y) ? tier(x) < tier(y) : weight[x] > weight[y];
-    });
-    std::vector<std::uint64_t> taken(std::size(kHomeRegs) * rw, 0);
-    for (const std::size_t k : order) {
-      for (std::size_t r = 0; r < std::size(kHomeRegs); ++r) {
-        bool overlap = false;
-        for (std::size_t x = 0; x < rw && !overlap; ++x) {
-          overlap = (range[k * rw + x] & taken[r * rw + x]) != 0;
-        }
-        if (overlap) continue;
-        for (std::size_t x = 0; x < rw; ++x) taken[r * rw + x] |= range[k * rw + x];
-        home_[k] = static_cast<std::int8_t>(kHomeRegs[r]);
-        home_mask_ |= Bit(kHomeRegs[r]);
-        break;
-      }
-    }
-  }
+  bool LiveIn(int node, std::size_t k) const { return plan_.LiveIn(node, k); }
+  bool LiveOut(int node, std::size_t k) const { return plan_.LiveOut(node, k); }
 
   // The homed slots a helper at the current node may observe: its inputs
   // and everything live across it. They are stored before the helper runs
@@ -1360,7 +982,7 @@ struct Compiler {
     const std::size_t full = a.Jcc8(CC_E);
     a.StoreImm32Sx(RSP, kFlagOff, 1);
     a.Load64(RAX, RSP, kFrameOff);
-    a.CmpMemImm(RAX, F.base, static_cast<std::int32_t>(splice_base_limit_));
+    a.CmpMemImm(RAX, F.base, static_cast<std::int32_t>(plan_.splice_base_limit));
     const std::size_t high = a.Jcc8(CC_A);
     a.StoreImm32Sx(RSP, kFlagOff, 0);
     a.PatchRel8(deep, a.pos());
@@ -1400,7 +1022,8 @@ struct Compiler {
     a.Load64(RCX, CTX, L.ctx_stack);
     a.LeaSib(LOCALS, RCX, RAX, 3, 0);  // r13 = stack + 8*frame->base
     EmitLedgerReload();
-    if (std::find(splice_site_.begin(), splice_site_.end(), 1) != splice_site_.end()) {
+    if (std::find(plan_.splice_site.begin(), plan_.splice_site.end(), 1) !=
+        plan_.splice_site.end()) {
       EmitSpliceLimitFlag();
     }
     // Params (and any local read before it is written) enter their homes.
@@ -1509,14 +1132,16 @@ struct Compiler {
     }
   }
 
-  static bool FallsThrough(Op op) {
-    return op != Op::kJmp && op != Op::kRet && op != Op::kRetVoid && op != Op::kTrap;
-  }
-
   bool Compile() {
-    if (!BuildFlow(fn, flow, false)) return false;
-    PlanSplices();
-    PlanHomes();
+    if (!jitplan::BuildPlan(PlanIn(), plan_)) return false;
+    flow = plan_.flow;
+    home_.assign(plan_.home.size(), -1);
+    for (std::size_t k = 0; k < plan_.home.size(); ++k) {
+      if (plan_.home[k] >= 0) home_[k] = static_cast<std::int8_t>(kHomeRegs[plan_.home[k]]);
+    }
+    for (std::size_t r = 0; r < std::size(kHomeRegs); ++r) {
+      if ((plan_.home_mask >> r) & 1) home_mask_ |= Bit(kHomeRegs[r]);
+    }
     const std::size_t n = fn.code.size();
     pc_off.assign(n, -1);
     EmitPrologue();
@@ -1527,7 +1152,7 @@ struct Compiler {
         live = false;
         continue;
       }
-      cur_node_ = pc_node_[pc];
+      cur_node_ = plan_.pc_node[pc];
       EnterPc(flow, pc, 0, live);
       pc_off[pc] = static_cast<std::int64_t>(a.pos());
       if (flow.leader[pc]) EmitBlockAccounting(pc);
