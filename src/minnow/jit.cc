@@ -521,13 +521,20 @@ struct Compiler {
   std::int32_t SlotDisp(std::size_t d) const {
     return static_cast<std::int32_t>(8 * (static_cast<std::size_t>(fn.num_locals) + d));
   }
-  // The canonical place of the frame slot at [r13 + disp].
-  Loc Cell(std::int32_t disp) const {
-    const auto s = static_cast<std::size_t>(disp / 8);
-    if (s < home_.size() && home_[s] >= 0) return Loc::Home(static_cast<Reg>(home_[s]));
-    return Loc::Mem(LOCALS, disp);
+  // The canonical place of frame slot k's web at the current node: its
+  // home register, else its memory cell [r13 + 8k]. The web live into the
+  // node, or, once the node's own writes are done (at_out_), out of it.
+  Loc CellOf(std::size_t k, int web) const {
+    if (const int h = plan_.HomeOf(web); h >= 0) return Loc::Home(kHomeRegs[h]);
+    if (const int g = plan_.RematOf(web); g >= 0) return Loc::Mem(GLB, 8 * g);
+    return Loc::Mem(LOCALS, static_cast<std::int32_t>(8 * k));
   }
-  Loc Canon(std::size_t i) const { return Cell(SlotDisp(i)); }
+  Loc CellIn(std::size_t k) const { return CellOf(k, plan_.WebIn(cur_node_, k)); }
+  Loc CellOut(std::size_t k) const { return CellOf(k, plan_.WebOut(cur_node_, k)); }
+  Loc Canon(std::size_t i) const {
+    const std::size_t k = static_cast<std::size_t>(fn.num_locals) + i;
+    return at_out_ ? CellOut(k) : CellIn(k);
+  }
   bool OwnSlot(std::size_t i) const { return SameLoc(vs_[i], Canon(i)); }
   bool InMemSlot(std::size_t i) const { return SameLoc(vs_[i], Loc::Mem(LOCALS, SlotDisp(i))); }
   void ResetStack(std::size_t d) {
@@ -716,16 +723,22 @@ struct Compiler {
   }
   // Local `s` of the function being emitted (a caller operand slot while
   // splicing).
-  std::int32_t LocalDisp(std::int64_t s) const {
-    return inl_local_base_ >= 0 ? SlotDisp(static_cast<std::size_t>(inl_local_base_ + s))
-                                : static_cast<std::int32_t>(8 * s);
+  std::size_t LocalSlot(std::int64_t s) const {
+    return static_cast<std::size_t>(inl_local_base_ >= 0 ? fn.num_locals + inl_local_base_ + s : s);
   }
-  Loc LocalCell(std::int64_t s) const { return Cell(LocalDisp(s)); }
+  // Where a read of local `s` finds it.
+  Loc LocalCell(std::int64_t s) const { return CellIn(LocalSlot(s)); }
+  // Whether the current node writes local `s` and nothing ever reads it.
+  bool DeadWrite(std::int64_t s) const { return DeadSlotWrite(LocalSlot(s)); }
+  bool DeadSlotWrite(std::size_t k) const {
+    return plan_.Defines(cur_node_, k) && plan_.WebOut(cur_node_, k) < 0;
+  }
   // When the instruction at `pc` stores its result straight into a homed
   // local (pc + 1 is a store.local, or a store+load, in the same block: no
   // charge, exit, or denied op in between), the home it may compute into:
   // no entry below the instruction's inputs (`from`) reads the home, and no
-  // slot that shares it is live here. -1 otherwise.
+  // other web live out of this node sits in it. The result's own operand
+  // web may: it holds the same value. -1 otherwise.
   int StoreTarget(std::size_t pc, std::size_t from) const {
     const auto& code = inl_fn_ != nullptr ? inl_fn_->code : fn.code;
     if (pc + 1 >= code.size() || CurFlow().leader[pc + 1]) return -1;
@@ -734,21 +747,26 @@ struct Compiler {
         (opts.jit_compile_filter && !opts.jit_compile_filter(next.op))) {
       return -1;
     }
-    const Loc cell =
-        LocalCell(next.op == Op::kStoreLocal ? next.operand : SlotPairA(next.operand));
-    if (cell.kind != Loc::kHome || Referenced(cell, SIZE_MAX, from)) return -1;
-    for (std::size_t k = 0; k < home_.size(); ++k) {
-      if (home_[k] == cell.reg && (LiveIn(cur_node_, k) || LiveOut(cur_node_, k))) return -1;
+    const std::size_t k =
+        LocalSlot(next.op == Op::kStoreLocal ? next.operand : SlotPairA(next.operand));
+    const int web = plan_.WebOut(cur_node_ + 1, k);
+    const int home = plan_.HomeOf(web);
+    if (home < 0 || Referenced(Loc::Home(kHomeRegs[home]), SIZE_MAX, from)) return -1;
+    const auto result = static_cast<std::int32_t>(static_cast<std::size_t>(fn.num_locals) + from);
+    for (const jitplan::SlotWeb& sw : plan_.out[static_cast<std::size_t>(cur_node_)]) {
+      if (sw.slot != result && plan_.HomeOf(sw.web) == home) return -1;
     }
-    return cell.reg;
+    return kHomeRegs[home];
   }
-  // locals[s] <- v. A spliced callee's local is an operand slot whose own
-  // entry stays in place: the write updates it.
+  // locals[s] <- v, unless nothing reads the value. A spliced callee's
+  // local is an operand slot whose own entry follows its web.
   void WriteLocal(std::int64_t s, const Loc& v) {
-    const std::int32_t disp = LocalDisp(s);
-    const std::size_t self =
-        disp >= SlotDisp(0) ? static_cast<std::size_t>(disp - SlotDisp(0)) / 8 : SIZE_MAX;
-    WriteCell(Cell(disp), v, self);
+    const std::size_t k = LocalSlot(s);
+    const std::size_t nl = static_cast<std::size_t>(fn.num_locals);
+    const std::size_t self = k >= nl ? k - nl : SIZE_MAX;
+    const Loc cell = DeadWrite(s) ? Loc::Mem(LOCALS, static_cast<std::int32_t>(8 * k)) : CellOut(k);
+    if (!DeadWrite(s)) WriteCell(cell, v, self);
+    if (self != SIZE_MAX) vs_[self] = cell;
   }
 
   // --- leaf inlining (kCall) -----------------------------------------------
@@ -772,6 +790,7 @@ struct Compiler {
   int inl_op_bias_ = 0;
   std::int32_t inl_kk_ = 0;
   std::int32_t inl_ret_pc_ = 0;
+  int inl_node_ = 0;  // the splice site's node
   // A splice site's out-of-line limit checks, emitted after the epilogue
   // with the operand stack as it stood at the site.
   struct ColdCheck {
@@ -800,34 +819,32 @@ struct Compiler {
   }
 
   jitplan::Plan plan_{};
-  std::vector<std::int8_t> home_{};  // slot -> home register, -1 = memory
-  std::uint32_t home_mask_ = 0;
-  int cur_node_ = 0;  // the node being emitted
+  std::uint32_t home_mask_ = 0;  // the home registers some web uses
+  int cur_node_ = 0;             // the node being emitted
+  bool at_out_ = false;          // Canon names the webs out of cur_node_
 
-  bool LiveIn(int node, std::size_t k) const { return plan_.LiveIn(node, k); }
-  bool LiveOut(int node, std::size_t k) const { return plan_.LiveOut(node, k); }
-
-  // The homed slots a helper at the current node may observe: its inputs
+  // The homed webs a helper at the current node may observe: its inputs
   // and everything live across it. They are stored before the helper runs
   // (callees read their args from memory, hosts read theirs, and the
   // collector scans the memory stack for roots) and the caller-saved ones
   // are reloaded after it.
-  std::vector<std::size_t> HelperHomes() const {
-    std::vector<std::size_t> ks;
-    for (std::size_t k = 0; k < home_.size(); ++k) {
-      if (home_[k] >= 0 && (LiveIn(cur_node_, k) || LiveOut(cur_node_, k))) ks.push_back(k);
-    }
-    return ks;
+  std::vector<jitplan::SlotWeb> HelperHomes() const { return plan_.HomedIn(cur_node_, false); }
+  Reg HomeReg(const jitplan::SlotWeb& sw) const { return kHomeRegs[plan_.HomeOf(sw.web)]; }
+  void StoreHomes(const std::vector<jitplan::SlotWeb>& ks) {
+    for (const jitplan::SlotWeb& sw : ks) a.Store64(LOCALS, 8 * sw.slot, HomeReg(sw));
   }
-  void StoreHomes(const std::vector<std::size_t>& ks) {
-    for (const std::size_t k : ks) {
-      a.Store64(LOCALS, static_cast<std::int32_t>(8 * k), static_cast<Reg>(home_[k]));
-    }
-  }
-  void ReloadHomes(const std::vector<std::size_t>& ks) {
-    for (const std::size_t k : ks) {
-      const auto r = static_cast<Reg>(home_[k]);
-      if ((kCalleeSavedHomes & Bit(r)) == 0) a.Load64(r, LOCALS, static_cast<std::int32_t>(8 * k));
+  // Each web once, from its lowest slot: a web live across a call sits
+  // below the callee's frame (a host may reenter over its args too), and
+  // one live only in the args dies at the call.
+  void ReloadHomes(const std::vector<jitplan::SlotWeb>& ks) {
+    std::vector<std::int32_t> done;
+    for (const jitplan::SlotWeb& sw : ks) {
+      if ((kCalleeSavedHomes & Bit(HomeReg(sw))) != 0 ||
+          std::find(done.begin(), done.end(), sw.web) != done.end()) {
+        continue;
+      }
+      done.push_back(sw.web);
+      a.Load64(HomeReg(sw), LOCALS, 8 * sw.slot);
     }
   }
   // Homed locals of the function live at the current node: what an exit
@@ -835,10 +852,8 @@ struct Compiler {
   // locals included).
   Pending LiveLocalHomes() const {
     Pending p;
-    for (std::size_t k = 0; k < home_.size() && k < static_cast<std::size_t>(fn.num_locals); ++k) {
-      if (home_[k] >= 0 && LiveIn(cur_node_, k)) {
-        p.emplace_back(static_cast<std::int32_t>(8 * k), Loc::Home(static_cast<Reg>(home_[k])));
-      }
+    for (const jitplan::SlotWeb& sw : plan_.HomedIn(cur_node_, true)) {
+      p.emplace_back(8 * sw.slot, Loc::Home(HomeReg(sw)));
     }
     return p;
   }
@@ -854,14 +869,11 @@ struct Compiler {
                      inl_fn_, inl_kk_, inl_ret_pc_});
   }
   const Flow& CurFlow() const { return inl_fn_ != nullptr ? inl_flow_ : flow; }
+  // Fuel was charged up front for the longest path from the last charge
+  // point: a re-executed insn and everything after it go back; a helper's
+  // exception already retired its insn.
   void AddExit(std::size_t at, std::size_t pc, bool reexec) {
-    const Flow& fl = CurFlow();
-    const int lp = fl.blk_leader[pc];
-    const std::int64_t e = static_cast<std::int64_t>(pc) - lp;
-    const std::int64_t len = fl.blk_len[static_cast<std::size_t>(lp)];
-    // The block was charged up front: a re-executed insn and the rest of
-    // its block go back; a helper's exception already retired its insn.
-    PushExit(at, pc, fl.depth[pc], reexec ? len - e : len - e - 1, reexec);
+    PushExit(at, pc, CurFlow().depth[pc], plan_.Give(cur_node_, reexec), reexec);
   }
   // Conditional/unconditional jumps into a deopt-and-reexecute stub: the
   // interpreter resumes at `pc` and re-runs the faulting instruction, so the
@@ -876,11 +888,28 @@ struct Compiler {
   // While splicing, branch targets are callee pcs resolved against the
   // splice's own offset table (a target equal to the callee length means
   // "after the splice" — where kRet lands).
+  // Each jump carries its edge's fuel refund (see EmitRefund).
   void JmpPc(std::size_t target) {
+    EmitRefund(plan_.Refund(cur_node_, NodeOf(target)));
     (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jmp(), target});
   }
   void JccPc(Cc cc, std::size_t target) {
+    const int to = NodeOf(target);
+    if (const int r = plan_.Refund(cur_node_, to); r != 0) {
+      if (plan_.preds[static_cast<std::size_t>(to)] == 1) {
+        head_refund_[static_cast<std::size_t>(to)] += r;  // its only way in
+      } else {
+        EmitRefund(r);  // both ways pay it; the fall-through takes it back
+        ft_comp_ -= r;
+      }
+    }
     (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jcc(cc), target});
+  }
+  // The node a branch to `target` lands on.
+  int NodeOf(std::size_t target) const {
+    if (inl_fn_ == nullptr) return plan_.pc_node[target];
+    return target == inl_fn_->code.size() ? plan_.pc_node[static_cast<std::size_t>(inl_ret_pc_)]
+                                          : inl_node_ + 1 + static_cast<int>(target);
   }
 
   // r <- frame->base of this activation.
@@ -920,22 +949,37 @@ struct Compiler {
 
   // --- fuel and the retired ledger -----------------------------------------
   //
-  // r15 is the only ledger native code keeps. Each block subtracts its
-  // length from r15 and deopts to its first instruction if that went
-  // negative (the stub gives the charge back) — the interpreter then meters
-  // out the tail insn by insn and throws "fuel exhausted" at the exact
-  // instruction an interpreted run would. Unlimited runs carry the bias
-  // constant, which no real program can exhaust. Instructions retired are
-  // mark - r15, where the mark is r15 when the ledger last synced; they are
-  // added to ctx->retired only where someone can read it: the epilogue, and
-  // before host calls and kCall (a host reads both ledgers and may SetFuel;
-  // a compiled callee meters its own r15). Exit stubs return their
-  // overcharge to r15, which corrects both ledgers at once.
-  void EmitBlockAccounting(std::size_t lp) {
-    const Flow& fl = CurFlow();
-    const std::int32_t len = fl.blk_len[lp];
-    a.AluImm(ALU_SUB, FUEL, len);
-    PushExit(a.Jcc(CC_S), lp, fl.depth[lp], len, true);
+  // r15 is the only ledger native code keeps, and the plan says where it
+  // moves (jit_alloc.h, "Fuel"). A charge point subtracts the longest
+  // instruction count to the next sync point and deopts to its own
+  // instruction if that went negative (the stub gives the charge back) —
+  // the interpreter then meters out the tail insn by insn and throws "fuel
+  // exhausted" at the exact instruction an interpreted run would. Edges to
+  // shorter paths give the difference back, unchecked. Unlimited runs carry
+  // the bias constant, which no real program can exhaust. Instructions
+  // retired are mark - r15, where the mark is r15 when the ledger last
+  // synced; they are added to ctx->retired only where someone can read it:
+  // the epilogue, and before host calls and kCall (a host reads both
+  // ledgers and may SetFuel; a compiled callee meters its own r15). Exit
+  // stubs return their overcharge to r15, which corrects both ledgers at
+  // once.
+  //
+  // Refunds are a lea, which leaves the flags alone, so one may sit between
+  // a compare and its jump. A taken edge's refund goes to the target's
+  // head when that edge is the target's only way in; otherwise it runs
+  // before the jump and the fall-through takes it back (ft_comp_).
+  std::vector<int> head_refund_{};  // node -> refund at its label
+  int ft_from_ = -1;                // node whose fall-through edge is unpaid
+  int ft_comp_ = 0;                 // taken-edge refunds the fall-through returns
+  void EmitRefund(int amount) {
+    if (amount != 0) a.Lea(FUEL, FUEL, amount);
+  }
+  // At a node's label: its head refund, then its checked charge.
+  void EmitNodeEntry(std::size_t pc) {
+    EmitRefund(head_refund_[static_cast<std::size_t>(cur_node_)]);
+    if (!plan_.charge[static_cast<std::size_t>(cur_node_)]) return;
+    a.AluImm(ALU_SUB, FUEL, plan_.rem[static_cast<std::size_t>(cur_node_)]);
+    JccExit(CC_S, pc);
   }
 
   // ctx->retired += mark - r15, then ctx->fuel <- r15 unless unlimited (the
@@ -1027,10 +1071,8 @@ struct Compiler {
       EmitSpliceLimitFlag();
     }
     // Params (and any local read before it is written) enter their homes.
-    for (std::size_t k = 0; k < home_.size(); ++k) {
-      if (home_[k] >= 0 && LiveIn(0, k)) {
-        a.Load64(static_cast<Reg>(home_[k]), LOCALS, static_cast<std::int32_t>(8 * k));
-      }
+    for (const jitplan::SlotWeb& sw : plan_.HomedIn(0, false)) {
+      a.Load64(HomeReg(sw), LOCALS, 8 * sw.slot);
     }
   }
 
@@ -1120,6 +1162,7 @@ struct Compiler {
   // Jump targets start with every operand in its canonical place (their
   // incoming jumps flush), so the fall-through path flushes too; after a
   // terminal the stack is whatever the jumps delivered.
+  // A fall-through edge's refund runs here too, before the label.
   void EnterPc(const Flow& fl, std::size_t pc, std::size_t base, bool live) {
     const std::size_t d = base + static_cast<std::size_t>(fl.depth[pc]);
     if (!live) {
@@ -1130,15 +1173,15 @@ struct Compiler {
       MaterializeFlags();
       if (fl.target[pc]) FlushAll();
     }
+    if (live && ft_from_ >= 0) EmitRefund(plan_.Refund(ft_from_, cur_node_) + ft_comp_);
+    ft_from_ = -1;
+    ft_comp_ = 0;
   }
 
   bool Compile() {
     if (!jitplan::BuildPlan(PlanIn(), plan_)) return false;
     flow = plan_.flow;
-    home_.assign(plan_.home.size(), -1);
-    for (std::size_t k = 0; k < plan_.home.size(); ++k) {
-      if (plan_.home[k] >= 0) home_[k] = static_cast<std::int8_t>(kHomeRegs[plan_.home[k]]);
-    }
+    head_refund_.assign(plan_.nodes, 0);
     for (std::size_t r = 0; r < std::size(kHomeRegs); ++r) {
       if ((plan_.home_mask >> r) & 1) home_mask_ |= Bit(kHomeRegs[r]);
     }
@@ -1155,7 +1198,7 @@ struct Compiler {
       cur_node_ = plan_.pc_node[pc];
       EnterPc(flow, pc, 0, live);
       pc_off[pc] = static_cast<std::int64_t>(a.pos());
-      if (flow.leader[pc]) EmitBlockAccounting(pc);
+      EmitNodeEntry(pc);
       const Op op = fn.code[pc].op;
       if (opts.jit_compile_filter && !opts.jit_compile_filter(op)) {
         // Filter-denied op (the fuzzer's forced-deopt mode): hand the rest
@@ -1167,6 +1210,8 @@ struct Compiler {
       }
       if (!EmitInsn(pc) || bad_) return false;
       live = FallsThrough(op);
+      // A splice pays its own way out (EmitSplice).
+      if (live && !plan_.splice_site[pc]) ft_from_ = cur_node_;
     }
     EmitEpilogue();
     EmitColdChecks();
@@ -1268,13 +1313,8 @@ struct Jit::Impl {
         continue;
       }
       total += sz;
-      std::uint64_t mask = 0;
-      for (std::size_t k = 0; k < c.home_.size(); ++k) {
-        if (c.home_[k] < 0) continue;
-        ++jit->stats_.homed_slots;
-        if (k < 64 && k < static_cast<std::size_t>(f.num_locals)) mask |= std::uint64_t{1} << k;
-      }
-      jit->stats_.homed_locals[static_cast<std::size_t>(fi)] = mask;
+      jit->stats_.homed_slots += c.plan_.HomedWebs();
+      jit->stats_.homed_locals[static_cast<std::size_t>(fi)] = c.plan_.HomedLocalsMask();
       units.push_back({fi, std::move(c.a.code)});
     }
     if (units.empty()) {

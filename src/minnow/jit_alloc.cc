@@ -13,10 +13,20 @@ namespace {
 std::size_t TargetOf(const Insn& insn) { return static_cast<std::size_t>(BranchTarget(insn)); }
 
 struct Node {
-  std::vector<std::int32_t> use, def;  // slots read / written
+  std::vector<std::int32_t> use, def;    // slots read / written
+  std::vector<std::int32_t> luse, ldef;  // the local accesses among them (ranked)
+  std::vector<std::int32_t> late;        // slots read after the node's writes
+  // (operand slot written, slot read): the operand is pushed as a copy.
+  std::vector<std::pair<std::int32_t, std::int32_t>> copies;
+  // (operand slot written, global read): the operand is pushed as a copy.
+  std::vector<std::pair<std::int32_t, std::int32_t>> gcopies;
+  std::int32_t stores_global = -1;  // kStoreGlobal's global
   std::vector<int> succ;
-  bool join = false;  // a jump target: operands arrive in their canonical places
-  int nest = 0;       // static loop depth
+  bool join = false;    // operands arrive in their canonical places
+  bool end = false;     // the fuel region ends here: return, trap, or an unspliced call
+  bool call = false;    // an unspliced call: the ledger resyncs after it
+  bool helper = false;  // a helper the collector, a callee or a host can observe
+  int nest = 0;         // static loop depth
 };
 
 // Static loop depth per pc: one level per back edge spanning it.
@@ -34,49 +44,62 @@ std::vector<int> LoopNest(const FunctionCode& f, const Flow& fl) {
 }
 
 // The slots `insn` reads and writes at operand depth `d`, with local s at
-// slot lbase + s and operand j at slot obase + j. Local accesses add the
-// node's weight to the slot's rank.
-void SlotEffects(const Program& program, Node& nd, const Insn& insn, int d, int lbase, int obase,
-                 std::uint64_t w, std::vector<std::uint64_t>& weight) {
+// slot lbase + s and operand j at slot obase + j.
+void SlotEffects(const Program& program, Node& nd, const Insn& insn, int d, int lbase,
+                 int obase) {
   StackShape e;
   ResolveShape(program, insn, e);
-  const auto local = [&](std::vector<std::int32_t>& to, std::int64_t s) {
-    const auto k = static_cast<std::size_t>(lbase + s);
-    to.push_back(static_cast<std::int32_t>(k));
-    if (weight.size() <= k) weight.resize(k + 1, 0);
-    weight[k] += w;
+  const auto local = [&](std::vector<std::int32_t>& to, std::vector<std::int32_t>& ranked,
+                         std::int64_t s) {
+    const auto k = static_cast<std::int32_t>(lbase + s);
+    to.push_back(k);
+    ranked.push_back(k);
+    return k;
+  };
+  const auto copy = [&](int j, std::int64_t s) {
+    nd.copies.emplace_back(obase + j, local(nd.use, nd.luse, s));
   };
   for (int j = d - e.pops; j < d; ++j) nd.use.push_back(obase + j);
   switch (insn.op) {
     case Op::kLoadLocal:
+      copy(d, insn.operand);
+      break;
     case Op::kLoadAddI:
-      local(nd.use, insn.operand);
+      local(nd.use, nd.luse, insn.operand);
       break;
     case Op::kStoreLocal:
-      local(nd.def, insn.operand);
+      local(nd.def, nd.ldef, insn.operand);
       break;
     case Op::kConstStore:
-      local(nd.def, ConstStoreSlot(insn.operand));
+      local(nd.def, nd.ldef, ConstStoreSlot(insn.operand));
       break;
     case Op::kLoadConstI:
-      local(nd.use, ConstStoreSlot(insn.operand));
+      copy(d, ConstStoreSlot(insn.operand));
       break;
     case Op::kLoadLocal2:
-      local(nd.use, SlotPairA(insn.operand));
-      local(nd.use, SlotPairB(insn.operand));
+      copy(d, SlotPairA(insn.operand));
+      copy(d + 1, SlotPairB(insn.operand));
       break;
     case Op::kMoveLocal:
-      local(nd.use, SlotPairA(insn.operand));
-      local(nd.def, SlotPairB(insn.operand));
+      local(nd.use, nd.luse, SlotPairA(insn.operand));
+      local(nd.def, nd.ldef, SlotPairB(insn.operand));
       break;
     case Op::kStoreLoad:  // store a, then load b: b == a reads the stored value
-      local(nd.def, SlotPairA(insn.operand));
+      local(nd.def, nd.ldef, SlotPairA(insn.operand));
       if (SlotPairB(insn.operand) != SlotPairA(insn.operand)) {
-        local(nd.use, SlotPairB(insn.operand));
+        copy(d - 1, SlotPairB(insn.operand));
+        nd.late.push_back(lbase + static_cast<std::int32_t>(SlotPairB(insn.operand)));
       }
       break;
     case Op::kLoadGlobalLocal:
-      local(nd.use, SlotPairB(insn.operand));
+      nd.gcopies.emplace_back(obase + d, static_cast<std::int32_t>(SlotPairA(insn.operand)));
+      copy(d + 1, SlotPairB(insn.operand));
+      break;
+    case Op::kLoadGlobal:
+      nd.gcopies.emplace_back(obase + d, static_cast<std::int32_t>(insn.operand));
+      break;
+    case Op::kStoreGlobal:
+      nd.stores_global = static_cast<std::int32_t>(insn.operand);
       break;
     default:
       break;
@@ -111,15 +134,10 @@ void PlanSplices(const PlanInputs& in, Plan& plan) {
   }
 }
 
-// Builds the node graph, runs live-variable analysis, then gives homes
-// by rank. Loop-carried slots come first: without a home they are loaded
-// and stored in every block of every iteration. Within each tier the rank
-// is the use count weighted 8x per loop level, plus, for operand slots,
-// twice the weighted joins the slot is live into (a store and a reload
-// each). Each slot in rank order takes the first home none of whose slots
-// is live at any node it is live at — so non-overlapping ranges share a
-// register, and a range is never split.
-void PlanHomes(const PlanInputs& in, Plan& plan) {
+// One node per instruction in emission order, with the block graph's
+// edges: a splice site's node leads into the callee's nodes, whose returns
+// continue at the caller's next pc.
+std::vector<Node> BuildNodes(const PlanInputs& in, Plan& plan) {
   const Program& program = *in.program;
   const FunctionCode& fn = *in.fn;
   const Flow& flow = plan.flow;
@@ -134,63 +152,98 @@ void PlanHomes(const PlanInputs& in, Plan& plan) {
     }
   }
   plan.nodes = count;
+  plan.reachable.assign(count, 0);
   std::vector<Node> nodes(count);
-  std::vector<std::uint64_t> weight(static_cast<std::size_t>(nl), 0);
-  const auto weight_of = [](int nest) { return std::uint64_t{1} << (3 * std::min(nest, 6)); };
   const std::vector<int> nest = LoopNest(fn, flow);
   for (std::size_t pc = 0; pc < n; ++pc) {
     const int d = flow.depth[pc];
     if (d < 0) continue;
-    Node& nd = nodes[static_cast<std::size_t>(plan.pc_node[pc])];
+    const int at = plan.pc_node[pc];
+    Node& nd = nodes[static_cast<std::size_t>(at)];
+    plan.reachable[static_cast<std::size_t>(at)] = 1;
     const Insn& insn = fn.code[pc];
-    nd.join = flow.target[pc] != 0;
+    nd.join = nd.join || flow.target[pc] != 0;
     nd.nest = nest[pc];
     if (!plan.splice_site[pc]) {
-      SlotEffects(program, nd, insn, d, 0, nl, weight_of(nd.nest), weight);
-      if (FallsThrough(insn.op)) nd.succ.push_back(plan.pc_node[pc + 1]);
-      if (HasTarget(insn.op)) nd.succ.push_back(plan.pc_node[TargetOf(insn)]);
+      SlotEffects(program, nd, insn, d, 0, nl);
+      const Op op = insn.op;
+      nd.call = op == Op::kCall || op == Op::kCallHost;
+      nd.end = nd.call || op == Op::kRet || op == Op::kRetVoid || op == Op::kTrap;
+      nd.helper = nd.call || op == Op::kNewStruct || op == Op::kNewArray;
+      if (FallsThrough(op)) nd.succ.push_back(plan.pc_node[pc + 1]);
+      if (HasTarget(op)) nd.succ.push_back(plan.pc_node[TargetOf(insn)]);
       continue;
     }
-    // Splice site: the args become the callee's params in place, its other
-    // locals are nulled, and its returns continue at pc + 1.
+    // Splice site: the args become the callee's params in place (the
+    // emitter stores them while it nulls the other locals, so they are
+    // read late), its other locals are nulled, and its returns continue at
+    // pc + 1.
     const FunctionCode& callee = program.functions[static_cast<std::size_t>(insn.operand)];
     Flow cf;
     BuildFlow(program, callee, in.filter, true, cf);
-    const int entry = plan.pc_node[pc];
     const int lb = d - callee.num_params;
-    for (int j = lb; j < d; ++j) nd.use.push_back(nl + j);
+    for (int j = lb; j < d; ++j) {
+      nd.use.push_back(nl + j);
+      nd.late.push_back(nl + j);
+    }
     for (int j = d; j < lb + callee.num_locals; ++j) nd.def.push_back(nl + j);
-    nd.succ.push_back(entry + 1);
+    nd.succ.push_back(at + 1);
     const std::vector<int> cnest = LoopNest(callee, cf);
+    int returns = 0;
     for (std::size_t cpc = 0; cpc < callee.code.size(); ++cpc) {
       const int cd = cf.depth[cpc];
       if (cd < 0) continue;
-      Node& cn = nodes[static_cast<std::size_t>(entry + 1) + cpc];
+      const std::size_t ci_node = static_cast<std::size_t>(at + 1) + cpc;
+      Node& cn = nodes[ci_node];
+      plan.reachable[ci_node] = 1;
       const Insn& ci = callee.code[cpc];
       cn.join = cf.target[cpc] != 0;
       cn.nest = nd.nest + cnest[cpc];
-      SlotEffects(program, cn, ci, cd, nl + lb, nl + lb + callee.num_locals, weight_of(cn.nest),
-                  weight);
+      SlotEffects(program, cn, ci, cd, nl + lb, nl + lb + callee.num_locals);
       if (ci.op == Op::kRet || ci.op == Op::kRetVoid) {
         if (ci.op == Op::kRet) cn.def.push_back(nl + lb);  // the caller's result slot
         cn.succ.push_back(plan.pc_node[pc + 1]);
+        ++returns;
         continue;
       }
-      if (FallsThrough(ci.op)) cn.succ.push_back(entry + 1 + static_cast<int>(cpc) + 1);
-      if (HasTarget(ci.op)) cn.succ.push_back(entry + 1 + static_cast<int>(TargetOf(ci)));
+      if (FallsThrough(ci.op)) cn.succ.push_back(at + 1 + static_cast<int>(cpc) + 1);
+      if (HasTarget(ci.op)) cn.succ.push_back(at + 1 + static_cast<int>(TargetOf(ci)));
     }
+    // Several returns meet after the splice with the result stored.
+    if (returns > 1) nodes[static_cast<std::size_t>(plan.pc_node[pc + 1])].join = true;
   }
+  plan.succ.assign(count, {});
+  plan.preds.assign(count, 0);
+  plan.helper.assign(count, 0);
+  plan.defs.assign(count, {});
+  for (std::size_t i = 0; i < count; ++i) {
+    Node& nd = nodes[i];
+    std::sort(nd.def.begin(), nd.def.end());
+    nd.def.erase(std::unique(nd.def.begin(), nd.def.end()), nd.def.end());
+    plan.succ[i] = nd.succ;
+    plan.helper[i] = nd.helper ? 1 : 0;
+    plan.defs[i] = nd.def;
+    for (const int s : nd.succ) ++plan.preds[static_cast<std::size_t>(s)];
+  }
+  return nodes;
+}
 
-  // Live-variable analysis over per-node slot bitsets.
-  std::size_t nslots = weight.size();
-  for (const Node& nd : nodes) {
-    for (const std::int32_t k : nd.use) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
-    for (const std::int32_t k : nd.def) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
+// Live-variable analysis over per-node slot bitsets.
+struct Liveness {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> in, out;
+  bool In(std::size_t node, std::size_t k) const { return Bit(in, node, k); }
+  bool Out(std::size_t node, std::size_t k) const { return Bit(out, node, k); }
+  bool Bit(const std::vector<std::uint64_t>& v, std::size_t node, std::size_t k) const {
+    return ((v[node * words + k / 64] >> (k % 64)) & 1) != 0;
   }
-  plan.home.assign(nslots, -1);
-  if (nslots == 0 || nslots > kMaxHomedSlots) return;
-  plan.words = (nslots + 63) / 64;
-  const std::size_t w = plan.words;
+};
+
+Liveness AnalyzeLiveness(const std::vector<Node>& nodes, std::size_t nslots) {
+  Liveness lv;
+  const std::size_t count = nodes.size();
+  lv.words = (nslots + 63) / 64;
+  const std::size_t w = lv.words;
   std::vector<std::uint64_t> use(count * w, 0);
   std::vector<std::uint64_t> def(count * w, 0);
   const auto set = [](std::uint64_t* bits, std::size_t k) {
@@ -200,74 +253,293 @@ void PlanHomes(const PlanInputs& in, Plan& plan) {
     for (const std::int32_t k : nodes[i].use) set(&use[i * w], static_cast<std::size_t>(k));
     for (const std::int32_t k : nodes[i].def) set(&def[i * w], static_cast<std::size_t>(k));
   }
-  plan.live_in.assign(count * w, 0);
-  plan.live_out.assign(count * w, 0);
+  lv.in.assign(count * w, 0);
+  lv.out.assign(count * w, 0);
   for (bool changed = true; changed;) {
     changed = false;
     for (std::size_t i = count; i-- > 0;) {
       for (std::size_t x = 0; x < w; ++x) {
         std::uint64_t out = 0;
-        for (const int s : nodes[i].succ) out |= plan.live_in[static_cast<std::size_t>(s) * w + x];
+        for (const int s : nodes[i].succ) out |= lv.in[static_cast<std::size_t>(s) * w + x];
         const std::uint64_t inb = use[i * w + x] | (out & ~def[i * w + x]);
-        if (inb != plan.live_in[i * w + x]) changed = true;
-        plan.live_out[i * w + x] = out;
-        plan.live_in[i * w + x] = inb;
+        if (inb != lv.in[i * w + x]) changed = true;
+        lv.out[i * w + x] = out;
+        lv.in[i * w + x] = inb;
+      }
+    }
+  }
+  return lv;
+}
+
+struct UnionFind {
+  std::vector<std::int32_t> parent;
+  std::int32_t Add() {
+    parent.push_back(static_cast<std::int32_t>(parent.size()));
+    return parent.back();
+  }
+  std::int32_t Find(std::int32_t x) {
+    while (parent[static_cast<std::size_t>(x)] != x) {
+      parent[static_cast<std::size_t>(x)] = parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
+      x = parent[static_cast<std::size_t>(x)];
+    }
+    return x;
+  }
+  void Union(std::int32_t a, std::int32_t b) { parent[static_cast<std::size_t>(Find(a))] = Find(b); }
+};
+
+std::int32_t Lookup(const std::vector<SlotWeb>& list, std::int32_t slot) {
+  for (const SlotWeb& sw : list) {
+    if (sw.slot == slot) return sw.web;
+  }
+  return -1;
+}
+
+// Splits slots into webs, joins operand copies into the webs they copy,
+// then gives webs homes by rank (see the header).
+void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) {
+  const std::size_t count = nodes.size();
+  const int nl = in.fn->num_locals;
+  std::size_t nslots = static_cast<std::size_t>(nl);
+  for (const Node& nd : nodes) {
+    for (const std::int32_t k : nd.use) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
+    for (const std::int32_t k : nd.def) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
+  }
+  plan.slots = nslots;
+  plan.in.assign(count, {});
+  plan.out.assign(count, {});
+  plan.home.clear();
+  if (nslots == 0 || nslots > kMaxHomedSlots) return;
+  const Liveness lv = AnalyzeLiveness(nodes, nslots);
+
+  // Variables: one per (node, slot) live into the node, one per (node,
+  // slot) the node writes. Webs are their union over the edges.
+  UnionFind uf;
+  std::vector<std::vector<SlotWeb>> def_var(count);
+  std::vector<std::pair<std::size_t, bool>> var_at;  // var -> (node, is a write)
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!plan.reachable[i]) continue;
+    for (std::size_t k = 0; k < nslots; ++k) {
+      if (!lv.In(i, k)) continue;
+      plan.in[i].push_back({static_cast<std::int32_t>(k), uf.Add()});
+      var_at.emplace_back(i, false);
+    }
+    for (const std::int32_t k : nodes[i].def) {
+      def_var[i].push_back({k, uf.Add()});
+      var_at.emplace_back(i, true);
+    }
+    if (uf.parent.size() > kMaxWebVars) {
+      for (auto& l : plan.in) l.clear();
+      return;
+    }
+  }
+  const auto var_out = [&](std::size_t i, std::int32_t k) {
+    const std::int32_t d = Lookup(def_var[i], k);
+    return d >= 0 ? d : Lookup(plan.in[i], k);
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const int j : nodes[i].succ) {
+      for (const SlotWeb& sw : plan.in[static_cast<std::size_t>(j)]) {
+        const std::int32_t from = var_out(i, sw.slot);
+        if (from >= 0) uf.Union(from, sw.web);
       }
     }
   }
 
-  // Ranges: the nodes where a slot is live, read, or written.
-  weight.resize(nslots, 0);
-  const std::size_t rw = (count + 63) / 64;
-  std::vector<std::uint64_t> range(nslots * rw, 0);
+  // Copies. A web all of whose writes copy one other web X joins X, unless
+  // X is written at a point where the copy is still live.
+  const std::size_t nvars = uf.parent.size();
+  const std::size_t npoints = 2 * count;
+  std::vector<std::vector<std::uint32_t>> var_points(nvars);
   for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t x = 0; x < w; ++x) {
-      std::uint64_t bits =
-          plan.live_in[i * w + x] | plan.live_out[i * w + x] | use[i * w + x] | def[i * w + x];
-      while (bits != 0) {
-        const std::size_t k = 64 * x + static_cast<std::size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        set(&range[k * rw], i);
-      }
+    const Node& nd = nodes[i];
+    const auto point_in = static_cast<std::uint32_t>(2 * i);
+    for (const SlotWeb& sw : plan.in[i]) {
+      auto& pts = var_points[static_cast<std::size_t>(sw.web)];
+      pts.push_back(point_in);
+      const auto k = static_cast<std::size_t>(sw.slot);
+      const bool through = lv.Out(i, k) && Lookup(def_var[i], sw.slot) < 0;
+      const bool late = std::find(nd.late.begin(), nd.late.end(), sw.slot) != nd.late.end();
+      if (through || late) pts.push_back(point_in + 1);
     }
-    if (nodes[i].join) {
-      for (std::size_t k = static_cast<std::size_t>(nl); k < nslots; ++k) {
-        if (plan.LiveIn(static_cast<int>(i), k)) weight[k] += 2 * weight_of(nodes[i].nest);
+    for (const SlotWeb& sw : def_var[i]) var_points[static_cast<std::size_t>(sw.web)].push_back(point_in + 1);
+  }
+  constexpr std::int32_t kNone = -1;
+  constexpr std::int32_t kMixed = -2;
+  std::vector<std::int32_t> source(nvars, kNone);  // root -> the one web its writes copy
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const SlotWeb& sw : def_var[i]) {
+      const std::int32_t w = uf.Find(sw.web);
+      std::int32_t src = kMixed;
+      for (const auto& [to, from] : nodes[i].copies) {
+        if (to == sw.slot) {
+          const std::int32_t v = Lookup(plan.in[i], from);
+          src = v >= 0 ? uf.Find(v) : kMixed;
+        }
       }
+      std::int32_t& s = source[static_cast<std::size_t>(w)];
+      s = s == kNone || s == src ? src : kMixed;
+    }
+  }
+  std::vector<std::vector<std::uint32_t>> web_points(nvars);
+  std::vector<std::vector<std::uint32_t>> write_points(nvars);
+  for (std::size_t v = 0; v < nvars; ++v) {
+    const std::int32_t r = uf.Find(static_cast<std::int32_t>(v));
+    auto& pts = web_points[static_cast<std::size_t>(r)];
+    pts.insert(pts.end(), var_points[v].begin(), var_points[v].end());
+    if (var_at[v].second) write_points[static_cast<std::size_t>(r)].push_back(var_points[v][0]);
+  }
+  // A merged copy writes the value its web already holds, so a web's
+  // writes that matter stay those of its own variables.
+  std::vector<std::uint64_t> mark(npoints / 64 + 1, 0);
+  for (std::size_t w = 0; w < nvars; ++w) {
+    if (source[w] < 0 || uf.Find(static_cast<std::int32_t>(w)) != static_cast<std::int32_t>(w)) continue;
+    const auto x = static_cast<std::size_t>(uf.Find(source[w]));
+    if (x == w) continue;
+    for (const std::uint32_t p : web_points[w]) mark[p / 64] |= std::uint64_t{1} << (p % 64);
+    bool clash = false;
+    for (const std::uint32_t p : write_points[x]) clash = clash || ((mark[p / 64] >> (p % 64)) & 1) != 0;
+    for (const std::uint32_t p : web_points[w]) mark[p / 64] = 0;
+    if (clash) continue;
+    web_points[x].insert(web_points[x].end(), web_points[w].begin(), web_points[w].end());
+    uf.parent[w] = static_cast<std::int32_t>(x);
+  }
+
+  // Number the webs, route every variable to its web.
+  std::vector<std::int32_t> web_of_root(nvars, -1);
+  std::int32_t webs = 0;
+  for (std::size_t v = 0; v < nvars; ++v) {
+    const auto r = static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v)));
+    if (web_of_root[r] < 0) web_of_root[r] = webs++;
+  }
+  const auto web = [&](std::int32_t v) { return web_of_root[static_cast<std::size_t>(uf.Find(v))]; };
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t k = 0; k < nslots; ++k) {
+      if (!plan.reachable[i] || !lv.Out(i, k)) continue;
+      const std::int32_t v = var_out(i, static_cast<std::int32_t>(k));
+      if (v >= 0) plan.out[i].push_back({static_cast<std::int32_t>(k), web(v)});
     }
   }
 
-  std::vector<std::size_t> order;
-  for (std::size_t k = 0; k < nslots; ++k) {
-    if (weight[k] > 0) order.push_back(k);
+  // Rank: local accesses weighted 8x per loop level, plus, for operand
+  // slots, twice the weighted joins the web is live into.
+  const auto weight_of = [](int nest) { return std::uint64_t{1} << (3 * std::min(nest, 6)); };
+  std::vector<std::uint64_t> weight(static_cast<std::size_t>(webs), 0);
+  std::vector<char> carried(static_cast<std::size_t>(webs), 0);
+  std::vector<std::vector<std::uint32_t>> points(static_cast<std::size_t>(webs));
+  for (std::size_t v = 0; v < nvars; ++v) {
+    auto& pts = points[static_cast<std::size_t>(web(static_cast<std::int32_t>(v)))];
+    pts.insert(pts.end(), var_points[v].begin(), var_points[v].end());
   }
-  // Loop-carried slots: live into the target of a back edge.
-  std::vector<std::uint64_t> carried(w, 0);
   for (std::size_t i = 0; i < count; ++i) {
-    for (const int t : nodes[i].succ) {
-      if (static_cast<std::size_t>(t) > i) continue;
-      for (std::size_t x = 0; x < w; ++x) {
-        carried[x] |= plan.live_in[static_cast<std::size_t>(t) * w + x];
+    const Node& nd = nodes[i];
+    const std::uint64_t wt = weight_of(nd.nest);
+    for (const std::int32_t k : nd.luse) {
+      const std::int32_t v = Lookup(plan.in[i], k);
+      if (v >= 0) weight[static_cast<std::size_t>(web(v))] += wt;
+    }
+    for (const std::int32_t k : nd.ldef) weight[static_cast<std::size_t>(web(Lookup(def_var[i], k)))] += wt;
+    for (const SlotWeb& sw : plan.in[i]) {
+      if (nd.join && sw.slot >= nl) weight[static_cast<std::size_t>(web(sw.web))] += 2 * wt;
+    }
+    for (const int t : nd.succ) {
+      if (static_cast<std::size_t>(t) > i) continue;  // a back edge: its target's webs are carried
+      for (const SlotWeb& sw : plan.in[static_cast<std::size_t>(t)]) {
+        carried[static_cast<std::size_t>(web(sw.web))] = 1;
       }
     }
   }
-  const auto tier = [&](std::size_t k) { return ((carried[k / 64] >> (k % 64)) & 1) != 0 ? 0 : 1; };
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return tier(x) != tier(y) ? tier(x) < tier(y) : weight[x] > weight[y];
+  for (auto& list : plan.in) {
+    for (SlotWeb& sw : list) sw.web = web(sw.web);
+  }
+
+  // Globals. A web all of whose writes copy one global g stays in g's own
+  // cell when nothing writes g while it is live and it reaches no helper
+  // (a callee reads its args from the frame, and may write g): it needs
+  // no register and no frame store.
+  plan.remat.assign(static_cast<std::size_t>(webs), -1);
+  std::vector<std::int32_t> gsource(static_cast<std::size_t>(webs), kNone);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const SlotWeb& sw : def_var[i]) {
+      std::int32_t g = kMixed;
+      for (const auto& [to, from] : nodes[i].gcopies) {
+        if (to == sw.slot) g = from;
+      }
+      std::int32_t& s = gsource[static_cast<std::size_t>(web(sw.web))];
+      s = s == kNone || s == g ? g : kMixed;
+    }
+  }
+  for (std::int32_t w = 0; w < webs; ++w) {
+    const std::int32_t g = gsource[static_cast<std::size_t>(w)];
+    if (g < 0) continue;
+    bool ok = true;
+    for (const std::uint32_t p : points[static_cast<std::size_t>(w)]) {
+      const Node& nd = nodes[p / 2];
+      ok = ok && !nd.helper && !nd.call && !(nd.stores_global == g && (p % 2) == 1);
+    }
+    if (ok) plan.remat[static_cast<std::size_t>(w)] = g;
+  }
+
+  std::vector<std::int32_t> order;
+  for (std::int32_t w = 0; w < webs; ++w) {
+    if (weight[static_cast<std::size_t>(w)] > 0 && plan.remat[static_cast<std::size_t>(w)] < 0) {
+      order.push_back(w);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(), [&](std::int32_t x, std::int32_t y) {
+    const auto ux = static_cast<std::size_t>(x);
+    const auto uy = static_cast<std::size_t>(y);
+    if (carried[ux] != carried[uy]) return carried[ux] > carried[uy];
+    return weight[ux] > weight[uy];
   });
+  plan.home.assign(static_cast<std::size_t>(webs), -1);
   const auto homes = static_cast<std::size_t>(in.num_homes);
-  std::vector<std::uint64_t> taken(homes * rw, 0);
-  for (const std::size_t k : order) {
+  const std::size_t pw = npoints / 64 + 1;
+  std::vector<std::uint64_t> taken(homes * pw, 0);
+  for (const std::int32_t w : order) {
+    const auto& pts = points[static_cast<std::size_t>(w)];
     for (std::size_t r = 0; r < homes; ++r) {
       bool overlap = false;
-      for (std::size_t x = 0; x < rw && !overlap; ++x) {
-        overlap = (range[k * rw + x] & taken[r * rw + x]) != 0;
+      for (const std::uint32_t p : pts) {
+        overlap = overlap || ((taken[r * pw + p / 64] >> (p % 64)) & 1) != 0;
       }
       if (overlap) continue;
-      for (std::size_t x = 0; x < rw; ++x) taken[r * rw + x] |= range[k * rw + x];
-      plan.home[k] = static_cast<std::int8_t>(r);
+      for (const std::uint32_t p : pts) taken[r * pw + p / 64] |= std::uint64_t{1} << (p % 64);
+      plan.home[static_cast<std::size_t>(w)] = static_cast<std::int8_t>(r);
       plan.home_mask |= 1u << r;
       break;
+    }
+  }
+}
+
+// Sync points, the longest path to the next one, and the refund of every
+// edge (see the header).
+void PlanFuel(const std::vector<Node>& nodes, Plan& plan) {
+  const std::size_t count = nodes.size();
+  plan.rem.assign(count, 0);
+  plan.charge.assign(count, 0);
+  plan.refund.assign(count, {});
+  if (count == 0) return;
+  plan.charge[0] = 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const int j : nodes[i].succ) {
+      if (static_cast<std::size_t>(j) <= i || nodes[i].call) plan.charge[static_cast<std::size_t>(j)] = 1;
+    }
+  }
+  for (std::size_t i = count; i-- > 0;) {
+    if (!plan.reachable[i]) continue;
+    int best = 0;
+    if (!nodes[i].end) {
+      for (const int j : nodes[i].succ) {
+        if (!plan.charge[static_cast<std::size_t>(j)]) best = std::max(best, plan.rem[static_cast<std::size_t>(j)]);
+      }
+    }
+    plan.rem[i] = 1 + best;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const int j : nodes[i].succ) {
+      const auto m = static_cast<std::size_t>(j);
+      const bool sync = nodes[i].end || plan.charge[m];
+      plan.refund[i].push_back(plan.rem[i] - 1 - (sync ? 0 : plan.rem[m]));
     }
   }
 }
@@ -378,9 +650,60 @@ bool CallGeometry(const PlanInputs& in, const FunctionCode& callee, int d, std::
 
 bool BuildPlan(const PlanInputs& in, Plan& plan) {
   if (!BuildFlow(*in.program, *in.fn, in.filter, false, plan.flow)) return false;
+  plan.num_locals = in.fn->num_locals;
   PlanSplices(in, plan);
-  PlanHomes(in, plan);
+  const std::vector<Node> nodes = BuildNodes(in, plan);
+  PlanWebs(in, nodes, plan);
+  PlanFuel(nodes, plan);
   return true;
+}
+
+bool Plan::Defines(int node, std::size_t slot) const {
+  const auto& d = defs[static_cast<std::size_t>(node)];
+  return std::find(d.begin(), d.end(), static_cast<std::int32_t>(slot)) != d.end();
+}
+
+int Plan::Refund(int from, int to) const {
+  const auto f = static_cast<std::size_t>(from);
+  for (std::size_t e = 0; e < succ[f].size(); ++e) {
+    if (succ[f][e] == to) return refund[f][e];
+  }
+  return 0;
+}
+
+int Plan::Find(const std::vector<std::vector<SlotWeb>>& v, int node, std::size_t slot) {
+  const auto& list = v[static_cast<std::size_t>(node)];
+  const auto it = std::lower_bound(list.begin(), list.end(), static_cast<std::int32_t>(slot),
+                                   [](const SlotWeb& sw, std::int32_t s) { return sw.slot < s; });
+  return it != list.end() && it->slot == static_cast<std::int32_t>(slot) ? it->web : -1;
+}
+
+std::vector<SlotWeb> Plan::HomedIn(int node, bool locals_only) const {
+  std::vector<SlotWeb> homed;
+  for (const SlotWeb& sw : in[static_cast<std::size_t>(node)]) {
+    if (locals_only && sw.slot >= num_locals) break;
+    if (HomeOf(sw.web) >= 0) homed.push_back(sw);
+  }
+  return homed;
+}
+
+std::uint64_t Plan::HomedWebs() const {
+  return static_cast<std::uint64_t>(std::count_if(home.begin(), home.end(), [](std::int8_t h) { return h >= 0; }));
+}
+
+std::uint64_t Plan::HomedLocalsMask() const {
+  std::uint64_t seen = 0;
+  std::uint64_t memory = 0;
+  for (const auto* lists : {&in, &out}) {
+    for (const auto& list : *lists) {
+      for (const SlotWeb& sw : list) {
+        if (sw.slot >= num_locals || sw.slot >= 64) break;
+        seen |= std::uint64_t{1} << sw.slot;
+        if (HomeOf(sw.web) < 0) memory |= std::uint64_t{1} << sw.slot;
+      }
+    }
+  }
+  return seen & ~memory;
 }
 
 }  // namespace minnow::jitplan
