@@ -620,22 +620,6 @@ bool BuildFlow(const Program& program, const FunctionCode& f, const OpFilter& fi
     if (EndsBlock(insn.op) && pc + 1 < n) fl.leader[pc + 1] = 1;
     if (HasTarget(insn.op)) fl.leader[TargetOf(insn)] = fl.target[TargetOf(insn)] = 1;
   }
-  // Blocks: from each leader to its first ender (or the next leader, when
-  // control falls through into one).
-  fl.blk_leader.assign(n, -1);
-  fl.blk_len.assign(n, 0);
-  int lp = -1;
-  for (std::size_t pc = 0; pc < n; ++pc) {
-    if (fl.depth[pc] < 0) {
-      lp = -1;
-      continue;
-    }
-    if (fl.leader[pc]) lp = static_cast<int>(pc);
-    if (lp < 0) return false;  // reachable code without a leader: impossible
-    fl.blk_leader[pc] = lp;
-    fl.blk_len[lp] = static_cast<int>(pc) - lp + 1;
-    if (EndsBlock(f.code[pc].op)) lp = -1;
-  }
   return true;
 }
 

@@ -65,8 +65,6 @@ struct Flow {
   std::vector<int> depth;      // verifier-proven operand depth; -1 = unreachable
   std::vector<char> leader;    // starts a basic block
   std::vector<char> target;    // some branch jumps here: operands arrive stored
-  std::vector<int> blk_leader; // pc -> its block's leader pc
-  std::vector<int> blk_len;    // leader pc -> instruction count
 };
 
 // VmOptions::jit_compile_filter: ops it denies compile to forced deopts.
@@ -84,7 +82,7 @@ inline constexpr std::size_t kMaxWebVars = std::size_t{1} << 18;
 // the operand stack, plus intra-function control flow and kRet/kRetVoid.
 bool InlinableOp(Op op);
 
-// Depths, leaders, jump targets, and blocks of `f`. With `splice` set it
+// Depths, leaders and jump targets of `f`. With `splice` set it
 // also enforces the splice whitelist: every reachable insn inlinable (and
 // not denied by `filter` — those must keep their forced-deopt seam) and
 // kRet/kRetVoid the only terminals.

@@ -342,11 +342,14 @@ Value VM::RunJit(int fn_index, std::size_t entry_frames) {
 }
 
 // Shared per-instruction bookkeeping: retire, charge fuel, profile. `ip` must
-// already point at the fetched instruction.
+// already point at the fetched instruction. Exhaustion is sticky: the
+// budget stays 0 (the decrement left -1, which reads as unlimited) until the
+// host refuels, so a second call on a spent VM traps at its first insn.
 #define GRAFTLAB_VM_PRELUDE()                                          \
   do {                                                                 \
     ++instructions_retired_;                                           \
     if (fuel_ >= 0 && fuel_-- == 0) {                                  \
+      fuel_ = 0;                                                       \
       throw FuelExhausted();                                           \
     }                                                                  \
     if (op_counts_ != nullptr) {                                       \

@@ -119,6 +119,7 @@ SignalBenchResult MeasureSignalHandling(std::size_t runs, std::size_t rounds_per
     }
     handled.Add(h);
     ignored.Add(i);
+    result.rounds += rounds_per_run;
     per_signal.Add((h - i) / static_cast<double>(rounds_per_run * kNumSignals));
   }
 

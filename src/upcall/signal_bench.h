@@ -23,6 +23,7 @@ struct SignalBenchResult {
   double stddev_pct = 0.0;       // across runs
   double handled_us = 0.0;       // mean round total, handled mode
   double ignored_us = 0.0;       // mean round total, ignored mode
+  std::size_t rounds = 0;        // timed rounds completed in each mode
   bool ok = false;               // false if fork/signal machinery failed
 };
 

@@ -649,6 +649,79 @@ TEST(JitFuel, ExhaustionSweepIsBitIdentical) {
       << "n, a, b, c, d and i are all homed in g";
 }
 
+// Fuel is charged once per path between sync points and unequal arms get
+// refunds: `h`'s loop body has a one-statement then-arm and a long
+// else-arm that calls a spliced leaf with unequal arms of its own. Every
+// budget from 0 up is swept, so exhaustion lands on every instruction of
+// both arms — inside refunded ones included — and the interpreter must
+// agree bit for bit on result, trap, remaining fuel and retired count.
+TEST(JitFuel, RefundedArmsAndSplicedCalleeSweepIsBitIdentical) {
+  const std::string source = R"(
+    fn mix(x: int, k: int) -> int {
+      if ((x & 1) == 0) { return x + k; }
+      var y: int = x * 3;
+      y = y ^ k;
+      y = y + (y >> 2);
+      return y - k;
+    }
+    fn h(n: int) -> int {
+      var acc: int = 5;
+      for (var i: int = 0; i < n; i = i + 1) {
+        if ((i % 3) == 0) {
+          acc = acc + 1;
+        } else {
+          acc = acc * 7 + i;
+          acc = acc ^ (acc >> 3);
+          acc = acc - mix(acc, i);
+        }
+        acc = acc + mix(i, acc & 15);
+      }
+      return acc;
+    }
+  )";
+  const Program program = minnow::Compile(source);
+  const VmOptions interp_opts;
+  const VmOptions jit_opts = JitOpts();
+  const Outcome full = RunOne(program, interp_opts, "h", {7});
+  ASSERT_FALSE(full.trapped);
+  for (std::int64_t fuel = 0; fuel <= static_cast<std::int64_t>(full.retired) + 1; ++fuel) {
+    const Outcome interp = RunOne(program, interp_opts, "h", {7}, fuel);
+    const Outcome jit = RunOne(program, jit_opts, "h", {7}, fuel);
+    EXPECT_EQ(interp, jit) << "fuel budget " << fuel << ": interp(trapped=" << interp.trapped
+                           << " result=" << interp.result << " retired=" << interp.retired
+                           << " fuel=" << interp.fuel << ") jit(trapped=" << jit.trapped
+                           << " result=" << jit.result << " retired=" << jit.retired
+                           << " fuel=" << jit.fuel << ")";
+  }
+  if (!VM::JitDispatchAvailable()) return;
+  VM vm(program, jit_opts);
+  EXPECT_EQ(vm.jit_stats()->bailouts, 0u) << "h and mix both run natively";
+}
+
+// A metered graft that runs out stays out. The interpreter prelude and the
+// JIT ledger both leave the budget at 0 — not -1, which reads as unlimited
+// — so a second call on the spent VM traps at its first instruction until
+// the host refuels it.
+TEST(JitFuel, ExhaustionIsStickyUntilRefuel) {
+  std::vector<std::uint8_t> data(256);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  std::uint64_t retired[2] = {0, 0};
+  for (const bool jit : {false, true}) {
+    grafts::MinnowConfig config;
+    config.jit = jit;
+    grafts::MinnowMd5Graft graft(config);
+    graft.SetFuel(200);
+    EXPECT_THROW(graft.Consume(data.data(), data.size()), minnow::FuelExhausted) << "jit=" << jit;
+    EXPECT_EQ(graft.FuelRemaining(), 0) << "jit=" << jit;
+    EXPECT_THROW(graft.Consume(data.data(), data.size()), minnow::FuelExhausted) << "jit=" << jit;
+    EXPECT_EQ(graft.FuelRemaining(), 0) << "jit=" << jit;
+    EXPECT_THROW(graft.Finish(), minnow::FuelExhausted) << "jit=" << jit;
+    EXPECT_EQ(graft.FuelRemaining(), 0) << "jit=" << jit;
+    retired[jit ? 1 : 0] = graft.vm().instructions_retired();
+  }
+  EXPECT_EQ(retired[0], retired[1]);
+}
+
 TEST(JitHosts, CallHostFromNativeCode) {
   HostDecl host;
   host.name = "k_add";
@@ -872,10 +945,11 @@ TEST(JitDeopt, UncompiledCalleeFallsBackPerEntry) {
   EXPECT_EQ(interp, jit);
 }
 
-// The allocator's choice for the paper's hottest loop: md5's rounds() keeps
-// the chaining variables a, b, c, d (locals 0-3) and the round counter i
-// (local 4) in registers for the whole function. A later allocator change
-// that silently fell back to memory would fail here, not just run slower.
+// The allocator's choice for the paper's hottest loop: every web of every
+// local of md5's rounds() — the chaining variables a, b, c, d (locals 0-3),
+// the round counter i (4), f (5), temp (6) and sum (7) — lives in a
+// register. A later allocator change that silently fell back to memory
+// would fail here, not just run slower.
 TEST(JitHomes, Md5RoundsHomesItsLoopCarriedLocals) {
   grafts::MinnowConfig config;
   config.jit = true;
@@ -893,7 +967,7 @@ TEST(JitHomes, Md5RoundsHomesItsLoopCarriedLocals) {
   EXPECT_EQ(stats->bailouts, 0u);
   const int rounds = jit.vm().program().FindFunction("rounds");
   ASSERT_GE(rounds, 0);
-  EXPECT_EQ(stats->homed_locals[static_cast<std::size_t>(rounds)] & 0x1fu, 0x1fu)
+  EXPECT_EQ(stats->homed_locals[static_cast<std::size_t>(rounds)], 0xffu)
       << "homed locals mask 0x" << std::hex << stats->homed_locals[static_cast<std::size_t>(rounds)];
 }
 
