@@ -356,8 +356,8 @@ namespace {
 //   r15 = fuel, and through its entry mark the retired ledger
 // The current Frame* lives in the native frame ([rsp + kFrameOff]); only
 // exits, calls, and returns read it. rbp, r12 and five caller-saved
-// registers are home registers: a frame slot the allocator homes (see
-// PlanHomes) lives in its register for the whole function. rax, rcx, rdx,
+// registers are home registers: a web the plan homes (jit_alloc.h) lives
+// in its register wherever it is live. rax, rcx, rdx,
 // rdi, and any home register the function leaves unused hold operand values
 // (the deferred stack, below). There is no stack-pointer register: the
 // verifier proves one operand depth per pc, so every operand address is
@@ -369,9 +369,9 @@ constexpr Reg CTX = R14;
 constexpr Reg LOCALS = R13;
 constexpr Reg GLB = RBX;
 // The live fuel counter. ctx->fuel is authoritative only at sync points
-// (prologue/epilogue, call boundaries); in between, block accounting runs
-// against the register so the common path is one sub and one taken-never
-// branch. Unlimited runs (negative ctx->fuel) bias r15 to INT64_MAX — the
+// (prologue/epilogue, call boundaries); in between, the fuel plan runs
+// against the register so a path pays one sub and one taken-never branch
+// per sync point. Unlimited runs (negative ctx->fuel) bias r15 to INT64_MAX — the
 // subtracts still happen but can never exhaust, and every sync skips the
 // store so the sentinel survives.
 constexpr Reg FUEL = R15;
@@ -381,7 +381,7 @@ constexpr std::uint64_t kFuelUnlimitedBias = 0x7fffffffffffffffull;
 // kMem names a 64-bit cell [base + disp]: the entry's own operand slot, or
 // a local, spliced-callee local, or global the value was read from and
 // which nothing has written since. kHome is the same kind of cell for a
-// homed slot: its home register, which consumers may read but never
+// homed web: its home register, which consumers may read but never
 // clobber. kReg is a temporary the entry owns. kFlags is a comparison
 // result still in the condition flags; it only ever sits on top of the
 // stack and is turned into a 0/1 register before anything else runs.
@@ -507,7 +507,8 @@ struct Compiler {
   // frames included) while the current block compiles. Producers push a
   // location instead of storing; consumers read registers, immediates, or
   // memory operands straight from it. A value reaches its slot's canonical
-  // place — the home register of a homed slot, else its memory cell — only
+  // place — its web's home register, the global a copy web stays in, else
+  // the slot's memory cell (Canon) — only
   // when something needs it there: a branch or a join (every jump target
   // starts with each operand in its canonical place, so all incoming paths
   // agree), a helper or kCall, or an exit stub, which stores the entries it

@@ -15,32 +15,36 @@
 //
 // Register roles: r14 holds the JitCtx, r13 the locals base, rbx the
 // globals, r15 fuel; the Frame* lives in the native frame. rbp, r12 and
-// five caller-saved registers are home registers: at load time a live-
-// variable analysis over the block graph (spliced leaf callees included)
-// and an interval allocation give the hottest frame slots — loop-carried
-// ones first, then locals, spliced-callee locals and operand slots live
-// across blocks — a home for the whole function; slots whose live ranges
-// do not overlap share one. rax, rcx, rdx and rdi always stay free for
-// values. Within a basic block the compiler defers the stores: a pushed
-// value is tracked as a register, an immediate, or a reference to the
-// local, home, or global it was read from, and consumers read it from
-// there. The join invariant: at every block boundary each homed slot is in
-// its home and every other slot is in memory, so all incoming edges agree
-// by construction. Before a helper that may allocate or collect, call a
-// host, or push a frame (new.*, call.host, kCall), every homed slot the
-// helper can observe is stored — the collector scans the VM stack
-// conservatively, so a reference held only in a register would be freed —
-// and the caller-saved homes are reloaded after it.
+// five caller-saved registers are home registers. What lives where comes
+// from the target-independent plan (jit_alloc.h): a live-variable analysis
+// over the block graph (spliced leaf callees included) splits every frame
+// slot into def-use webs, and the hottest webs — loop-carried ones first —
+// get a home; webs that are never live at one point share one. An operand
+// pushed as a copy of a local shares the local's web, and one pushed as a
+// copy of a global stays in the global's cell. rax, rcx, rdx and rdi
+// always stay free for values. Within a basic block the compiler defers
+// the stores: a pushed value is tracked as a register, an immediate, or a
+// reference to the local, home, or global it was read from, and consumers
+// read it from there. The join invariant: at every block boundary the web
+// of each live slot is in its canonical place (its home, its global, or
+// its memory cell), so all incoming edges agree by construction. Before a
+// helper that may allocate or collect, call a host, or push a frame
+// (new.*, call.host, kCall), every homed web the helper can observe is
+// stored — the collector scans the VM stack conservatively, so a reference
+// held only in a register would be freed — and the caller-saved homes are
+// reloaded after it.
 // Safety checks are inlined (null, array-kind, element-kind, bounds,
 // divide); at sites the elision certificate proved safe the `.nc` opcode
 // forms are emitted natively with no check instructions.
 //
-// Fuel is batched per basic block: one subtract from the fuel register
-// charges the whole straight-line run, and the retired-instruction ledger
-// is derived from the same register (its value at entry minus its value
-// now), added to the mailbox only where a host, a callee, or the runner can
-// read it. Every side exit gives the block's unexecuted tail back to that
-// register, so the ledgers an observer can read (fuel(),
+// Fuel is charged per path, not per block: at function entry, at each loop
+// header and after each unspliced call, one checked subtract from the fuel
+// register pays for the longest path to the next such point; edges onto a
+// shorter path give the difference back unchecked. The retired-instruction
+// ledger is derived from the same register (its value at entry minus its
+// value now), added to the mailbox only where a host, a callee, or the
+// runner can read it. Every side exit gives the unexecuted remainder back
+// to that register, so the ledgers an observer can read (fuel(),
 // instructions_retired()) are bit-identical to an interpreted run.
 //
 // Deoptimization is the safety net. Any condition the native code does not
