@@ -1,6 +1,7 @@
 #include "src/minnow/jit_alloc.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 
 #include "src/minnow/verifier.h"
@@ -294,6 +295,17 @@ std::int32_t Lookup(const std::vector<SlotWeb>& list, std::int32_t slot) {
   return -1;
 }
 
+// A variable: a slot's value live into a node — its in point, and its out
+// point too when it lives through the node or is read there late — or the
+// value a node writes, at its out point.
+struct Var {
+  std::uint32_t node;
+  std::int32_t slot;
+  bool write;
+  bool in_point;
+  bool out_point;
+};
+
 // Splits slots into webs, joins operand copies into the webs they copy,
 // then gives webs homes by rank (see the header).
 void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) {
@@ -308,26 +320,32 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
   plan.in.assign(count, {});
   plan.out.assign(count, {});
   plan.home.clear();
+  plan.remat.clear();
   if (nslots == 0 || nslots > kMaxHomedSlots) return;
   const Liveness lv = AnalyzeLiveness(nodes, nslots);
 
-  // Variables: one per (node, slot) live into the node, one per (node,
-  // slot) the node writes. Webs are their union over the edges.
+  // Variables, then webs as their union over the edges.
   UnionFind uf;
+  std::vector<Var> vars;
   std::vector<std::vector<SlotWeb>> def_var(count);
-  std::vector<std::pair<std::size_t, bool>> var_at;  // var -> (node, is a write)
   for (std::size_t i = 0; i < count; ++i) {
     if (!plan.reachable[i]) continue;
-    for (std::size_t k = 0; k < nslots; ++k) {
-      if (!lv.In(i, k)) continue;
-      plan.in[i].push_back({static_cast<std::int32_t>(k), uf.Add()});
-      var_at.emplace_back(i, false);
+    const Node& nd = nodes[i];
+    const auto node = static_cast<std::uint32_t>(i);
+    for (std::size_t x = 0; x < lv.words; ++x) {
+      for (std::uint64_t bits = lv.in[i * lv.words + x]; bits != 0; bits &= bits - 1) {
+        const auto k = static_cast<std::int32_t>(64 * x + static_cast<std::size_t>(__builtin_ctzll(bits)));
+        const bool written = std::find(nd.def.begin(), nd.def.end(), k) != nd.def.end();
+        const bool late = std::find(nd.late.begin(), nd.late.end(), k) != nd.late.end();
+        plan.in[i].push_back({k, uf.Add()});
+        vars.push_back({node, k, false, true, (lv.Out(i, static_cast<std::size_t>(k)) && !written) || late});
+      }
     }
-    for (const std::int32_t k : nodes[i].def) {
+    for (const std::int32_t k : nd.def) {
       def_var[i].push_back({k, uf.Add()});
-      var_at.emplace_back(i, true);
+      vars.push_back({node, k, true, false, true});
     }
-    if (uf.parent.size() > kMaxWebVars) {
+    if (vars.size() > kMaxWebVars) {
       for (auto& l : plan.in) l.clear();
       return;
     }
@@ -344,146 +362,156 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
       }
     }
   }
+  const std::size_t nvars = vars.size();
+  const auto for_points = [&](std::size_t v, auto&& f) {
+    if (vars[v].in_point) f(2 * vars[v].node);
+    if (vars[v].out_point) f(2 * vars[v].node + 1);
+  };
+  // Each pre-merge web's variables, contiguous (counting sort by root).
+  std::vector<std::uint32_t> first(nvars + 1, 0);
+  std::vector<std::uint32_t> members(nvars);
+  for (std::size_t v = 0; v < nvars; ++v) ++first[static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v))) + 1];
+  for (std::size_t r = 0; r < nvars; ++r) first[r + 1] += first[r];
+  {
+    std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+    for (std::size_t v = 0; v < nvars; ++v) {
+      members[fill[static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v)))]++] = static_cast<std::uint32_t>(v);
+    }
+  }
 
   // Copies. A web all of whose writes copy one other web X joins X, unless
-  // X is written at a point where the copy is still live.
-  const std::size_t nvars = uf.parent.size();
-  const std::size_t npoints = 2 * count;
-  std::vector<std::vector<std::uint32_t>> var_points(nvars);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Node& nd = nodes[i];
-    const auto point_in = static_cast<std::uint32_t>(2 * i);
-    for (const SlotWeb& sw : plan.in[i]) {
-      auto& pts = var_points[static_cast<std::size_t>(sw.web)];
-      pts.push_back(point_in);
-      const auto k = static_cast<std::size_t>(sw.slot);
-      const bool through = lv.Out(i, k) && Lookup(def_var[i], sw.slot) < 0;
-      const bool late = std::find(nd.late.begin(), nd.late.end(), sw.slot) != nd.late.end();
-      if (through || late) pts.push_back(point_in + 1);
-    }
-    for (const SlotWeb& sw : def_var[i]) var_points[static_cast<std::size_t>(sw.web)].push_back(point_in + 1);
-  }
+  // X is written at a point where the copy is still live. A merged copy
+  // writes the value its web already holds, so the writes that matter stay
+  // those of the web's own variables.
   constexpr std::int32_t kNone = -1;
   constexpr std::int32_t kMixed = -2;
   std::vector<std::int32_t> source(nvars, kNone);  // root -> the one web its writes copy
   for (std::size_t i = 0; i < count; ++i) {
     for (const SlotWeb& sw : def_var[i]) {
-      const std::int32_t w = uf.Find(sw.web);
       std::int32_t src = kMixed;
       for (const auto& [to, from] : nodes[i].copies) {
-        if (to == sw.slot) {
-          const std::int32_t v = Lookup(plan.in[i], from);
-          src = v >= 0 ? uf.Find(v) : kMixed;
-        }
+        if (to != sw.slot) continue;
+        const std::int32_t v = Lookup(plan.in[i], from);
+        src = v >= 0 ? uf.Find(v) : kMixed;
       }
-      std::int32_t& s = source[static_cast<std::size_t>(w)];
+      std::int32_t& s = source[static_cast<std::size_t>(uf.Find(sw.web))];
       s = s == kNone || s == src ? src : kMixed;
     }
   }
-  std::vector<std::vector<std::uint32_t>> web_points(nvars);
-  std::vector<std::vector<std::uint32_t>> write_points(nvars);
-  for (std::size_t v = 0; v < nvars; ++v) {
-    const std::int32_t r = uf.Find(static_cast<std::int32_t>(v));
-    auto& pts = web_points[static_cast<std::size_t>(r)];
-    pts.insert(pts.end(), var_points[v].begin(), var_points[v].end());
-    if (var_at[v].second) write_points[static_cast<std::size_t>(r)].push_back(var_points[v][0]);
-  }
-  // A merged copy writes the value its web already holds, so a web's
-  // writes that matter stay those of its own variables.
-  std::vector<std::uint64_t> mark(npoints / 64 + 1, 0);
+  std::vector<std::vector<std::int32_t>> absorbed(nvars);  // root -> copies merged into it
+  std::vector<std::uint64_t> mark(count / 32 + 1, 0);
+  const std::function<void(std::size_t, std::uint64_t)> mark_web = [&](std::size_t r, std::uint64_t on) {
+    for (std::uint32_t m = first[r]; m < first[r + 1]; ++m) {
+      for_points(members[m], [&](std::size_t p) {
+        mark[p / 64] = on != 0 ? mark[p / 64] | (std::uint64_t{1} << (p % 64)) : 0;
+      });
+    }
+    for (const std::int32_t c : absorbed[r]) mark_web(static_cast<std::size_t>(c), on);
+  };
   for (std::size_t w = 0; w < nvars; ++w) {
     if (source[w] < 0 || uf.Find(static_cast<std::int32_t>(w)) != static_cast<std::int32_t>(w)) continue;
     const auto x = static_cast<std::size_t>(uf.Find(source[w]));
     if (x == w) continue;
-    for (const std::uint32_t p : web_points[w]) mark[p / 64] |= std::uint64_t{1} << (p % 64);
+    mark_web(w, 1);
     bool clash = false;
-    for (const std::uint32_t p : write_points[x]) clash = clash || ((mark[p / 64] >> (p % 64)) & 1) != 0;
-    for (const std::uint32_t p : web_points[w]) mark[p / 64] = 0;
+    for (std::uint32_t m = first[x]; m < first[x + 1]; ++m) {
+      const Var& var = vars[members[m]];
+      const std::size_t p = 2 * var.node + 1;
+      clash = clash || (var.write && ((mark[p / 64] >> (p % 64)) & 1) != 0);
+    }
+    mark_web(w, 0);
     if (clash) continue;
-    web_points[x].insert(web_points[x].end(), web_points[w].begin(), web_points[w].end());
     uf.parent[w] = static_cast<std::int32_t>(x);
+    absorbed[x].push_back(static_cast<std::int32_t>(w));
   }
 
-  // Number the webs, route every variable to its web.
+  // Number the webs and gather each one's points (counting sort again).
   std::vector<std::int32_t> web_of_root(nvars, -1);
   std::int32_t webs = 0;
+  std::vector<std::int32_t> web_of(nvars);
   for (std::size_t v = 0; v < nvars; ++v) {
     const auto r = static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v)));
     if (web_of_root[r] < 0) web_of_root[r] = webs++;
+    web_of[v] = web_of_root[r];
   }
-  const auto web = [&](std::int32_t v) { return web_of_root[static_cast<std::size_t>(uf.Find(v))]; };
+  const auto nwebs = static_cast<std::size_t>(webs);
+  std::vector<std::uint32_t> pfirst(nwebs + 1, 0);
+  for (std::size_t v = 0; v < nvars; ++v) for_points(v, [&](std::size_t) { ++pfirst[static_cast<std::size_t>(web_of[v]) + 1]; });
+  for (std::size_t w = 0; w < nwebs; ++w) pfirst[w + 1] += pfirst[w];
+  std::vector<std::uint32_t> points(pfirst[nwebs]);
+  {
+    std::vector<std::uint32_t> fill(pfirst.begin(), pfirst.end() - 1);
+    for (std::size_t v = 0; v < nvars; ++v) {
+      for_points(v, [&](std::size_t p) { points[fill[static_cast<std::size_t>(web_of[v])]++] = static_cast<std::uint32_t>(p); });
+    }
+  }
   for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t k = 0; k < nslots; ++k) {
-      if (!plan.reachable[i] || !lv.Out(i, k)) continue;
-      const std::int32_t v = var_out(i, static_cast<std::int32_t>(k));
-      if (v >= 0) plan.out[i].push_back({static_cast<std::int32_t>(k), web(v)});
+    if (!plan.reachable[i]) continue;
+    for (std::size_t x = 0; x < lv.words; ++x) {
+      for (std::uint64_t bits = lv.out[i * lv.words + x]; bits != 0; bits &= bits - 1) {
+        const auto k = static_cast<std::int32_t>(64 * x + static_cast<std::size_t>(__builtin_ctzll(bits)));
+        const std::int32_t v = var_out(i, k);
+        if (v >= 0) plan.out[i].push_back({k, web_of[static_cast<std::size_t>(v)]});
+      }
     }
   }
 
   // Rank: local accesses weighted 8x per loop level, plus, for operand
   // slots, twice the weighted joins the web is live into.
   const auto weight_of = [](int nest) { return std::uint64_t{1} << (3 * std::min(nest, 6)); };
-  std::vector<std::uint64_t> weight(static_cast<std::size_t>(webs), 0);
-  std::vector<char> carried(static_cast<std::size_t>(webs), 0);
-  std::vector<std::vector<std::uint32_t>> points(static_cast<std::size_t>(webs));
-  for (std::size_t v = 0; v < nvars; ++v) {
-    auto& pts = points[static_cast<std::size_t>(web(static_cast<std::int32_t>(v)))];
-    pts.insert(pts.end(), var_points[v].begin(), var_points[v].end());
-  }
+  std::vector<std::uint64_t> weight(nwebs, 0);
+  std::vector<char> carried(nwebs, 0);
   for (std::size_t i = 0; i < count; ++i) {
     const Node& nd = nodes[i];
     const std::uint64_t wt = weight_of(nd.nest);
     for (const std::int32_t k : nd.luse) {
       const std::int32_t v = Lookup(plan.in[i], k);
-      if (v >= 0) weight[static_cast<std::size_t>(web(v))] += wt;
+      if (v >= 0) weight[static_cast<std::size_t>(web_of[static_cast<std::size_t>(v)])] += wt;
     }
-    for (const std::int32_t k : nd.ldef) weight[static_cast<std::size_t>(web(Lookup(def_var[i], k)))] += wt;
-    for (const SlotWeb& sw : plan.in[i]) {
-      if (nd.join && sw.slot >= nl) weight[static_cast<std::size_t>(web(sw.web))] += 2 * wt;
+    for (const std::int32_t k : nd.ldef) {
+      weight[static_cast<std::size_t>(web_of[static_cast<std::size_t>(Lookup(def_var[i], k))])] += wt;
     }
-    for (const int t : nd.succ) {
-      if (static_cast<std::size_t>(t) > i) continue;  // a back edge: its target's webs are carried
-      for (const SlotWeb& sw : plan.in[static_cast<std::size_t>(t)]) {
-        carried[static_cast<std::size_t>(web(sw.web))] = 1;
-      }
+    for (SlotWeb& sw : plan.in[i]) {
+      sw.web = web_of[static_cast<std::size_t>(sw.web)];
+      if (nd.join && sw.slot >= nl) weight[static_cast<std::size_t>(sw.web)] += 2 * wt;
     }
   }
-  for (auto& list : plan.in) {
-    for (SlotWeb& sw : list) sw.web = web(sw.web);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const int t : nodes[i].succ) {
+      if (static_cast<std::size_t>(t) > i) continue;  // a back edge: its target's webs are carried
+      for (const SlotWeb& sw : plan.in[static_cast<std::size_t>(t)]) carried[static_cast<std::size_t>(sw.web)] = 1;
+    }
   }
 
   // Globals. A web all of whose writes copy one global g stays in g's own
   // cell when nothing writes g while it is live and it reaches no helper
   // (a callee reads its args from the frame, and may write g): it needs
   // no register and no frame store.
-  plan.remat.assign(static_cast<std::size_t>(webs), -1);
-  std::vector<std::int32_t> gsource(static_cast<std::size_t>(webs), kNone);
+  plan.remat.assign(nwebs, -1);
+  std::vector<std::int32_t> gsource(nwebs, kNone);
   for (std::size_t i = 0; i < count; ++i) {
     for (const SlotWeb& sw : def_var[i]) {
       std::int32_t g = kMixed;
       for (const auto& [to, from] : nodes[i].gcopies) {
         if (to == sw.slot) g = from;
       }
-      std::int32_t& s = gsource[static_cast<std::size_t>(web(sw.web))];
+      std::int32_t& s = gsource[static_cast<std::size_t>(web_of[static_cast<std::size_t>(sw.web)])];
       s = s == kNone || s == g ? g : kMixed;
     }
   }
-  for (std::int32_t w = 0; w < webs; ++w) {
-    const std::int32_t g = gsource[static_cast<std::size_t>(w)];
-    if (g < 0) continue;
-    bool ok = true;
-    for (const std::uint32_t p : points[static_cast<std::size_t>(w)]) {
-      const Node& nd = nodes[p / 2];
-      ok = ok && !nd.helper && !nd.call && !(nd.stores_global == g && (p % 2) == 1);
+  for (std::size_t w = 0; w < nwebs; ++w) {
+    const std::int32_t g = gsource[w];
+    bool ok = g >= 0;
+    for (std::uint32_t q = pfirst[w]; q < pfirst[w + 1] && ok; ++q) {
+      const Node& nd = nodes[points[q] / 2];
+      ok = !nd.helper && !(nd.stores_global == g && (points[q] % 2) == 1);
     }
-    if (ok) plan.remat[static_cast<std::size_t>(w)] = g;
+    if (ok) plan.remat[w] = g;
   }
 
   std::vector<std::int32_t> order;
-  for (std::int32_t w = 0; w < webs; ++w) {
-    if (weight[static_cast<std::size_t>(w)] > 0 && plan.remat[static_cast<std::size_t>(w)] < 0) {
-      order.push_back(w);
-    }
+  for (std::size_t w = 0; w < nwebs; ++w) {
+    if (weight[w] > 0 && plan.remat[w] < 0) order.push_back(static_cast<std::int32_t>(w));
   }
   std::stable_sort(order.begin(), order.end(), [&](std::int32_t x, std::int32_t y) {
     const auto ux = static_cast<std::size_t>(x);
@@ -491,20 +519,22 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
     if (carried[ux] != carried[uy]) return carried[ux] > carried[uy];
     return weight[ux] > weight[uy];
   });
-  plan.home.assign(static_cast<std::size_t>(webs), -1);
+  plan.home.assign(nwebs, -1);
   const auto homes = static_cast<std::size_t>(in.num_homes);
-  const std::size_t pw = npoints / 64 + 1;
+  const std::size_t pw = 2 * count / 64 + 1;
   std::vector<std::uint64_t> taken(homes * pw, 0);
   for (const std::int32_t w : order) {
-    const auto& pts = points[static_cast<std::size_t>(w)];
+    const auto u = static_cast<std::size_t>(w);
     for (std::size_t r = 0; r < homes; ++r) {
       bool overlap = false;
-      for (const std::uint32_t p : pts) {
-        overlap = overlap || ((taken[r * pw + p / 64] >> (p % 64)) & 1) != 0;
+      for (std::uint32_t q = pfirst[u]; q < pfirst[u + 1] && !overlap; ++q) {
+        overlap = ((taken[r * pw + points[q] / 64] >> (points[q] % 64)) & 1) != 0;
       }
       if (overlap) continue;
-      for (const std::uint32_t p : pts) taken[r * pw + p / 64] |= std::uint64_t{1} << (p % 64);
-      plan.home[static_cast<std::size_t>(w)] = static_cast<std::int8_t>(r);
+      for (std::uint32_t q = pfirst[u]; q < pfirst[u + 1]; ++q) {
+        taken[r * pw + points[q] / 64] |= std::uint64_t{1} << (points[q] % 64);
+      }
+      plan.home[u] = static_cast<std::int8_t>(r);
       plan.home_mask |= 1u << r;
       break;
     }
