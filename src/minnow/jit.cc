@@ -493,12 +493,11 @@ struct Compiler {
   bool bad_ = false;  // a template hit a state it cannot encode: bail the function
 
   // --- native frame --------------------------------------------------------
-  // Below the six saved registers the prologue reserves three qwords (which
-  // also keeps rsp 16-aligned at helper calls): the retired-ledger mark,
-  // the spliced-call limit flag, and the current Frame*.
+  // Below the six saved registers the prologue reserves three qwords (the
+  // third keeps rsp 16-aligned at helper calls): the retired-ledger mark
+  // and the current Frame*.
   static constexpr std::int32_t kFrameReserve = 24;
   static constexpr std::int32_t kMarkOff = 0;    // r15 when the ledger last synced
-  static constexpr std::int32_t kFlagOff = 8;    // see EmitSpliceLimitFlag
   static constexpr std::int32_t kFrameOff = 16;  // VM::Frame* of this activation
 
   // --- the deferred operand stack -------------------------------------------
@@ -778,7 +777,7 @@ struct Compiler {
   // so the templates and the deferred stack work unchanged in caller
   // coordinates. The interpreter-identical depth, capacity, and
   // stack-overflow checks are evaluated once per activation (see
-  // EmitSpliceLimitFlag), and no frame is written on the hot path: an exit
+  // EmitSpliceLimitChecks), and no frame is written on the hot path: an exit
   // raised inside the spliced region jumps to a stub that materializes the
   // callee frame (and the caller's resume pc) before deopting, so the
   // interpreter picks up at the exact callee instruction with the state a
@@ -792,17 +791,6 @@ struct Compiler {
   std::int32_t inl_kk_ = 0;
   std::int32_t inl_ret_pc_ = 0;
   int inl_node_ = 0;  // the splice site's node
-  // A splice site's out-of-line limit checks, emitted after the epilogue
-  // with the operand stack as it stood at the site.
-  struct ColdCheck {
-    std::size_t jne_at;
-    std::size_t resume;
-    std::size_t pc;
-    std::int64_t base_limit;
-    std::vector<Loc> vs;
-    int node;
-  };
-  std::vector<ColdCheck> colds_{};
 
   // --- the plan ------------------------------------------------------------
   // Block graph, splice sites, liveness and homes come from jit_alloc; the
@@ -934,15 +922,6 @@ struct Compiler {
     a.StoreImm32Sx(RAX, F.pc, static_cast<std::int32_t>(pc));
   }
 
-  // Sets the flags for frame->base against `limit` without a free register
-  // (push and pop leave the flags alone).
-  void CmpFrameBase(std::int64_t limit) {
-    a.Push(RAX);
-    a.Load64(RAX, RSP, 8 + kFrameOff);
-    a.CmpMemImm(RAX, F.base, static_cast<std::int32_t>(limit));
-    a.Pop(RAX);
-  }
-
   void CallHelper(const void* helper) {
     a.MovImm64(RAX, reinterpret_cast<std::uint64_t>(helper));
     a.CallR(RAX);
@@ -1010,42 +989,23 @@ struct Compiler {
   // The spliced-call limits, once per activation. nframes, entry_frames,
   // and frame->base cannot change while this native frame is live (a
   // callee or reentrant host pops back to them before control returns), so
-  // the prologue decides for every splice site at once:
-  //   flag 0: depth, capacity, and the strictest site's stack check pass;
-  //   flag 1: depth and capacity pass, some site's stack check may fail;
-  //   flag 2: depth or capacity fails — every site traps.
-  // A site tests the flag and, only when it is set, runs its own checks out
-  // of line (EmitColdChecks), so a trap still fires at the exact call pc.
-  void EmitSpliceLimitFlag() {
-    a.StoreImm32Sx(RSP, kFlagOff, 2);
+  // the prologue checks every splice site at once: depth, capacity, and the
+  // strictest site's stack bound. If any of them fails, the activation
+  // deopts before its first instruction, and the interpreter runs it and
+  // traps at the exact call pc. Emitted after the homes load, so the stub
+  // stores what the registers hold.
+  void EmitSpliceLimitChecks() {
+    const auto exit = [&](Cc cc) { PushExit(a.Jcc(cc), 0, 0, 0, true); };
     a.Load64(RCX, CTX, L.ctx_nframes);
     a.MovRR(RDX, RCX);
     a.AluRMem(0x2B, RDX, CTX, L.ctx_entry_frames, true);  // sub
     a.AluImm(ALU_CMP, RDX, static_cast<std::int32_t>(opts.max_call_depth));
-    const std::size_t deep = a.Jcc8(CC_AE);
+    exit(CC_AE);
     a.AluImm(ALU_CMP, RCX, static_cast<std::int32_t>(frame_capacity));
-    const std::size_t full = a.Jcc8(CC_E);
-    a.StoreImm32Sx(RSP, kFlagOff, 1);
+    exit(CC_E);
     a.Load64(RAX, RSP, kFrameOff);
     a.CmpMemImm(RAX, F.base, static_cast<std::int32_t>(plan_.splice_base_limit));
-    const std::size_t high = a.Jcc8(CC_A);
-    a.StoreImm32Sx(RSP, kFlagOff, 0);
-    a.PatchRel8(deep, a.pos());
-    a.PatchRel8(full, a.pos());
-    a.PatchRel8(high, a.pos());
-  }
-
-  void EmitColdChecks() {
-    for (ColdCheck& c : colds_) {
-      a.PatchRel32(c.jne_at, a.pos());
-      vs_ = std::move(c.vs);  // exits store the operands as they were at the site
-      cur_node_ = c.node;
-      a.CmpMemImm(RSP, kFlagOff, 1);
-      JccExit(CC_NE, c.pc);  // call depth limit exceeded
-      CmpFrameBase(c.base_limit);
-      JccExit(CC_A, c.pc);   // VM stack overflow
-      a.PatchRel32(a.Jmp(), c.resume);
-    }
+    exit(CC_A);
   }
 
   void EmitPrologue() {
@@ -1067,13 +1027,13 @@ struct Compiler {
     a.Load64(RCX, CTX, L.ctx_stack);
     a.LeaSib(LOCALS, RCX, RAX, 3, 0);  // r13 = stack + 8*frame->base
     EmitLedgerReload();
-    if (std::find(plan_.splice_site.begin(), plan_.splice_site.end(), 1) !=
-        plan_.splice_site.end()) {
-      EmitSpliceLimitFlag();
-    }
     // Params (and any local read before it is written) enter their homes.
     for (const jitplan::SlotWeb& sw : plan_.HomedIn(0, false)) {
       a.Load64(HomeReg(sw), LOCALS, 8 * sw.slot);
+    }
+    if (std::find(plan_.splice_site.begin(), plan_.splice_site.end(), 1) !=
+        plan_.splice_site.end()) {
+      EmitSpliceLimitChecks();
     }
   }
 
@@ -1215,7 +1175,6 @@ struct Compiler {
       if (live && !plan_.splice_site[pc]) ft_from_ = cur_node_;
     }
     EmitEpilogue();
-    EmitColdChecks();
     EmitStubs();
     if (bad_) return false;
     for (const auto& fix : fixes) {
