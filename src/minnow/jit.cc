@@ -457,10 +457,7 @@ struct Compiler {
   std::size_t stack_slots;
 
   Asm a{};
-  // Per-pc control-flow facts, for the function being compiled and (while
-  // splicing) for the spliced callee.
   using Flow = jitplan::Flow;
-  Flow flow{};
   std::vector<std::int64_t> pc_off{};  // pc -> native offset (-1 = not emitted)
 
   struct Fix {
@@ -795,16 +792,13 @@ struct Compiler {
   // --- the plan ------------------------------------------------------------
   // Block graph, splice sites, liveness and homes come from jit_alloc; the
   // emitter maps each home index onto kHomeRegs.
-  jitplan::PlanInputs PlanIn() const {
-    return {&program, &fn, opts.jit_compile_filter, frame_capacity, stack_slots,
-            opts.max_call_depth, static_cast<int>(std::size(kHomeRegs))};
-  }
+  jitplan::PlanInputs plan_in_{};
   bool BuildFlow(const FunctionCode& f, Flow& fl, bool splice) const {
     return jitplan::BuildFlow(program, f, opts.jit_compile_filter, splice, fl);
   }
   bool CallGeometry(const FunctionCode& callee, int d, std::int64_t& kk,
                     std::int64_t& base_limit) const {
-    return jitplan::CallGeometry(PlanIn(), callee, d, kk, base_limit);
+    return jitplan::CallGeometry(plan_in_, callee, d, kk, base_limit);
   }
 
   jitplan::Plan plan_{};
@@ -857,7 +851,9 @@ struct Compiler {
                      reexec ? PendingEntries() : Pending{}, reexec ? LiveLocalHomes() : Pending{},
                      inl_fn_, inl_kk_, inl_ret_pc_});
   }
-  const Flow& CurFlow() const { return inl_fn_ != nullptr ? inl_flow_ : flow; }
+  // Per-pc control-flow facts of the function being compiled or, while
+  // splicing, of the spliced callee.
+  const Flow& CurFlow() const { return inl_fn_ != nullptr ? inl_flow_ : plan_.flow; }
   // Fuel was charged up front for the longest path from the last charge
   // point: a re-executed insn and everything after it go back; a helper's
   // exception already retired its insn.
@@ -1140,8 +1136,9 @@ struct Compiler {
   }
 
   bool Compile() {
-    if (!jitplan::BuildPlan(PlanIn(), plan_)) return false;
-    flow = plan_.flow;
+    plan_in_ = {&program, &fn, opts.jit_compile_filter, frame_capacity, stack_slots,
+                opts.max_call_depth, static_cast<int>(std::size(kHomeRegs))};
+    if (!jitplan::BuildPlan(plan_in_, plan_)) return false;
     head_refund_.assign(plan_.nodes, 0);
     for (std::size_t r = 0; r < std::size(kHomeRegs); ++r) {
       if ((plan_.home_mask >> r) & 1) home_mask_ |= Bit(kHomeRegs[r]);
@@ -1152,12 +1149,12 @@ struct Compiler {
     ResetStack(0);
     bool live = true;
     for (std::size_t pc = 0; pc < n; ++pc) {
-      if (flow.depth[pc] < 0) {
+      if (plan_.flow.depth[pc] < 0) {
         live = false;
         continue;
       }
       cur_node_ = plan_.pc_node[pc];
-      EnterPc(flow, pc, 0, live);
+      EnterPc(plan_.flow, pc, 0, live);
       pc_off[pc] = static_cast<std::int64_t>(a.pos());
       EmitNodeEntry(pc);
       const Op op = fn.code[pc].op;

@@ -89,9 +89,9 @@ struct JitStats {
   std::uint64_t bytes = 0;         // native bytes emitted into the arena
   std::uint64_t deopts = 0;        // runtime side exits to the interpreter
   std::uint64_t bailouts = 0;      // functions that stayed interpreted
-  std::uint64_t homed_slots = 0;   // frame slots given a home register (static)
-  // Per function index: bit s set when local s (s < 64) got a home. Lets
-  // tests pin the allocator's choices.
+  std::uint64_t homed_slots = 0;   // def-use webs given a home register (static)
+  // Per function index: bit s set when every web of local s (s < 64) that
+  // is ever live got a home. Lets tests pin the allocator's choices.
   std::vector<std::uint64_t> homed_locals;
 };
 

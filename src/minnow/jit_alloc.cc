@@ -215,14 +215,12 @@ std::vector<Node> BuildNodes(const PlanInputs& in, Plan& plan) {
   }
   plan.succ.assign(count, {});
   plan.preds.assign(count, 0);
-  plan.helper.assign(count, 0);
   plan.defs.assign(count, {});
   for (std::size_t i = 0; i < count; ++i) {
     Node& nd = nodes[i];
     std::sort(nd.def.begin(), nd.def.end());
     nd.def.erase(std::unique(nd.def.begin(), nd.def.end()), nd.def.end());
     plan.succ[i] = nd.succ;
-    plan.helper[i] = nd.helper ? 1 : 0;
     plan.defs[i] = nd.def;
     for (const int s : nd.succ) ++plan.preds[static_cast<std::size_t>(s)];
   }
@@ -316,7 +314,6 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
     for (const std::int32_t k : nd.use) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
     for (const std::int32_t k : nd.def) nslots = std::max(nslots, static_cast<std::size_t>(k) + 1);
   }
-  plan.slots = nslots;
   plan.in.assign(count, {});
   plan.out.assign(count, {});
   plan.home.clear();

@@ -118,14 +118,12 @@ struct Plan {
   std::int64_t splice_base_limit = INT32_MAX;  // strictest site's base limit
   std::vector<int> pc_node;                    // caller pc -> node
   std::size_t nodes = 0;
-  std::size_t slots = 0;                       // frame slots the function touches
   int num_locals = 0;
 
   // Block graph in node space (unreachable nodes have no edges).
   std::vector<std::vector<int>> succ;
   std::vector<int> preds;       // node -> incoming edge count
   std::vector<char> reachable;  // node -> emitted code runs here
-  std::vector<char> helper;     // node -> a helper the collector or a callee can observe
   std::vector<std::vector<std::int32_t>> defs;  // node -> slots it writes
 
   // Webs. in[n]: the webs live into or read at n; out[n]: the webs live

@@ -61,6 +61,7 @@ minnow::jitplan::PlanInputs Inputs(const Program& program, const FunctionCode& f
 // stay live; a splice's args are read, its other callee locals written).
 struct Effects {
   std::vector<std::set<int>> use, def;
+  std::vector<char> helper;  // allocation, host call, or a call that was not spliced
 };
 
 void InsnEffects(const Program& program, const Insn& insn, int d, int lbase, int obase,
@@ -95,6 +96,7 @@ Effects BytecodeEffects(const Program& program, const FunctionCode& fn, const Pl
   Effects fx;
   fx.use.resize(plan.nodes);
   fx.def.resize(plan.nodes);
+  fx.helper.assign(plan.nodes, 0);
   const int nl = fn.num_locals;
   for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
     const int d = plan.flow.depth[pc];
@@ -102,6 +104,9 @@ Effects BytecodeEffects(const Program& program, const FunctionCode& fn, const Pl
     const auto at = static_cast<std::size_t>(plan.pc_node[pc]);
     if (!plan.splice_site[pc]) {
       InsnEffects(program, fn.code[pc], d, 0, nl, fx.use[at], fx.def[at]);
+      const Op op = fn.code[pc].op;
+      fx.helper[at] = op == Op::kNewStruct || op == Op::kNewArray || op == Op::kCall ||
+                      op == Op::kCallHost;
       continue;
     }
     const FunctionCode& callee = program.functions[static_cast<std::size_t>(fn.code[pc].operand)];
@@ -180,7 +185,8 @@ std::set<std::pair<int, int>> AsSet(const std::vector<SlotWeb>& v) {
 }
 
 // Exit and helper store sets against the independent liveness.
-std::string CheckStores(const Plan& plan, const std::vector<std::set<int>>& live_in) {
+std::string CheckStores(const Plan& plan, const Effects& fx,
+                        const std::vector<std::set<int>>& live_in) {
   for (std::size_t n = 0; n < plan.nodes; ++n) {
     if (!plan.reachable[n]) continue;
     const int node = static_cast<int>(n);
@@ -196,7 +202,7 @@ std::string CheckStores(const Plan& plan, const std::vector<std::set<int>>& live
     if (AsSet(plan.HomedIn(node, true)) != want_locals) {
       return "node " + std::to_string(n) + ": exit store set is not the live homed locals";
     }
-    if (plan.helper[n] && AsSet(plan.HomedIn(node, false)) != want_all) {
+    if (fx.helper[n] && AsSet(plan.HomedIn(node, false)) != want_all) {
       return "node " + std::to_string(n) + ": helper site misses a live homed web";
     }
   }
@@ -261,9 +267,10 @@ void CheckProgram(const Program& program, const std::string& name, Checked& tota
   for (const FunctionCode& fn : program.functions) {
     Plan plan;
     if (!minnow::jitplan::BuildPlan(Inputs(program, fn), plan)) continue;
-    const std::vector<std::set<int>> live_in = LiveIn(plan, BytecodeEffects(program, fn, plan));
+    const Effects fx = BytecodeEffects(program, fn, plan);
+    const std::vector<std::set<int>> live_in = LiveIn(plan, fx);
     EXPECT_EQ(CheckHomes(plan, live_in), "") << name << " fn " << fn.name;
-    EXPECT_EQ(CheckStores(plan, live_in), "") << name << " fn " << fn.name;
+    EXPECT_EQ(CheckStores(plan, fx, live_in), "") << name << " fn " << fn.name;
     EXPECT_EQ(CheckFuel(plan), "") << name << " fn " << fn.name;
     ++total.functions;
     total.homed_webs += plan.HomedWebs();
