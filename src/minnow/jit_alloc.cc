@@ -236,6 +236,15 @@ struct Liveness {
   bool Bit(const std::vector<std::uint64_t>& v, std::size_t node, std::size_t k) const {
     return ((v[node * words + k / 64] >> (k % 64)) & 1) != 0;
   }
+  // Calls f(k) for every slot k set in `node`'s row of `v`, in slot order.
+  template <typename F>
+  void ForEach(const std::vector<std::uint64_t>& v, std::size_t node, F&& f) const {
+    for (std::size_t x = 0; x < words; ++x) {
+      for (std::uint64_t bits = v[node * words + x]; bits != 0; bits &= bits - 1) {
+        f(static_cast<std::int32_t>(64 * x + static_cast<std::size_t>(__builtin_ctzll(bits))));
+      }
+    }
+  }
 };
 
 Liveness AnalyzeLiveness(const std::vector<Node>& nodes, std::size_t nslots) {
@@ -276,14 +285,15 @@ struct UnionFind {
     parent.push_back(static_cast<std::int32_t>(parent.size()));
     return parent.back();
   }
+  std::int32_t& Parent(std::int32_t x) { return parent[static_cast<std::size_t>(x)]; }
   std::int32_t Find(std::int32_t x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] = parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
+    while (Parent(x) != x) {
+      Parent(x) = Parent(Parent(x));
+      x = Parent(x);
     }
     return x;
   }
-  void Union(std::int32_t a, std::int32_t b) { parent[static_cast<std::size_t>(Find(a))] = Find(b); }
+  void Union(std::int32_t a, std::int32_t b) { Parent(Find(a)) = Find(b); }
 };
 
 std::int32_t Lookup(const std::vector<SlotWeb>& list, std::int32_t slot) {
@@ -329,15 +339,13 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
     if (!plan.reachable[i]) continue;
     const Node& nd = nodes[i];
     const auto node = static_cast<std::uint32_t>(i);
-    for (std::size_t x = 0; x < lv.words; ++x) {
-      for (std::uint64_t bits = lv.in[i * lv.words + x]; bits != 0; bits &= bits - 1) {
-        const auto k = static_cast<std::int32_t>(64 * x + static_cast<std::size_t>(__builtin_ctzll(bits)));
-        const bool written = std::find(nd.def.begin(), nd.def.end(), k) != nd.def.end();
-        const bool late = std::find(nd.late.begin(), nd.late.end(), k) != nd.late.end();
-        plan.in[i].push_back({k, uf.Add()});
-        vars.push_back({node, k, false, true, (lv.Out(i, static_cast<std::size_t>(k)) && !written) || late});
-      }
-    }
+    lv.ForEach(lv.in, i, [&](std::int32_t k) {
+      const bool written = std::find(nd.def.begin(), nd.def.end(), k) != nd.def.end();
+      const bool late = std::find(nd.late.begin(), nd.late.end(), k) != nd.late.end();
+      const bool through = lv.Out(i, static_cast<std::size_t>(k)) && !written;
+      plan.in[i].push_back({k, uf.Add()});
+      vars.push_back({node, k, false, true, through || late});
+    });
     for (const std::int32_t k : nd.def) {
       def_var[i].push_back({k, uf.Add()});
       vars.push_back({node, k, true, false, true});
@@ -360,6 +368,9 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
     }
   }
   const std::size_t nvars = vars.size();
+  const auto root = [&](std::size_t v) {
+    return static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v)));
+  };
   const auto for_points = [&](std::size_t v, auto&& f) {
     if (vars[v].in_point) f(2 * vars[v].node);
     if (vars[v].out_point) f(2 * vars[v].node + 1);
@@ -367,12 +378,12 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
   // Each pre-merge web's variables, contiguous (counting sort by root).
   std::vector<std::uint32_t> first(nvars + 1, 0);
   std::vector<std::uint32_t> members(nvars);
-  for (std::size_t v = 0; v < nvars; ++v) ++first[static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v))) + 1];
+  for (std::size_t v = 0; v < nvars; ++v) ++first[root(v) + 1];
   for (std::size_t r = 0; r < nvars; ++r) first[r + 1] += first[r];
   {
     std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
     for (std::size_t v = 0; v < nvars; ++v) {
-      members[fill[static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v)))]++] = static_cast<std::uint32_t>(v);
+      members[fill[root(v)]++] = static_cast<std::uint32_t>(v);
     }
   }
 
@@ -397,26 +408,28 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
   }
   std::vector<std::vector<std::int32_t>> absorbed(nvars);  // root -> copies merged into it
   std::vector<std::uint64_t> mark(count / 32 + 1, 0);
-  const std::function<void(std::size_t, std::uint64_t)> mark_web = [&](std::size_t r, std::uint64_t on) {
+  // Marks (or clears the words of) the out and in points of root r's web
+  // and of every copy merged into it.
+  const std::function<void(std::size_t, bool)> mark_web = [&](std::size_t r, bool on) {
     for (std::uint32_t m = first[r]; m < first[r + 1]; ++m) {
       for_points(members[m], [&](std::size_t p) {
-        mark[p / 64] = on != 0 ? mark[p / 64] | (std::uint64_t{1} << (p % 64)) : 0;
+        mark[p / 64] = on ? mark[p / 64] | (std::uint64_t{1} << (p % 64)) : 0;
       });
     }
     for (const std::int32_t c : absorbed[r]) mark_web(static_cast<std::size_t>(c), on);
   };
   for (std::size_t w = 0; w < nvars; ++w) {
-    if (source[w] < 0 || uf.Find(static_cast<std::int32_t>(w)) != static_cast<std::int32_t>(w)) continue;
+    if (source[w] < 0 || root(w) != w) continue;
     const auto x = static_cast<std::size_t>(uf.Find(source[w]));
     if (x == w) continue;
-    mark_web(w, 1);
+    mark_web(w, true);
     bool clash = false;
     for (std::uint32_t m = first[x]; m < first[x + 1]; ++m) {
       const Var& var = vars[members[m]];
       const std::size_t p = 2 * var.node + 1;
       clash = clash || (var.write && ((mark[p / 64] >> (p % 64)) & 1) != 0);
     }
-    mark_web(w, 0);
+    mark_web(w, false);
     if (clash) continue;
     uf.parent[w] = static_cast<std::int32_t>(x);
     absorbed[x].push_back(static_cast<std::int32_t>(w));
@@ -427,30 +440,30 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
   std::int32_t webs = 0;
   std::vector<std::int32_t> web_of(nvars);
   for (std::size_t v = 0; v < nvars; ++v) {
-    const auto r = static_cast<std::size_t>(uf.Find(static_cast<std::int32_t>(v)));
+    const std::size_t r = root(v);
     if (web_of_root[r] < 0) web_of_root[r] = webs++;
     web_of[v] = web_of_root[r];
   }
   const auto nwebs = static_cast<std::size_t>(webs);
   std::vector<std::uint32_t> pfirst(nwebs + 1, 0);
-  for (std::size_t v = 0; v < nvars; ++v) for_points(v, [&](std::size_t) { ++pfirst[static_cast<std::size_t>(web_of[v]) + 1]; });
+  for (std::size_t v = 0; v < nvars; ++v) {
+    for_points(v, [&](std::size_t) { ++pfirst[static_cast<std::size_t>(web_of[v]) + 1]; });
+  }
   for (std::size_t w = 0; w < nwebs; ++w) pfirst[w + 1] += pfirst[w];
   std::vector<std::uint32_t> points(pfirst[nwebs]);
   {
     std::vector<std::uint32_t> fill(pfirst.begin(), pfirst.end() - 1);
     for (std::size_t v = 0; v < nvars; ++v) {
-      for_points(v, [&](std::size_t p) { points[fill[static_cast<std::size_t>(web_of[v])]++] = static_cast<std::uint32_t>(p); });
+      std::uint32_t& at = fill[static_cast<std::size_t>(web_of[v])];
+      for_points(v, [&](std::size_t p) { points[at++] = static_cast<std::uint32_t>(p); });
     }
   }
   for (std::size_t i = 0; i < count; ++i) {
     if (!plan.reachable[i]) continue;
-    for (std::size_t x = 0; x < lv.words; ++x) {
-      for (std::uint64_t bits = lv.out[i * lv.words + x]; bits != 0; bits &= bits - 1) {
-        const auto k = static_cast<std::int32_t>(64 * x + static_cast<std::size_t>(__builtin_ctzll(bits)));
-        const std::int32_t v = var_out(i, k);
-        if (v >= 0) plan.out[i].push_back({k, web_of[static_cast<std::size_t>(v)]});
-      }
-    }
+    lv.ForEach(lv.out, i, [&](std::int32_t k) {
+      const std::int32_t v = var_out(i, k);
+      if (v >= 0) plan.out[i].push_back({k, web_of[static_cast<std::size_t>(v)]});
+    });
   }
 
   // Rank: local accesses weighted 8x per loop level, plus, for operand
@@ -458,15 +471,18 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
   const auto weight_of = [](int nest) { return std::uint64_t{1} << (3 * std::min(nest, 6)); };
   std::vector<std::uint64_t> weight(nwebs, 0);
   std::vector<char> carried(nwebs, 0);
+  const auto web_at = [&](std::int32_t v) {
+    return static_cast<std::size_t>(web_of[static_cast<std::size_t>(v)]);
+  };
   for (std::size_t i = 0; i < count; ++i) {
     const Node& nd = nodes[i];
     const std::uint64_t wt = weight_of(nd.nest);
     for (const std::int32_t k : nd.luse) {
       const std::int32_t v = Lookup(plan.in[i], k);
-      if (v >= 0) weight[static_cast<std::size_t>(web_of[static_cast<std::size_t>(v)])] += wt;
+      if (v >= 0) weight[web_at(v)] += wt;
     }
     for (const std::int32_t k : nd.ldef) {
-      weight[static_cast<std::size_t>(web_of[static_cast<std::size_t>(Lookup(def_var[i], k))])] += wt;
+      weight[web_at(Lookup(def_var[i], k))] += wt;
     }
     for (SlotWeb& sw : plan.in[i]) {
       sw.web = web_of[static_cast<std::size_t>(sw.web)];
@@ -476,7 +492,9 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
   for (std::size_t i = 0; i < count; ++i) {
     for (const int t : nodes[i].succ) {
       if (static_cast<std::size_t>(t) > i) continue;  // a back edge: its target's webs are carried
-      for (const SlotWeb& sw : plan.in[static_cast<std::size_t>(t)]) carried[static_cast<std::size_t>(sw.web)] = 1;
+      for (const SlotWeb& sw : plan.in[static_cast<std::size_t>(t)]) {
+        carried[static_cast<std::size_t>(sw.web)] = 1;
+      }
     }
   }
 
@@ -492,7 +510,7 @@ void PlanWebs(const PlanInputs& in, const std::vector<Node>& nodes, Plan& plan) 
       for (const auto& [to, from] : nodes[i].gcopies) {
         if (to == sw.slot) g = from;
       }
-      std::int32_t& s = gsource[static_cast<std::size_t>(web_of[static_cast<std::size_t>(sw.web)])];
+      std::int32_t& s = gsource[web_at(sw.web)];
       s = s == kNone || s == g ? g : kMixed;
     }
   }
@@ -549,7 +567,8 @@ void PlanFuel(const std::vector<Node>& nodes, Plan& plan) {
   plan.charge[0] = 1;
   for (std::size_t i = 0; i < count; ++i) {
     for (const int j : nodes[i].succ) {
-      if (static_cast<std::size_t>(j) <= i || nodes[i].call) plan.charge[static_cast<std::size_t>(j)] = 1;
+      const auto m = static_cast<std::size_t>(j);
+      if (m <= i || nodes[i].call) plan.charge[m] = 1;
     }
   }
   for (std::size_t i = count; i-- > 0;) {
@@ -557,7 +576,8 @@ void PlanFuel(const std::vector<Node>& nodes, Plan& plan) {
     int best = 0;
     if (!nodes[i].end) {
       for (const int j : nodes[i].succ) {
-        if (!plan.charge[static_cast<std::size_t>(j)]) best = std::max(best, plan.rem[static_cast<std::size_t>(j)]);
+        const auto m = static_cast<std::size_t>(j);
+        if (!plan.charge[m]) best = std::max(best, plan.rem[m]);
       }
     }
     plan.rem[i] = 1 + best;
@@ -699,7 +719,8 @@ std::vector<SlotWeb> Plan::HomedIn(int node, bool locals_only) const {
 }
 
 std::uint64_t Plan::HomedWebs() const {
-  return static_cast<std::uint64_t>(std::count_if(home.begin(), home.end(), [](std::int8_t h) { return h >= 0; }));
+  return static_cast<std::uint64_t>(
+      std::count_if(home.begin(), home.end(), [](std::int8_t h) { return h >= 0; }));
 }
 
 std::uint64_t Plan::HomedLocalsMask() const {

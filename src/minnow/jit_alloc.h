@@ -154,7 +154,9 @@ struct Plan {
   // What a side exit at `node` gives back: the whole prepaid remainder
   // when the instruction re-executes in the interpreter, one less when a
   // helper already retired it.
-  int Give(int node, bool reexec) const { return rem[static_cast<std::size_t>(node)] - (reexec ? 0 : 1); }
+  int Give(int node, bool reexec) const {
+    return rem[static_cast<std::size_t>(node)] - (reexec ? 0 : 1);
+  }
 
   // The homed webs live into `node`, locals only when `locals_only`: what
   // a side exit stores besides its pending operands, and what a helper

@@ -69,12 +69,13 @@ void InsnEffects(const Program& program, const Insn& insn, int d, int lbase, int
   minnow::StackShape e;
   minnow::ResolveShape(program, insn, e);
   for (int j = d - e.pops; j < d; ++j) use.insert(obase + j);
+  const auto s = static_cast<int>(insn.operand);
   const auto a = static_cast<int>(minnow::SlotPairA(insn.operand));
   const auto b = static_cast<int>(minnow::SlotPairB(insn.operand));
   const auto cs = static_cast<int>(minnow::ConstStoreSlot(insn.operand));
   switch (insn.op) {
-    case Op::kLoadLocal: case Op::kLoadAddI: use.insert(lbase + static_cast<int>(insn.operand)); break;
-    case Op::kStoreLocal: def.insert(lbase + static_cast<int>(insn.operand)); break;
+    case Op::kLoadLocal: case Op::kLoadAddI: use.insert(lbase + s); break;
+    case Op::kStoreLocal: def.insert(lbase + s); break;
     case Op::kConstStore: def.insert(lbase + cs); break;
     case Op::kLoadConstI: use.insert(lbase + cs); break;
     case Op::kLoadLocal2: use.insert(lbase + a); use.insert(lbase + b); break;
@@ -159,7 +160,8 @@ std::string CheckHomes(const Plan& plan, const std::vector<std::set<int>>& live_
     for (const auto* list : {&plan.in[n], &plan.out[n]}) {
       for (const SlotWeb& x : *list) {
         for (const SlotWeb& y : *list) {
-          if (x.web != y.web && plan.HomeOf(x.web) >= 0 && plan.HomeOf(x.web) == plan.HomeOf(y.web)) {
+          const int home = plan.HomeOf(x.web);
+          if (x.web != y.web && home >= 0 && home == plan.HomeOf(y.web)) {
             return "node " + std::to_string(n) + ": slots " + std::to_string(x.slot) + " and " +
                    std::to_string(y.slot) + " are live in one home";
           }
@@ -194,7 +196,9 @@ std::string CheckStores(const Plan& plan, const Effects& fx,
     std::set<std::pair<int, int>> want_all;
     for (const int k : live_in[n]) {
       const int web = plan.WebIn(node, static_cast<std::size_t>(k));
-      if (web < 0) return "node " + std::to_string(n) + ": live slot " + std::to_string(k) + " has no web";
+      if (web < 0) {
+        return "node " + std::to_string(n) + ": live slot " + std::to_string(k) + " has no web";
+      }
       if (plan.HomeOf(web) < 0) continue;
       want_all.insert({k, web});
       if (k < plan.num_locals) want_locals.insert({k, web});
@@ -228,7 +232,8 @@ std::string CheckFuel(const Plan& plan) {
     if (plan.succ[u].empty()) {
       ++paths;
       if (paid != executed + 1) {
-        err = "node " + std::to_string(n) + ": return leaves " + std::to_string(paid - executed - 1);
+        err = "node " + std::to_string(n) + ": return leaves " +
+              std::to_string(paid - executed - 1);
       }
       return;
     }
@@ -243,8 +248,8 @@ std::string CheckFuel(const Plan& plan) {
       if (plan.charge[static_cast<std::size_t>(m)]) {
         ++paths;
         if (left != 0) {
-          err = "edge " + std::to_string(n) + "->" + std::to_string(m) + " into a charge point leaves " +
-                std::to_string(left);
+          err = "edge " + std::to_string(n) + "->" + std::to_string(m) +
+                " into a charge point leaves " + std::to_string(left);
           return;
         }
         continue;
@@ -335,7 +340,8 @@ TEST(JitPlan, Md5RoundsPlanAndMutationsAreCaught) {
   config.elide = true;
   grafts::MinnowMd5Graft md5(config);
   const Program& program = md5.vm().program();
-  const FunctionCode& fn = program.functions[static_cast<std::size_t>(program.FindFunction("rounds"))];
+  const auto rounds = static_cast<std::size_t>(program.FindFunction("rounds"));
+  const FunctionCode& fn = program.functions[rounds];
   Plan plan;
   ASSERT_TRUE(minnow::jitplan::BuildPlan(Inputs(program, fn), plan));
   EXPECT_EQ(plan.HomedLocalsMask(), 0xffu);
